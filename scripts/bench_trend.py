@@ -3,10 +3,10 @@
 
 Usage: bench_trend.py BASELINE FRESH [--threshold 0.30]
 
-Scaling rows are matched on (engine, tier, collapse, dedup, cache,
-threads) and per-workload rows on (workload, tier, collapse,
-dedup); only legs present in BOTH files are compared, so adding or
-removing a leg never trips the gate.  A fresh leg whose
+Scaling rows are matched on (engine, tier, dedup, cache, threads)
+and per-workload rows on (workload, tier, dedup); only legs present
+in BOTH files are compared, so adding or removing a leg never trips
+the gate.  A fresh leg whose
 scenarios_per_s falls more than the threshold below the same
 baseline leg emits a GitHub Actions ::warning:: annotation.  The
 exit code is always 0: CI hosts are noisy and the committed
@@ -25,7 +25,6 @@ def run_key(row):
         "run",
         row.get("engine"),
         row.get("tier"),
-        row.get("collapse"),
         row.get("dedup"),
         row.get("cache"),
         row.get("threads"),
@@ -37,7 +36,6 @@ def workload_key(row):
         "workload",
         row.get("workload"),
         row.get("tier"),
-        row.get("collapse"),
         row.get("dedup"),
     )
 

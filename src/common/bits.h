@@ -39,6 +39,25 @@ isPow2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/**
+ * Overflow-checked unsigned arithmetic: stores @p a + @p b (or
+ * @p a * @p b) in @p out and returns true, or returns false when
+ * the exact result does not fit 64 bits.  Boundary validation
+ * must be explicit — UBSan does not trap unsigned wraparound.
+ */
+constexpr bool
+checkedAdd(std::uint64_t a, std::uint64_t b, std::uint64_t &out)
+{
+    return !__builtin_add_overflow(a, b, &out);
+}
+
+/** See checkedAdd(). */
+constexpr bool
+checkedMul(std::uint64_t a, std::uint64_t b, std::uint64_t &out)
+{
+    return !__builtin_mul_overflow(a, b, &out);
+}
+
 /** Floor of log2(@p v); @p v must be nonzero. */
 constexpr unsigned
 floorLog2(std::uint64_t v)

@@ -393,7 +393,6 @@ AccessResult
 VectorAccessUnit::execute(const AccessPlan &plan,
                           DeliveryArena *arena, BackendCache *cache,
                           TierPolicy tier, TierCounters *tiers,
-                          MapPath path, CollapseMode collapse,
                           ResultDetail detail) const
 {
     cfva_assert(tier != TierPolicy::AuditBoth,
@@ -419,26 +418,22 @@ VectorAccessUnit::execute(const AccessPlan &plan,
         };
         if (cache) {
             return answer(cache->theoryBackendFor(
-                cfg_.engine, cfg_.memConfig(), *mapping_, path,
-                collapse));
+                cfg_.engine, cfg_.memConfig(), *mapping_));
         }
-        TheoryBackend tb(
-            cfg_.memConfig(), *mapping_,
-            makeMemoryBackend(cfg_.engine, cfg_.memConfig(),
-                              *mapping_, path, collapse),
-            path);
+        TheoryBackend tb(cfg_.memConfig(), *mapping_,
+                         makeMemoryBackend(cfg_.engine,
+                                           cfg_.memConfig(),
+                                           *mapping_));
         return answer(tb);
     }
     if (tiers)
         tiers->add(false);
     if (cache) {
         return cache
-            ->backendFor(cfg_.engine, cfg_.memConfig(), *mapping_,
-                         path, collapse)
+            ->backendFor(cfg_.engine, cfg_.memConfig(), *mapping_)
             .runSingle(plan.stream, arena);
     }
-    return makeMemoryBackend(cfg_.engine, cfg_.memConfig(), *mapping_,
-                             path, collapse)
+    return makeMemoryBackend(cfg_.engine, cfg_.memConfig(), *mapping_)
         ->runSingle(plan.stream, arena);
 }
 
@@ -446,8 +441,7 @@ MultiPortResult
 VectorAccessUnit::executePorts(
     const std::vector<std::vector<Request>> &streams,
     DeliveryArena *arena, BackendCache *cache, TierPolicy tier,
-    TierCounters *tiers, MapPath path, CollapseMode collapse,
-    ResultDetail detail) const
+    TierCounters *tiers, ResultDetail detail) const
 {
     cfva_assert(tier != TierPolicy::AuditBoth,
                 "AuditBoth is resolved by the caller running both "
@@ -463,26 +457,22 @@ VectorAccessUnit::executePorts(
         };
         if (cache) {
             return answer(cache->theoryBackendFor(
-                cfg_.engine, cfg_.memConfig(), *mapping_, path,
-                collapse));
+                cfg_.engine, cfg_.memConfig(), *mapping_));
         }
-        TheoryBackend tb(
-            cfg_.memConfig(), *mapping_,
-            makeMemoryBackend(cfg_.engine, cfg_.memConfig(),
-                              *mapping_, path, collapse),
-            path);
+        TheoryBackend tb(cfg_.memConfig(), *mapping_,
+                         makeMemoryBackend(cfg_.engine,
+                                           cfg_.memConfig(),
+                                           *mapping_));
         return answer(tb);
     }
     if (tiers)
         tiers->add(false);
     if (cache) {
         return cache
-            ->backendFor(cfg_.engine, cfg_.memConfig(), *mapping_,
-                         path, collapse)
+            ->backendFor(cfg_.engine, cfg_.memConfig(), *mapping_)
             .run(streams, arena);
     }
-    return makeMemoryBackend(cfg_.engine, cfg_.memConfig(), *mapping_,
-                             path, collapse)
+    return makeMemoryBackend(cfg_.engine, cfg_.memConfig(), *mapping_)
         ->run(streams, arena);
 }
 

@@ -124,11 +124,6 @@ class VectorAccessUnit
      * given, the access is attributed to it as claimed or fallback
      * (under SimulateAlways: always fallback).
      *
-     * @p path selects the backend's stream-premap variant (see
-     * makeMemoryBackend); results are bit-identical either way.
-     * @p collapse gates the single-port periodic fast path (also
-     * bit-identical; Off is the pure stepped oracle).
-     *
      * @p detail selects how much of a theory-claimed result is
      * materialized (see ResultDetail; simulated results are always
      * full).  Under TheoryFirst a plan the planner certified
@@ -142,8 +137,6 @@ class VectorAccessUnit
                          BackendCache *cache = nullptr,
                          TierPolicy tier = TierPolicy::SimulateAlways,
                          TierCounters *tiers = nullptr,
-                         MapPath path = MapPath::BitSliced,
-                         CollapseMode collapse = CollapseMode::On,
                          ResultDetail detail =
                              ResultDetail::Full) const;
 
@@ -152,7 +145,7 @@ class VectorAccessUnit
      * the port-aware backend selected by config().engine.  The
      * engine knob is honored for every port count; the per-cycle
      * and event-driven backends produce bit-identical results.
-     * @p cache, @p tier, @p tiers, @p path, @p detail as in
+     * @p cache, @p tier, @p tiers, @p detail as in
      * execute(); the theory tier claims P > 1 accesses whose port
      * streams are provably module-disjoint and falls back to the
      * port-aware engine otherwise.
@@ -163,8 +156,6 @@ class VectorAccessUnit
                  BackendCache *cache = nullptr,
                  TierPolicy tier = TierPolicy::SimulateAlways,
                  TierCounters *tiers = nullptr,
-                 MapPath path = MapPath::BitSliced,
-                 CollapseMode collapse = CollapseMode::On,
                  ResultDetail detail = ResultDetail::Full) const;
 
     /** plan() + execute() in one call. */

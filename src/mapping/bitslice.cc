@@ -7,18 +7,6 @@
 
 namespace cfva {
 
-const char *
-to_string(MapPath path)
-{
-    switch (path) {
-      case MapPath::BitSliced:
-        return "bitsliced";
-      case MapPath::Scalar:
-        return "scalar";
-    }
-    return "?";
-}
-
 void
 transpose64(std::uint64_t w[64])
 {
@@ -43,11 +31,10 @@ BitSlicedMapper::BitSlicedMapper(std::vector<std::uint64_t> rows)
                 " module bits (supported: 1..16)");
 }
 
-BitSlicedMapper::BitSlicedMapper(const ModuleMapping &map,
-                                 MapPath path)
+BitSlicedMapper::BitSlicedMapper(const ModuleMapping &map)
     : moduleBits_(map.moduleBits())
 {
-    if (path == MapPath::BitSliced && map.gf2Rows(rows_)) {
+    if (map.gf2Rows(rows_)) {
         cfva_assert(rows_.size() == moduleBits_,
                     "mapping exposed ", rows_.size(),
                     " GF(2) rows for ", moduleBits_, " module bits");

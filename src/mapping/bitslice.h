@@ -41,22 +41,6 @@ namespace cfva {
 inline constexpr std::size_t kLaneWidth = 64;
 
 /**
- * Which address-generation path a backend premaps its streams
- * through.  BitSliced is the default and is bit-identical to Scalar
- * by construction (the differential test enforces it); Scalar
- * forces the per-element moduleOf() loop — the knob benchmarks and
- * differential tests use to hold the two paths side by side (the
- * BackendCache keys on it so the variants never alias an entry).
- */
-enum class MapPath
-{
-    BitSliced, //!< 64 elements per word where the mapping is linear
-    Scalar,    //!< per-element moduleOf(), the historical path
-};
-
-const char *to_string(MapPath path);
-
-/**
  * In-place 64x64 bit-matrix transpose (recursive block swap).
  *
  * Uses the Hacker's Delight row convention (row 0 on top, bit 63 as
@@ -76,9 +60,14 @@ void transpose64(std::uint64_t w[64]);
  *   addresses are mapped via transpose64 + one XOR per matrix
  *   one-bit, with a scalar tail for lengths not a multiple of 64;
  * - scalar fallback: the mapping is not (statically) linear — the
- *   dynamic retunable scheme — or MapPath::Scalar was forced; every
- *   element goes through ModuleMapping::moduleOf, re-read on every
- *   map() call so retunes between accesses stay visible.
+ *   dynamic retunable scheme; every element goes through
+ *   ModuleMapping::moduleOf, re-read on every map() call so retunes
+ *   between accesses stay visible.
+ *
+ * There is no knob to force the scalar mode on a linear mapping:
+ * moduleOf() stays the definition, and tests diff the packed path
+ * against a plain moduleOf() loop (or hand such a premap to the
+ * engines through their premapped argument).
  */
 class BitSlicedMapper
 {
@@ -90,12 +79,11 @@ class BitSlicedMapper
     explicit BitSlicedMapper(std::vector<std::uint64_t> rows);
 
     /**
-     * Binds to @p map: bit-sliced when the mapping exposes rows and
-     * @p path allows it, scalar fallback otherwise.  @p map must
-     * outlive the mapper (exactly the backend/mapping contract).
+     * Binds to @p map: bit-sliced when the mapping exposes rows,
+     * scalar fallback otherwise.  @p map must outlive the mapper
+     * (exactly the backend/mapping contract).
      */
-    explicit BitSlicedMapper(const ModuleMapping &map,
-                             MapPath path = MapPath::BitSliced);
+    explicit BitSlicedMapper(const ModuleMapping &map);
 
     /** True iff blocks take the packed-lane path. */
     bool bitSliced() const { return fallback_ == nullptr; }

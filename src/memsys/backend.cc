@@ -143,16 +143,13 @@ MemoryBackend::runSingleMapped(const std::vector<Request> &stream,
 
 std::unique_ptr<MemoryBackend>
 makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
-                  const ModuleMapping &map, MapPath path,
-                  CollapseMode collapse)
+                  const ModuleMapping &map)
 {
     switch (engine) {
       case EngineKind::PerCycle:
-        return std::make_unique<PerCycleMultiPort>(cfg, map, path,
-                                                   collapse);
+        return std::make_unique<PerCycleMultiPort>(cfg, map);
       case EngineKind::EventDriven:
-        return std::make_unique<EventDrivenMultiPort>(cfg, map, path,
-                                                      collapse);
+        return std::make_unique<EventDrivenMultiPort>(cfg, map);
     }
     cfva_panic("unreachable engine kind");
 }

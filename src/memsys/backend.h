@@ -58,7 +58,9 @@ const char *to_string(EngineKind engine);
  */
 enum class TierPolicy
 {
-    /** Always simulate — the historical behavior and the default. */
+    /** Always simulate, every cycle of every access: the pure
+     *  stepped oracle and the library default (cfva_sweep defaults
+     *  to TheoryFirst). */
     SimulateAlways,
 
     /**
@@ -312,39 +314,23 @@ class MemoryBackend
                     const ModuleId *modules,
                     DeliveryArena *arena = nullptr);
 
-    /**
-     * Collapse/memo attribution accumulated by this backend's
-     * single-port fast path (memsys/steady_state.h).  The default
-     * (no fast path) reports zeros.
-     */
-    virtual FastPathStats
-    fastPathStats() const
-    {
-        return {};
-    }
-
     /** Engine name for logs and diagnostics. */
     virtual const char *name() const = 0;
 };
 
 /**
  * Builds the backend implementing @p engine over @p cfg and @p map.
- * The mapping must outlive the returned backend.  @p path selects
- * how the engines premap their streams: BitSliced (the default)
- * uses transposed GF(2) bit-matrix multiplies when the mapping
- * exposes fixed rows, Scalar forces per-element moduleOf() — the
- * differential tests and benches use the knob to compare the two.
- * @p collapse gates the single-port periodic fast path
- * (steady-state collapse + memo replay, bit-identical): On here —
- * production callers want the speed and the result is contractually
- * identical — while the raw engine constructors default to Off so a
- * directly built engine stays a pure stepped oracle.
+ * The mapping must outlive the returned backend.  The engines
+ * premap their streams through a BitSlicedMapper (GF(2) bit-matrix
+ * multiplies whenever the mapping exposes fixed rows) and simulate
+ * every access cycle by cycle: they are the plain stepped oracles.
+ * The analytic fast paths — conflict-free claims and the periodic
+ * steady-state solver — live in front of them, in
+ * theory/theory_backend.h.
  */
 std::unique_ptr<MemoryBackend>
 makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
-                  const ModuleMapping &map,
-                  MapPath path = MapPath::BitSliced,
-                  CollapseMode collapse = CollapseMode::On);
+                  const ModuleMapping &map);
 
 namespace detail {
 

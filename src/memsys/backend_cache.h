@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "memsys/backend.h"
+#include "memsys/steady_state.h"
 
 namespace cfva {
 
@@ -58,17 +59,10 @@ class BackendCache
     /**
      * The backend implementing @p engine over @p cfg and @p map,
      * built on first use and reused afterwards.  @p map must
-     * outlive the cache.  @p path is part of the key: a bit-sliced
-     * and a scalar-premap variant of the same shape never alias one
-     * entry (the differential harness holds both live at once).
-     * @p collapse is part of the key for the same reason: the
-     * collapse-off oracle and the collapse-on fast path must never
-     * alias (AuditBoth holds both live at once).
+     * outlive the cache.
      */
     MemoryBackend &backendFor(EngineKind engine, const MemConfig &cfg,
-                              const ModuleMapping &map,
-                              MapPath path = MapPath::BitSliced,
-                              CollapseMode collapse = CollapseMode::On);
+                              const ModuleMapping &map);
 
     /**
      * The analytic tier over the same shape: a TheoryBackend whose
@@ -78,14 +72,12 @@ class BackendCache
      */
     TheoryBackend &theoryBackendFor(EngineKind engine,
                                     const MemConfig &cfg,
-                                    const ModuleMapping &map,
-                                    MapPath path = MapPath::BitSliced,
-                                    CollapseMode collapse =
-                                        CollapseMode::On);
+                                    const ModuleMapping &map);
 
     const BackendCacheStats &stats() const { return stats_; }
 
-    /** Summed collapse/memo counters over every cached backend. */
+    /** Summed collapse/memo counters of every cached theory
+     *  backend's solver (the plain engines have no fast path). */
     FastPathStats fastPathStats() const;
 
     /** Distinct backends currently cached. */
@@ -104,8 +96,6 @@ class BackendCache
         unsigned outputBuffers = 0;
         const ModuleMapping *map = nullptr;
         bool theory = false; //!< analytic tier wrapping the engine
-        MapPath path = MapPath::BitSliced; //!< premap variant
-        CollapseMode collapse = CollapseMode::On; //!< fast-path gate
 
         bool operator==(const Key &o) const = default;
     };
@@ -115,6 +105,10 @@ class BackendCache
         Key key;
         std::unique_ptr<MemoryBackend> backend;
     };
+
+    /** The live backend under @p key, moved to the front (a hit),
+     *  or nullptr (a miss); counts the lookup either way. */
+    MemoryBackend *lookup(const Key &key);
 
     // Linear scan with move-to-front: a worker touches a handful
     // of (engine, mapping) pairs per sweep, and the hot lookups

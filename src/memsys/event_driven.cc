@@ -9,9 +9,8 @@
 namespace cfva {
 
 EventDrivenMemorySystem::EventDrivenMemorySystem(
-    const MemConfig &cfg, const ModuleMapping &map, MapPath path,
-    CollapseMode collapse)
-    : cfg_(cfg), map_(map), slicer_(map, path), collapse_(collapse),
+    const MemConfig &cfg, const ModuleMapping &map)
+    : cfg_(cfg), map_(map), slicer_(map),
       retire_(cfg.modules()), outputs_(cfg.modules()),
       retireBlocked_(cfg.modules(), 0)
 {
@@ -61,15 +60,6 @@ EventDrivenMemorySystem::run(const std::vector<Request> &stream,
             [&stream](std::size_t i) { return stream[i].addr; },
             stream.size(), mods_.data());
         mods = mods_.data();
-    }
-
-    // Periodic fast path, shared with the per-cycle engine: memo
-    // replay or steady-state collapse, bit-identical to the event
-    // loop below (tests/test_collapse.cc).
-    if (collapse_ == CollapseMode::On
-        && tryFastPath(cfg_, stream, mods, collapser_, memo_, fast_,
-                       result)) {
-        return result;
     }
 
     const Cycle t_cycles = cfg_.serviceCycles();

@@ -51,16 +51,9 @@ class EventDrivenMemorySystem
      * @param cfg   subsystem shape
      * @param map   address mapping; must produce module numbers
      *              < cfg.modules()
-     * @param path  stream premap strategy (see makeMemoryBackend)
-     * @param collapse  On lets run() answer periodic streams via
-     *              steady-state collapse + memo replay
-     *              (bit-identical); Off keeps the engine a pure
-     *              stepped oracle (see MemorySystem)
      */
     EventDrivenMemorySystem(const MemConfig &cfg,
-                            const ModuleMapping &map,
-                            MapPath path = MapPath::BitSliced,
-                            CollapseMode collapse = CollapseMode::Off);
+                            const ModuleMapping &map);
 
     /**
      * Simulates the access of @p stream issued one request per
@@ -80,21 +73,12 @@ class EventDrivenMemorySystem
 
     const MemConfig &config() const { return cfg_; }
 
-    /** Collapse/memo attribution since construction. */
-    const FastPathStats &fastPathStats() const { return fast_; }
-
   private:
     MemConfig cfg_;
     const ModuleMapping &map_;
     BitSlicedMapper slicer_;
-    CollapseMode collapse_;
     std::vector<MemoryModule> modules_;
     std::vector<ModuleId> mods_; //!< premap scratch, reused per run
-
-    /** Shared periodic fast path (memsys/steady_state.h). */
-    SteadyStateCollapser collapser_;
-    OutcomeMemo memo_;
-    FastPathStats fast_;
 
     /** Pending service completions, keyed by ready cycle. */
     ModuleEventHeap retire_;

@@ -11,12 +11,9 @@ namespace cfva {
 using detail::PortState;
 
 EventDrivenMultiPort::EventDrivenMultiPort(const MemConfig &cfg,
-                                           const ModuleMapping &map,
-                                           MapPath path,
-                                           CollapseMode collapse)
-    : cfg_(cfg), map_(map), slicer_(map, path),
-      single_(cfg, map, path, collapse), retire_(cfg.modules()),
-      retireBlocked_(cfg.modules(), 0)
+                                           const ModuleMapping &map)
+    : cfg_(cfg), map_(map), slicer_(map), single_(cfg, map),
+      retire_(cfg.modules()), retireBlocked_(cfg.modules(), 0)
 {
     cfva_assert(map.moduleBits() == cfg.m,
                 "mapping has 2^", map.moduleBits(),

@@ -57,15 +57,9 @@ class EventDrivenMultiPort final : public MemoryBackend
      * @param cfg   memory shape (modules, T, buffers)
      * @param map   shared address mapping; must produce module
      *              numbers < cfg.modules()
-     * @param path  stream premap strategy (see makeMemoryBackend)
-     * @param collapse  single-port periodic fast path, forwarded to
-     *              the embedded EventDrivenMemorySystem (see
-     *              PerCycleMultiPort)
      */
     EventDrivenMultiPort(const MemConfig &cfg,
-                         const ModuleMapping &map,
-                         MapPath path = MapPath::BitSliced,
-                         CollapseMode collapse = CollapseMode::Off);
+                         const ModuleMapping &map);
 
     MultiPortResult
     run(const std::vector<std::vector<Request>> &streams,
@@ -82,13 +76,6 @@ class EventDrivenMultiPort final : public MemoryBackend
     runSingleMapped(const std::vector<Request> &stream,
                     const ModuleId *modules,
                     DeliveryArena *arena = nullptr) override;
-
-    /** The embedded single-port engine's collapse/memo counters. */
-    FastPathStats
-    fastPathStats() const override
-    {
-        return single_.fastPathStats();
-    }
 
     const char *name() const override { return "event-driven"; }
 

@@ -8,9 +8,8 @@
 namespace cfva {
 
 MemorySystem::MemorySystem(const MemConfig &cfg,
-                           const ModuleMapping &map, MapPath path,
-                           CollapseMode collapse)
-    : cfg_(cfg), map_(map), slicer_(map, path), collapse_(collapse)
+                           const ModuleMapping &map)
+    : cfg_(cfg), map_(map), slicer_(map)
 {
     cfva_assert(map.moduleBits() == cfg.m,
                 "mapping has 2^", map.moduleBits(),
@@ -75,15 +74,6 @@ MemorySystem::run(const std::vector<Request> &stream,
             [&stream](std::size_t i) { return stream[i].addr; },
             stream.size(), mods_.data());
         mods = mods_.data();
-    }
-
-    // Periodic fast path: memo replay or steady-state collapse.
-    // Bit-identical to the stepped loop below by construction
-    // (tests/test_collapse.cc holds it to that differentially).
-    if (collapse_ == CollapseMode::On
-        && tryFastPath(cfg_, stream, mods, collapser_, memo_, fast_,
-                       result)) {
-        return result;
     }
 
     const Cycle t_cycles = cfg_.serviceCycles();

@@ -19,7 +19,6 @@
 #include "mapping/mapping.h"
 #include "memsys/module.h"
 #include "memsys/request.h"
-#include "memsys/steady_state.h"
 
 namespace cfva {
 
@@ -55,18 +54,12 @@ class MemorySystem
      * @param cfg   subsystem shape
      * @param map   address mapping; must produce module numbers
      *              < cfg.modules()
-     * @param path  BitSliced premaps whole streams via the mapping's
-     *              GF(2) rows when available; Scalar forces
-     *              per-element moduleOf() (for differential tests)
-     * @param collapse  On lets run() answer periodic streams via
-     *              steady-state collapse + memo replay
-     *              (bit-identical); Off keeps the engine a pure
-     *              stepped oracle.  Raw engines default to Off; the
-     *              backend factories default to On.
+     *
+     * The engine is the plain stepped oracle: every cycle of every
+     * access is simulated (the periodic closed form lives in the
+     * analytic tier, theory/conflict_solver.h).
      */
-    MemorySystem(const MemConfig &cfg, const ModuleMapping &map,
-                 MapPath path = MapPath::BitSliced,
-                 CollapseMode collapse = CollapseMode::Off);
+    MemorySystem(const MemConfig &cfg, const ModuleMapping &map);
 
     /**
      * Simulates the access of @p stream issued one request per
@@ -91,9 +84,6 @@ class MemorySystem
 
     const MemConfig &config() const { return cfg_; }
 
-    /** Collapse/memo attribution since construction. */
-    const FastPathStats &fastPathStats() const { return fast_; }
-
   private:
     /** Delivers the oldest ready output entry over the return bus. */
     bool deliverOne(Cycle now, AccessResult &result);
@@ -101,12 +91,8 @@ class MemorySystem
     MemConfig cfg_;
     const ModuleMapping &map_;
     BitSlicedMapper slicer_;
-    CollapseMode collapse_;
     std::vector<MemoryModule> modules_;
     std::vector<ModuleId> mods_; //!< premap scratch, reused per run
-    SteadyStateCollapser collapser_;
-    OutcomeMemo memo_;
-    FastPathStats fast_;
 };
 
 /**

@@ -10,11 +10,8 @@ namespace cfva {
 using detail::PortState;
 
 PerCycleMultiPort::PerCycleMultiPort(const MemConfig &cfg,
-                                     const ModuleMapping &map,
-                                     MapPath path,
-                                     CollapseMode collapse)
-    : cfg_(cfg), map_(map), slicer_(map, path),
-      single_(cfg, map, path, collapse)
+                                     const ModuleMapping &map)
+    : cfg_(cfg), map_(map), slicer_(map), single_(cfg, map)
 {
     cfva_assert(map.moduleBits() == cfg.m,
                 "mapping has 2^", map.moduleBits(),

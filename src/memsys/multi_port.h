@@ -46,15 +46,8 @@ class PerCycleMultiPort final : public MemoryBackend
      * @param cfg   memory shape (modules, T, buffers)
      * @param map   shared address mapping; must produce module
      *              numbers < cfg.modules()
-     * @param path  stream premap strategy (see makeMemoryBackend)
-     * @param collapse  single-port periodic fast path, forwarded to
-     *              the embedded MemorySystem (multi-port runs always
-     *              step; inter-port interference is not periodic in
-     *              any one stream's module sequence)
      */
-    PerCycleMultiPort(const MemConfig &cfg, const ModuleMapping &map,
-                      MapPath path = MapPath::BitSliced,
-                      CollapseMode collapse = CollapseMode::Off);
+    PerCycleMultiPort(const MemConfig &cfg, const ModuleMapping &map);
 
     MultiPortResult
     run(const std::vector<std::vector<Request>> &streams,
@@ -71,13 +64,6 @@ class PerCycleMultiPort final : public MemoryBackend
     runSingleMapped(const std::vector<Request> &stream,
                     const ModuleId *modules,
                     DeliveryArena *arena = nullptr) override;
-
-    /** The embedded single-port engine's collapse/memo counters. */
-    FastPathStats
-    fastPathStats() const override
-    {
-        return single_.fastPathStats();
-    }
 
     const char *name() const override { return "per-cycle"; }
 

@@ -8,12 +8,6 @@
 
 namespace cfva {
 
-const char *
-to_string(CollapseMode mode)
-{
-    return mode == CollapseMode::On ? "on" : "off";
-}
-
 void
 materializeEmits(const EmitSummary &summary,
                  const std::vector<Emit> &emits,
@@ -444,46 +438,6 @@ OutcomeMemo::cachedSummary() const
     cfva_assert(found_ != ~std::size_t{0},
                 "cachedSummary() without a lookup() hit");
     return entries_[found_].summary;
-}
-
-bool
-tryFastPath(const MemConfig &cfg, const std::vector<Request> &stream,
-            const ModuleId *mods, SteadyStateCollapser &collapser,
-            OutcomeMemo &memo, FastPathStats &stats,
-            AccessResult &result, bool materialize)
-{
-    bool memoTried = false;
-    if (stream.size() <= OutcomeMemo::kMaxLen) {
-        memoTried = true;
-        if (memo.lookup(stream.size(), mods, cfg.modules())) {
-            ++stats.memoHits;
-            if (materialize) {
-                materializeEmits(memo.cachedSummary(),
-                                 memo.cachedEmits(), stream, mods,
-                                 result);
-            } else {
-                applyEmitSummary(memo.cachedSummary(), result);
-            }
-            return true;
-        }
-        ++stats.memoMisses;
-    }
-
-    Cycle steppedCycles = 0;
-    if (!collapser.tryRun(cfg, stream.size(), mods, &steppedCycles))
-        return false;
-    ++stats.collapseHits;
-    stats.collapsePrefixCycles += steppedCycles;
-    if (memoTried)
-        memo.store(stream.size(), collapser.emits(),
-                   collapser.summary());
-    if (materialize) {
-        materializeEmits(collapser.summary(), collapser.emits(),
-                         stream, mods, result);
-    } else {
-        applyEmitSummary(collapser.summary(), result);
-    }
-    return true;
 }
 
 } // namespace cfva

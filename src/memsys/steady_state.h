@@ -1,13 +1,13 @@
 /**
  * @file
  * Periodic steady-state collapse and base-invariant outcome
- * memoization for the simulation fallback path.
+ * memoization: the machinery behind the analytic conflict solver.
  *
  * The paper's whole analysis rests on constant-stride conflict
  * patterns being *periodic* (Theorems 1 and 3 compute the period in
- * closed form); the simulation engines nevertheless step every
- * cycle of every conflicted access.  Two fast paths exploit the
- * periodicity while staying bit-identical to the full simulation:
+ * closed form); the simulation engines step every cycle of every
+ * conflicted access.  Two mechanisms exploit the periodicity while
+ * staying bit-identical to the full simulation:
  *
  * - SteadyStateCollapser: simulates the per-cycle model only until
  *   the machine state recurs at two issue positions one stream
@@ -31,11 +31,13 @@
  *   yields an order-isomorphic module sequence hits; one that
  *   reorders modules (XOR mappings do) correctly misses.
  *
- * Both paths plug into the single-port engines behind
- * CollapseMode; the per-cycle and event-driven engines share the
- * tryFastPath() orchestration so their fast-path results are one
- * implementation, differentially tested against both engines with
- * the collapse disabled (tests/test_collapse.cc, --collapse off).
+ * Both are owned by one caller: theory/conflict_solver.h, the
+ * analytic tier, whose solve() runs the memo lookup and the
+ * collapse.  The stepped engines (memory_system.h,
+ * event_driven.h) have no fast path of their own — they are the
+ * plain oracles the solver is differentially tested against
+ * (tests/test_collapse.cc, tests/test_conflict_solver.cc,
+ * --tier audit).
  */
 
 #ifndef CFVA_MEMSYS_STEADY_STATE_H
@@ -51,18 +53,6 @@
 namespace cfva {
 
 struct MemConfig;
-
-/** Whether the single-port engines may answer periodic
- *  constant-stride accesses via steady-state collapse + memo
- *  replay.  Off is the pure stepped oracle; On is bit-identical by
- *  contract (the differential tests and --tier audit enforce it). */
-enum class CollapseMode
-{
-    Off,
-    On,
-};
-
-const char *to_string(CollapseMode mode);
 
 /** Fast-path attribution counters, mergeable across instances. */
 struct FastPathStats
@@ -145,7 +135,7 @@ void applyEmitSummary(const EmitSummary &summary,
 
 /**
  * The steady-state collapse engine.  Holds only scratch state, so
- * one instance per engine serves every access; tryRun() leaves the
+ * one instance per solver serves every access; tryRun() leaves the
  * last successful trace readable until the next call.
  */
 class SteadyStateCollapser
@@ -232,7 +222,7 @@ class SteadyStateCollapser
  * Bounded cache of collapsed outcomes keyed on the
  * rank-canonicalized module sequence (distinct modules used, sorted
  * ascending, rewritten as ranks 0..k-1).  Not thread-safe; the
- * engines hold one per instance, exactly like their other scratch.
+ * solver holds one per instance, exactly like its other scratch.
  */
 class OutcomeMemo
 {
@@ -288,24 +278,6 @@ class OutcomeMemo
     std::vector<ModuleId> used_;    //!< distinct modules scratch
     std::deque<Entry> entries_;     //!< FIFO eviction order
 };
-
-/**
- * The fast path shared by both single-port engines: memo replay if
- * the canonical sequence is cached, else steady-state collapse (and
- * a memo insert on success).  Returns true with @p result filled —
- * bit-identical to the engine's stepped loop — or false with
- * @p result untouched beyond its pre-acquired delivery buffer.
- * @p stats is updated either way.  When @p materialize is false the
- * deliveries are not synthesized — only the scalar aggregates are
- * written — which is how the theory tier answers accesses whose
- * delivery stream the caller would immediately discard.
- */
-bool tryFastPath(const MemConfig &cfg,
-                 const std::vector<Request> &stream,
-                 const ModuleId *mods,
-                 SteadyStateCollapser &collapser, OutcomeMemo &memo,
-                 FastPathStats &stats, AccessResult &result,
-                 bool materialize = true);
 
 } // namespace cfva
 

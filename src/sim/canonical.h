@@ -22,9 +22,8 @@
  * columns rewritten (SweepEngine::replayOutcome).
  *
  * Deliberately excluded, because the differential harnesses prove
- * them outcome-invariant: the engine (per-cycle vs event), the map
- * path (bit-sliced vs scalar), the collapse mode, and the run shape
- * (threads/grain/shard).  Base addresses are not in the key either —
+ * them outcome-invariant: the engine (per-cycle vs event) and the
+ * run shape (threads/grain/shard).  Base addresses are not in the key either —
  * a shifted base that yields order-isomorphic module sequences lands
  * in the same class, exactly the OutcomeMemo soundness argument.
  *

@@ -47,7 +47,7 @@ void mergeJson(std::ostream &out,
 /**
  * Merges cfva_sweep --bench outputs (BENCH_sweep.json files from
  * sharded or repeated runs) into one document: the header scalars
- * (grid_jobs, tier, map_path, ...) are kept from the first file,
+ * (grid_jobs, tier, dedup, ...) are kept from the first file,
  * and the "runs" and "workloads" arrays are concatenated in input
  * order.  Rows are spliced as opaque text, so files written by
  * builds before and after a row field was added — e.g. the

@@ -57,6 +57,31 @@ ScenarioGrid::jobCount() const
            * portMixes.size() * workloads.size();
 }
 
+std::string
+ScenarioGrid::cycleOverflow() const
+{
+    for (const auto &cfg : mappings) {
+        for (std::uint64_t len : lengths) {
+            const std::uint64_t resolved =
+                len ? len : cfg.registerLength();
+            for (unsigned p : ports) {
+                for (const auto &wl : workloads) {
+                    if (wl.cyclesFit(resolved, p,
+                                     cfg.serviceCycles()))
+                        continue;
+                    std::ostringstream os;
+                    os << "workload " << wl.label() << " at length "
+                       << resolved << " on " << p << " port(s) of "
+                       << cfg.describe()
+                       << " overflows the 64-bit cycle count";
+                    return os.str();
+                }
+            }
+        }
+    }
+    return {};
+}
+
 std::vector<Scenario>
 ScenarioGrid::expand() const
 {
@@ -87,6 +112,9 @@ ScenarioGrid::expand() const
             }
         }
     }
+
+    const std::string overflow = cycleOverflow();
+    cfva_assert(overflow.empty(), overflow);
 
     std::vector<Scenario> jobs;
     jobs.reserve(jobCount());

@@ -149,9 +149,20 @@ struct ScenarioGrid
     std::size_t jobCount() const;
 
     /**
+     * Describes the first (mapping, length, ports, workload)
+     * combination whose cycle totals would overflow 64 bits
+     * (Workload::cyclesFit) — e.g. an execute latency near 2^64 —
+     * or returns an empty string when every combination fits.
+     * expand() rejects a grid with such a combination; callers that
+     * want to fail gracefully check first.
+     */
+    std::string cycleOverflow() const;
+
+    /**
      * Flattens the grid into jobs in deterministic order and
      * resolves randomized starts.  Calls validate() on every
-     * mapping configuration first.
+     * mapping configuration and workload first, and rejects a grid
+     * whose cycle totals could overflow (cycleOverflow()).
      */
     std::vector<Scenario> expand() const;
 };

@@ -285,8 +285,7 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
                   const VectorAccessUnit &unit, Addr a1,
                   std::uint64_t baseStride, DeliveryArena *arena,
                   BackendCache *cache, AccessResult *loadOut,
-                  TierPolicy tier, MapPath path,
-                  CollapseMode collapse)
+                  TierPolicy tier)
 {
     AccessStats out;
     // Attribution only runs while the theory tier is active, so
@@ -306,8 +305,8 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
         const ResultDetail detail = loadOut
                                         ? ResultDetail::SummaryIfUniform
                                         : ResultDetail::Summary;
-        AccessResult r = unit.execute(p, arena, cache, tier, tcp,
-                                      path, collapse, detail);
+        AccessResult r =
+            unit.execute(p, arena, cache, tier, tcp, detail);
         out.latency = r.latency;
         out.stalls = r.stallCycles;
         out.conflictFree = r.conflictFree;
@@ -337,8 +336,8 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
                 .stream);
     }
     MultiPortResult r =
-        unit.executePorts(streams, arena, cache, tier, tcp, path,
-                          collapse, ResultDetail::Summary);
+        unit.executePorts(streams, arena, cache, tier, tcp,
+                          ResultDetail::Summary);
     if (arena) {
         for (auto &s : streams)
             arena->releaseRequests(std::move(s));
@@ -445,8 +444,7 @@ ScenarioOutcome
 SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                          const VectorAccessUnit &unit,
                          DeliveryArena *arena, BackendCache *cache,
-                         WorkloadUnits *workloads, TierPolicy tier,
-                         MapPath path, CollapseMode collapse)
+                         WorkloadUnits *workloads, TierPolicy tier)
 {
     if (tier == TierPolicy::AuditBoth) {
         // Run the scenario under each tier and compare field for
@@ -456,16 +454,16 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         // latency, stalls, chaining, retune charges — must match
         // exactly.  The simulated outcome is returned as ground
         // truth, wearing the theory run's attribution so audit rows
-        // still report the claim rate.  The sim arm also pins the
-        // collapse fast path Off so it is the pure stepped oracle;
-        // the theory arm keeps the requested mode — audit therefore
-        // cross-checks collapse + memo end to end as well.
-        ScenarioOutcome simOut = runScenario(
-            grid, sc, unit, arena, cache, workloads,
-            TierPolicy::SimulateAlways, path, CollapseMode::Off);
+        // still report the claim rate.  The sim arm is the pure
+        // stepped oracle, so audit cross-checks every analytic
+        // answer — conflict-free claims and the steady-state
+        // solver's collapse + memo — end to end.
+        ScenarioOutcome simOut =
+            runScenario(grid, sc, unit, arena, cache, workloads,
+                        TierPolicy::SimulateAlways);
         ScenarioOutcome thOut =
             runScenario(grid, sc, unit, arena, cache, workloads,
-                        TierPolicy::TheoryFirst, path, collapse);
+                        TierPolicy::TheoryFirst);
         ScenarioOutcome cmp = thOut;
         cmp.theoryClaimed = 0;
         cmp.theoryFallback = 0;
@@ -509,8 +507,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         out.minLatency = floor1;
         foldAccess(out, runWorkloadAccess(grid, sc, unit, sc.a1,
                                           sc.stride, arena, cache,
-                                          nullptr, tier, path,
-                                          collapse));
+                                          nullptr, tier));
         return out;
       }
 
@@ -524,7 +521,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                    runWorkloadAccess(grid, sc, unit, sc.a1,
                                      sc.stride, arena, cache,
                                      capture ? &load : nullptr,
-                                     tier, path, collapse));
+                                     tier));
         out.decoupledCycles = out.latency;
         out.chainedCycles = out.latency;
         applyExecuteStep(out, sc, wl, std::move(load), arena);
@@ -544,8 +541,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                            grid, sc, unit,
                            sc.a1 + Addr{tap} * sc.stride, sc.stride,
                            arena, cache,
-                           capture ? &lastLoad : nullptr, tier,
-                           path, collapse));
+                           capture ? &lastLoad : nullptr, tier));
         }
         const Cycle loadTotal = out.latency;
         out.decoupledCycles = loadTotal;
@@ -553,7 +549,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         applyExecuteStep(out, sc, wl, std::move(lastLoad), arena);
         const AccessStats store = runWorkloadAccess(
             grid, sc, unit, sc.a1, sc.stride, arena, cache, nullptr,
-            tier, path, collapse);
+            tier);
         foldAccess(out, store);
         out.decoupledCycles += store.latency;
         out.chainedCycles += store.latency;
@@ -620,7 +616,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                 foldAccess(out, runWorkloadAccess(
                                     grid, sc, *phaseUnit, sc.a1,
                                     phaseStride, arena, phaseCache,
-                                    nullptr, tier, path, collapse));
+                                    nullptr, tier));
             }
         }
         // The relayout charge is part of the program's memory time:
@@ -1153,8 +1149,7 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
                         mine.unitFor(grid, sc.mappingIndex,
                                      opts_.engine),
                         &mine.deliveries, &mine.backends,
-                        &mine.workloads, opts_.tier, opts_.mapPath,
-                        opts_.collapse));
+                        &mine.workloads, opts_.tier));
                     const ScenarioOutcome &o = buf.back();
                     mine.theoryClaims += o.theoryClaimed;
                     mine.theoryFallbacks += o.theoryFallback;

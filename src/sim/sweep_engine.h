@@ -337,11 +337,13 @@ struct SweepRunStats
     std::uint64_t arenaReuses = 0;
     std::size_t arenaPeakBytes = 0;
 
-    /** Periodic fast-path attribution summed over all workers
-     *  (memsys/steady_state.h): accesses answered by steady-state
+    /** Periodic fast-path attribution of the theory tier's
+     *  steady-state solver, summed over all workers
+     *  (theory/conflict_solver.h): accesses answered by steady-state
      *  collapse, the cycles those accesses still stepped, and
-     *  outcome-memo replay hits/misses.  All 0 under
-     *  CollapseMode::Off. */
+     *  outcome-memo replay hits/misses — one memo lookup per solver
+     *  attempt.  All 0 under TierPolicy::SimulateAlways, whose
+     *  engines step every access. */
     std::uint64_t collapseHits = 0;
     std::uint64_t collapsePrefixCycles = 0;
     std::uint64_t memoHits = 0;
@@ -411,31 +413,17 @@ struct SweepOptions
     std::optional<EngineKind> engine;
 
     /**
-     * Evaluation tier for every scenario: simulate (default),
-     * analytic theory fast path with simulation fallback, or both
-     * with a bit-for-bit cross-check (SweepRunStats counts the
-     * divergences).  Reports are identical across tiers by
-     * construction except for the tier-attribution columns.
+     * Evaluation tier for every scenario: simulate (the default —
+     * the pure stepped oracle, every cycle of every access), the
+     * analytic theory fast path (conflict-free claims plus the
+     * steady-state solver's collapse and memo) with simulation
+     * fallback, or both with a bit-for-bit cross-check
+     * (SweepRunStats counts the divergences).  Reports are
+     * identical across tiers by construction except for the
+     * tier-attribution columns.  Together with engine, dedup and
+     * cacheDir this is one of the run's four execution knobs.
      */
     TierPolicy tier = TierPolicy::SimulateAlways;
-
-    /**
-     * Address-to-module mapping path of every backend: the default
-     * bit-sliced GF(2) premap (64 elements per bit-matrix multiply)
-     * or the scalar per-element walk.  Reports are bit-identical
-     * either way (tests diff them); the knob exists to measure the
-     * bit-slice speedup and to debug with the simple path.
-     */
-    MapPath mapPath = MapPath::BitSliced;
-
-    /**
-     * Whether the single-port engines may answer periodic streams
-     * via steady-state collapse + memo replay.  On (the default) is
-     * bit-identical to Off by contract — Off exists as the pure
-     * stepped oracle for audits and differential tests
-     * (cfva_sweep --collapse off).
-     */
-    CollapseMode collapse = CollapseMode::On;
 
     /**
      * Whether the run may group its jobs into canonical equivalence
@@ -532,11 +520,7 @@ class SweepEngine
                                        WorkloadUnits *workloads =
                                            nullptr,
                                        TierPolicy tier =
-                                           TierPolicy::SimulateAlways,
-                                       MapPath path =
-                                           MapPath::BitSliced,
-                                       CollapseMode collapse =
-                                           CollapseMode::On);
+                                           TierPolicy::SimulateAlways);
 
     /**
      * Rewrites the identity columns of a class representative's

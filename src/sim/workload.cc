@@ -51,6 +51,45 @@ Workload::validate() const
                 "workload retune period must be >= 1");
 }
 
+bool
+Workload::cyclesFit(std::uint64_t length, unsigned ports,
+                    Cycle serviceCycles) const
+{
+    std::uint64_t accesses = 1;
+    switch (kind) {
+      case WorkloadKind::Single:
+      case WorkloadKind::Chain:
+        break;
+      case WorkloadKind::Stencil:
+        accesses = 4;
+        break;
+      case WorkloadKind::Retune:
+        accesses = 2 * std::uint64_t{retunePeriod};
+        break;
+    }
+    // One access ends within the wedge guard over ports x length
+    // requests: (P*L + 4P) * (T + 2) + 64 cycles.
+    std::uint64_t requests = 0, perAccess = 0, total = 0;
+    bool ok = checkedMul(ports, length, requests)
+              && checkedAdd(requests, 4 * std::uint64_t{ports},
+                            requests)
+              && checkedMul(requests, serviceCycles + 2, perAccess)
+              && checkedAdd(perAccess, 65, perAccess)
+              && checkedMul(perAccess, accesses, total);
+    if (kind == WorkloadKind::Retune) {
+        // At most two relayouts of ceil(2 * T * length / M) cycles.
+        std::uint64_t relayout = 0;
+        ok = ok && checkedMul(4 * serviceCycles, length, relayout)
+             && checkedAdd(relayout, 2, relayout)
+             && checkedAdd(total, relayout, total);
+    }
+    if (kind == WorkloadKind::Chain || kind == WorkloadKind::Stencil) {
+        ok = ok && checkedAdd(total, length, total)
+             && checkedAdd(total, execLatency, total);
+    }
+    return ok;
+}
+
 Cycle
 retuneRelayoutCycles(unsigned m, unsigned pOld, unsigned pNew,
                      std::uint64_t footprint, Cycle serviceCycles)

@@ -75,6 +75,19 @@ struct Workload
     /** Rejects zero execLatency / retunePeriod. */
     void validate() const;
 
+    /**
+     * True iff every cycle total a scenario of this program can
+     * report fits a 64-bit Cycle at access length @p length on
+     * @p ports ports of a memory with @p serviceCycles-cycle
+     * service: the sum of the access latencies (each bounded by
+     * the engines' wedge guard), the retune relayout charge, and
+     * the EXECUTE step's operand and drain cycles (length +
+     * execLatency).  Evaluated with checked arithmetic, so an input
+     * whose totals would wrap is reported instead of run.
+     */
+    bool cyclesFit(std::uint64_t length, unsigned ports,
+                   Cycle serviceCycles) const;
+
     bool operator==(const Workload &o) const = default;
 };
 

@@ -1,7 +1,6 @@
 #include "theory/conflict_solver.h"
 
 #include "memsys/backend.h"
-#include "memsys/memory_system.h"
 
 namespace cfva {
 
@@ -11,23 +10,45 @@ ConflictSolver::solve(const MemConfig &cfg,
                       const ModuleId *mods, DeliveryArena *arena,
                       AccessResult &result, bool materialize)
 {
-    if (materialize) {
+    // Fills `result` from a position-form outcome at the requested
+    // detail; the buffer is acquired only once a claim is certain.
+    const auto answer = [&](const EmitSummary &summary,
+                            const std::vector<Emit> &emits) {
+        if (!materialize) {
+            applyEmitSummary(summary, result);
+            return true;
+        }
         result.deliveries =
             arena ? arena->acquire(stream.size())
                   : std::vector<Delivery>{};
         result.deliveries.reserve(stream.size());
-    }
-    if (tryFastPath(cfg, stream, mods, collapser_, memo_, stats_,
-                    result, materialize))
+        materializeEmits(summary, emits, stream, mods, result);
         return true;
-    // No closed form (aperiodic sequence, too short for a
-    // recurrence, or the snapshot budget ran out).  Hand the
-    // acquired buffer back; the caller's fallback engine acquires
-    // its own.
-    if (materialize && arena)
-        arena->release(std::move(result.deliveries));
-    result.deliveries = std::vector<Delivery>{};
-    return false;
+    };
+
+    // One memo lookup per attempt; oversize streams skip the memo
+    // (lookup and store) but may still collapse.
+    const bool memoTried = stream.size() <= OutcomeMemo::kMaxLen;
+    if (memoTried) {
+        if (memo_.lookup(stream.size(), mods, cfg.modules())) {
+            ++stats_.memoHits;
+            return answer(memo_.cachedSummary(), memo_.cachedEmits());
+        }
+        ++stats_.memoMisses;
+    }
+
+    // No cached proof: establish the transient and extrapolate.
+    // Failure (aperiodic sequence, too short for a recurrence, or
+    // the snapshot budget ran out) leaves `result` untouched.
+    Cycle steppedCycles = 0;
+    if (!collapser_.tryRun(cfg, stream.size(), mods, &steppedCycles))
+        return false;
+    ++stats_.collapseHits;
+    stats_.collapsePrefixCycles += steppedCycles;
+    if (memoTried)
+        memo_.store(stream.size(), collapser_.emits(),
+                    collapser_.summary());
+    return answer(collapser_.summary(), collapser_.emits());
 }
 
 void

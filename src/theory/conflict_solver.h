@@ -4,15 +4,15 @@
  * multi-port streams.
  *
  * The paper's argument (Theorems 1 and 3) is that constant-stride
- * conflict behaviour is analyzable, not merely simulable.  PR 8's
- * SteadyStateCollapser proved the stronger operational fact the
- * solver rests on: a conflicted constant-stride access is exactly
- * periodic — once the machine state (buffer occupancy and in-flight
- * timestamps, taken relative to the current cycle and issue
- * position) recurs at two issue positions one module-sequence period
- * apart, every Delivery timestamp and the stall count of the
- * remaining repetitions are affine extrapolations of the captured
- * segment.  The module-visit multiset over one stride period plus
+ * conflict behaviour is analyzable, not merely simulable.  The
+ * SteadyStateCollapser (memsys/steady_state.h) rests on a
+ * stronger operational fact: a conflicted constant-stride access is
+ * exactly periodic — once the machine state (buffer occupancy and
+ * in-flight timestamps, taken relative to the current cycle and
+ * issue position) recurs at two issue positions one
+ * module-sequence period apart, every Delivery timestamp and the
+ * stall count of the remaining repetitions are affine
+ * extrapolations of the captured segment.  The module-visit multiset over one stride period plus
  * the buffer depths therefore determines the whole steady-state
  * issue schedule; only the O(period) transient has to be
  * established at all.
@@ -36,12 +36,14 @@
  *    decomposes into P independent single-port answers
  *    (theory/theory_backend.cc synthesizes the MultiPortResult).
  *
- * Bit-identity with the stepped engines is by construction: the
- * transient is established by the same per-cycle model the engines
- * run (one shared implementation, memsys/steady_state.cc), and the
- * extrapolation is the one the collapse fast path already performs
- * under differential test.  --tier audit cross-checks every claimed
- * answer against the pure stepped oracle end to end.
+ * The solver is the only owner of the collapse and the memo: the
+ * stepped engines carry no fast path, so every access they see is
+ * simulated cycle by cycle.  Bit-identity with them is by
+ * construction — the transient is established by the same
+ * per-cycle model the engines run (memsys/steady_state.cc) — and
+ * by test: tests/test_collapse.cc and tests/test_conflict_solver.cc
+ * diff solve() against both engines, and --tier audit cross-checks
+ * every claimed answer against the stepped oracle end to end.
  */
 
 #ifndef CFVA_THEORY_CONFLICT_SOLVER_H
@@ -74,9 +76,12 @@ class ConflictSolver
      * @p cfg without simulating: memo replay, else steady-state
      * solve + memo insert.  On success fills @p result —
      * bit-identical to the engine's stepped loop — and returns
-     * true; on failure returns false with @p result untouched (its
-     * delivery buffer, if one was acquired, is released back to
-     * @p arena).  When @p materialize is false only the scalar
+     * true; on failure returns false with @p result untouched.
+     * Every call counts one memo hit or miss (streams longer than
+     * OutcomeMemo::kMaxLen bypass the memo and count neither), and
+     * a successful collapse counts one collapse hit.  The delivery
+     * buffer is acquired from @p arena only once the stream is
+     * claimed.  When @p materialize is false only the scalar
      * aggregates are written and result.deliveries stays empty —
      * the claim decision and every aggregate are identical either
      * way.

@@ -10,9 +10,8 @@ namespace cfva {
 
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
                              const ModuleMapping &map,
-                             std::unique_ptr<MemoryBackend> fallback,
-                             MapPath path)
-    : cfg_(cfg), map_(map), slicer_(map, path),
+                             std::unique_ptr<MemoryBackend> fallback)
+    : cfg_(cfg), map_(map), slicer_(map),
       fallback_(std::move(fallback))
 {
     cfva_assert(fallback_ != nullptr,

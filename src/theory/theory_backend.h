@@ -80,11 +80,9 @@ class TheoryBackend final : public MemoryBackend
      * @param cfg       memory shape the claims are proved against
      * @param map       address mapping (must outlive the backend)
      * @param fallback  simulation backend for rejected streams
-     * @param path      stream premap strategy (see makeMemoryBackend)
      */
     TheoryBackend(const MemConfig &cfg, const ModuleMapping &map,
-                  std::unique_ptr<MemoryBackend> fallback,
-                  MapPath path = MapPath::BitSliced);
+                  std::unique_ptr<MemoryBackend> fallback);
 
     MultiPortResult
     run(const std::vector<std::vector<Request>> &streams,
@@ -147,17 +145,12 @@ class TheoryBackend final : public MemoryBackend
     /** Cumulative claim/fallback counts over this instance. */
     const TierCounters &stats() const { return stats_; }
 
-    /**
-     * Collapse/memo attribution: the solver's own proofs plus the
-     * fallback engine's fast path — the conflicted residue either
-     * tier attacks with the same machinery, so the counters merge.
-     */
-    FastPathStats
-    fastPathStats() const override
+    /** Collapse/memo attribution of the steady-state solver — the
+     *  only owner of the periodic fast path (the fallback engines
+     *  simulate every access they receive). */
+    const FastPathStats &fastPathStats() const
     {
-        FastPathStats fp = solver_.stats();
-        fp += fallback_->fastPathStats();
-        return fp;
+        return solver_.stats();
     }
 
     /** The wrapped simulation engine (for diagnostics). */

@@ -11,13 +11,13 @@
  *    moduleOf() exactly.
  * 4. The dynamic (retunable) mapping falls back to scalar and stays
  *    correct across retunes.
- * 5. BackendCache keys on MapPath — bit-sliced and scalar variants
- *    of one shape never alias an entry.
- * 6. DeliveryArena request-pool accounting (acquires/reuses/peak).
- * 7. A full randomized SweepEngine grid run under mapPath scalar vs
- *    bit-sliced produces identical reports, and the worker arenas
- *    report a warm hot path (reuses > 0).
- * 8. Worker counts are clamped to the hardware, and on multi-core
+ * 5. DeliveryArena request-pool accounting (acquires/reuses/peak).
+ * 6. Over a randomized grid of every mapping kind, both engines
+ *    produce identical AccessResults whether they premap a stream
+ *    themselves (bit-sliced) or are handed a moduleOf() premap
+ *    through their premapped argument; a full SweepEngine run of
+ *    the grid reports a warm worker arena (reuses > 0).
+ * 7. Worker counts are clamped to the hardware, and on multi-core
  *    hosts threads=N must not regress below 0.95x threads=1.
  */
 
@@ -38,11 +38,11 @@
 #include "mapping/prand.h"
 #include "mapping/xor_matched.h"
 #include "mapping/xor_sectioned.h"
-#include "memsys/backend_cache.h"
+#include "core/access_unit.h"
+#include "memsys/backend.h"
 #include "memsys/memory_system.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
-#include "theory/theory_backend.h"
 
 namespace cfva {
 namespace {
@@ -171,22 +171,6 @@ TEST(BitSlice, PackedMatchesScalarAcrossKindsLengthsStrides)
     }
 }
 
-TEST(BitSlice, ScalarPathForcedByMapPathMatchesToo)
-{
-    const XorMatchedMapping map(3, 4);
-    const BitSlicedMapper forced(map, MapPath::Scalar);
-    EXPECT_FALSE(forced.bitSliced());
-
-    Rng rng(0x5CA1A7ull);
-    std::vector<Addr> addrs(130);
-    for (auto &a : addrs)
-        a = rng.below(Addr{1} << 44);
-    std::vector<ModuleId> out(addrs.size());
-    forced.map(addrs.data(), addrs.size(), out.data());
-    for (std::size_t i = 0; i < addrs.size(); ++i)
-        ASSERT_EQ(out[i], map.moduleOf(addrs[i])) << i;
-}
-
 TEST(BitSlice, DynamicMappingFallsBackAndTracksRetunes)
 {
     DynamicFieldMapping dyn(3, 4);
@@ -211,44 +195,6 @@ TEST(BitSlice, DynamicMappingFallsBackAndTracksRetunes)
             ASSERT_EQ(out[i], dyn.moduleOf(addrs[i]))
                 << "tune " << tune << " element " << i;
     }
-}
-
-TEST(BitSlice, BackendCacheNeverAliasesMapPaths)
-{
-    BackendCache cache;
-    const XorMatchedMapping map(3, 4);
-    const MemConfig cfg{3, 3, 1, 1};
-
-    MemoryBackend &sliced = cache.backendFor(
-        EngineKind::EventDriven, cfg, map, MapPath::BitSliced);
-    MemoryBackend &scalar = cache.backendFor(
-        EngineKind::EventDriven, cfg, map, MapPath::Scalar);
-    EXPECT_NE(&sliced, &scalar)
-        << "bit-sliced and scalar variants must not share a backend";
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.size(), 2u);
-
-    // Repeat lookups hit their own entries.
-    EXPECT_EQ(&cache.backendFor(EngineKind::EventDriven, cfg, map,
-                                MapPath::BitSliced),
-              &sliced);
-    EXPECT_EQ(&cache.backendFor(EngineKind::EventDriven, cfg, map,
-                                MapPath::Scalar),
-              &scalar);
-    EXPECT_EQ(cache.stats().hits, 2u);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.size(), 2u);
-
-    // The theory tier caches separately, and also per path.
-    TheoryBackend &theorySliced = cache.theoryBackendFor(
-        EngineKind::EventDriven, cfg, map, MapPath::BitSliced);
-    TheoryBackend &theoryScalar = cache.theoryBackendFor(
-        EngineKind::EventDriven, cfg, map, MapPath::Scalar);
-    EXPECT_NE(static_cast<MemoryBackend *>(&theorySliced),
-              static_cast<MemoryBackend *>(&theoryScalar));
-    EXPECT_EQ(cache.stats().misses, 4u);
-    EXPECT_EQ(cache.size(), 4u);
 }
 
 TEST(BitSlice, ArenaRequestPoolAccounting)
@@ -330,33 +276,53 @@ differentialGrid(std::uint64_t seed)
     return grid;
 }
 
-TEST(BitSlice, SweepGridBitSlicedMatchesScalarBitForBit)
+TEST(BitSlice, EnginesOnBitSlicedPremapMatchModuleOfPremap)
+{
+    const sim::ScenarioGrid grid = differentialGrid(0xB175EEDull);
+    std::size_t compared = 0;
+    for (const VectorUnitConfig &cfg : grid.mappings) {
+        const VectorAccessUnit unit(cfg);
+        for (EngineKind engine :
+             {EngineKind::PerCycle, EngineKind::EventDriven}) {
+            const auto backend = makeMemoryBackend(
+                engine, unit.memConfig(), unit.mapping());
+            for (std::uint64_t stride : grid.strides) {
+                for (std::uint64_t len : grid.lengths) {
+                    const std::uint64_t n =
+                        len ? len : cfg.registerLength();
+                    const AccessPlan plan =
+                        unit.plan(0x1234, Stride(stride), n);
+                    // The scalar oracle: one moduleOf() per element.
+                    std::vector<ModuleId> scalar(plan.stream.size());
+                    for (std::size_t i = 0; i < scalar.size(); ++i)
+                        scalar[i] =
+                            unit.mapping().moduleOf(plan.stream[i].addr);
+                    const AccessResult sliced =
+                        backend->runSingle(plan.stream);
+                    const AccessResult viaScalar =
+                        backend->runSingleMapped(plan.stream,
+                                                 scalar.data());
+                    ASSERT_EQ(sliced, viaScalar)
+                        << cfg.describe() << " " << to_string(engine)
+                        << " stride " << stride << " length " << n;
+                    ++compared;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, grid.mappings.size() * 2
+                            * grid.strides.size()
+                            * grid.lengths.size());
+}
+
+TEST(BitSlice, SweepWorkerArenasStayWarm)
 {
     const sim::ScenarioGrid grid = differentialGrid(0xB175EEDull);
     ASSERT_GE(grid.jobCount(), 200u);
-
-    sim::SweepOptions scalar;
-    scalar.mapPath = MapPath::Scalar;
-    sim::SweepOptions sliced;
-    sliced.mapPath = MapPath::BitSliced;
-
-    const sim::SweepReport oracle =
-        sim::SweepEngine(scalar).run(grid);
     sim::SweepRunStats stats;
-    const sim::SweepReport tested =
-        sim::SweepEngine(sliced).run(grid, &stats);
-
-    ASSERT_EQ(oracle.jobs(), grid.jobCount());
-    ASSERT_EQ(tested.jobs(), oracle.jobs());
-    for (std::size_t i = 0; i < oracle.jobs(); ++i) {
-        EXPECT_EQ(tested.outcomes[i], oracle.outcomes[i])
-            << "scenario " << i << " ("
-            << oracle.mappingLabels[oracle.outcomes[i].mappingIndex]
-            << " stride " << oracle.outcomes[i].stride << " length "
-            << oracle.outcomes[i].length << ") diverges between "
-            << "map paths";
-    }
-    EXPECT_EQ(tested, oracle);
+    const sim::SweepReport report =
+        sim::SweepEngine().run(grid, &stats);
+    ASSERT_EQ(report.jobs(), grid.jobCount());
 
     // The worker arenas must be live and warm on the hot path.
     EXPECT_GT(stats.arenaAcquires, 0u);

@@ -10,7 +10,9 @@
  * length) — never of memo state.  The randomized grid here spans
  * all five mapping kinds, strides inside and outside each paper
  * window, input/output buffer depths, and 1-3 ports, checking the
- * closed form bit for bit against CollapseMode::Off simulation.
+ * closed form bit for bit against the stepped per-cycle engine —
+ * which has no fast path of its own, so every oracle answer here is
+ * simulated cycle by cycle.
  * Labeled slow: the oracle steps every cycle of every scenario.
  */
 
@@ -64,13 +66,12 @@ solverConfigs(unsigned q, unsigned qOut)
     return cfgs;
 }
 
-/** The pure stepped per-cycle oracle: no collapse, no memo. */
+/** The pure stepped per-cycle oracle. */
 std::unique_ptr<MemoryBackend>
 steppedOracle(const VectorAccessUnit &unit)
 {
     return makeMemoryBackend(EngineKind::PerCycle, unit.memConfig(),
-                             unit.mapping(), MapPath::BitSliced,
-                             CollapseMode::Off);
+                             unit.mapping());
 }
 
 std::vector<ModuleId>
@@ -269,12 +270,8 @@ TEST(ConflictSolverProperty, MultiPortClaimsMatchTheSteppedOracle)
 
     for (const VectorUnitConfig &cfg : solverConfigs(2, 1)) {
         const VectorAccessUnit unit(cfg);
-        TheoryBackend tb(
-            unit.memConfig(), unit.mapping(),
-            makeMemoryBackend(EngineKind::PerCycle,
-                              unit.memConfig(), unit.mapping(),
-                              MapPath::BitSliced,
-                              CollapseMode::Off));
+        TheoryBackend tb(unit.memConfig(), unit.mapping(),
+                         steppedOracle(unit));
         for (unsigned ports = 1; ports <= 3; ++ports) {
             for (unsigned trial = 0; trial < 8; ++trial) {
                 // High families confine each port to few modules;

@@ -413,6 +413,45 @@ TEST(TheoryBackendAudit, TierChangesOnlyAttributionColumns)
     }
 }
 
+// The steady-state solver is the only memo owner: a single-port
+// access the tier cannot answer costs exactly one memo lookup (the
+// solver's), never a second one inside the fallback engine.  On a
+// pseudo-random grid every module sequence is aperiodic, so every
+// solver attempt misses the memo, fails to collapse, and falls back.
+TEST(TheoryBackendAudit, SolverCountsOneMemoLookupPerAttempt)
+{
+    sim::ScenarioGrid grid;
+    VectorUnitConfig prand;
+    prand.kind = MemoryKind::PseudoRandom;
+    prand.t = 2;
+    prand.lambda = 6;
+    grid.mappings = {prand};
+    grid.addFamilies(0, 7, {1, 3, 5});
+    grid.lengths = {0, 17};
+    grid.randomStarts = 2;
+    sim::Workload retune;
+    retune.kind = sim::WorkloadKind::Retune;
+    retune.retunePeriod = 2;
+    grid.workloads = {sim::Workload{}, retune};
+    grid.seed = 0x9EA5Dull;
+
+    for (sim::DedupMode dedup :
+         {sim::DedupMode::Off, sim::DedupMode::On}) {
+        sim::SweepOptions opts;
+        opts.tier = TierPolicy::TheoryFirst;
+        opts.dedup = dedup;
+        sim::SweepRunStats stats;
+        sim::SweepEngine(opts).run(grid, &stats);
+        EXPECT_GT(stats.theoryFallbacks, 0u);
+        EXPECT_EQ(stats.collapseHits, 0u);
+        EXPECT_EQ(stats.memoMisses, stats.theoryFallbacks)
+            << "dedup " << to_string(dedup);
+        EXPECT_EQ(stats.memoHits + stats.memoMisses,
+                  stats.theoryClaims + stats.theoryFallbacks)
+            << "dedup " << to_string(dedup);
+    }
+}
+
 // Property tests pinning the closed-form identities the fast path
 // leans on: a formula regression here would silently corrupt
 // analytic answers long before a simulation disagreed.

@@ -356,5 +356,46 @@ TEST(WorkloadDifferential, WorkloadLabelsAndValidation)
     EXPECT_THROW(grid.expand(), std::runtime_error);
 }
 
+// An execute latency near 2^64 would wrap the chain totals (at
+// L=128 the rows read decoupled=263, chained=136), so the grid
+// rejects any program whose cycle totals could overflow, while a
+// huge but representable latency still reports exact totals.
+TEST(WorkloadDifferential, ExecLatencyOverflowIsRejected)
+{
+    ScenarioGrid grid;
+    grid.mappings = {paperMatchedExample()};
+    grid.strides = {1};
+    for (WorkloadKind kind :
+         {WorkloadKind::Chain, WorkloadKind::Stencil}) {
+        const Workload wrap =
+            makeWorkload(kind, ~Cycle{0});
+        EXPECT_FALSE(wrap.cyclesFit(128, 1, 4)) << wrap.label();
+        grid.workloads = {wrap};
+        EXPECT_NE(grid.cycleOverflow(), "") << wrap.label();
+        test::ScopedPanicThrow guard;
+        EXPECT_THROW(grid.expand(), std::runtime_error)
+            << wrap.label();
+    }
+    // Retune carries no execute step but its access count scales
+    // with the period; the relayout and latency sums are checked.
+    EXPECT_FALSE(makeWorkload(WorkloadKind::Retune, 1, ~0u)
+                     .cyclesFit(Cycle{1} << 40, 1024, 8));
+    EXPECT_TRUE(makeWorkload(WorkloadKind::Retune, 1, ~0u)
+                    .cyclesFit(128, 1, 8));
+
+    // A huge but representable latency runs and reports exact
+    // totals: decoupled = (L - 1) + exec past the load, chained =
+    // exec for a conflict-free load.
+    const Cycle exec = Cycle{1} << 62;
+    grid.workloads = {makeWorkload(WorkloadKind::Chain, exec)};
+    EXPECT_EQ(grid.cycleOverflow(), "");
+    const SweepReport report = SweepEngine().run(grid);
+    ASSERT_EQ(report.jobs(), 1u);
+    const ScenarioOutcome &o = report.outcomes[0];
+    ASSERT_TRUE(o.conflictFree);
+    EXPECT_EQ(o.decoupledCycles, o.latency + (o.length - 1) + exec);
+    EXPECT_EQ(o.chainedCycles, o.latency + exec);
+}
+
 } // namespace
 } // namespace cfva::sim

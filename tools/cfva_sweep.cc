@@ -104,27 +104,20 @@ usage(std::ostream &os)
           "                     each engine, cross-checks the\n"
           "                     reports bit for bit, and exits\n"
           "                     non-zero on any mismatch\n"
-          "  --tier T           sim | theory | audit (default sim):\n"
-          "                     'theory' answers provably conflict-\n"
-          "                     free accesses analytically (zero\n"
-          "                     cycles simulated) and falls back to\n"
-          "                     the engine otherwise; 'audit' runs\n"
-          "                     both tiers on every scenario,\n"
-          "                     cross-checks them bit for bit, and\n"
-          "                     exits non-zero on any divergence\n"
-          "  --map-path P       bitsliced | scalar (default\n"
-          "                     bitsliced): premap request streams\n"
-          "                     with the GF(2) bit-matrix kernel\n"
-          "                     (64 elements per multiply) or the\n"
-          "                     per-element walk; reports are bit-\n"
-          "                     identical either way\n"
-          "  --collapse C       on | off (default on): collapse\n"
-          "                     single-port constant-stride streams\n"
-          "                     to one steady-state period plus a\n"
-          "                     closed-form extrapolation, with a\n"
-          "                     base-invariant outcome memo on top;\n"
-          "                     results are bit-identical either\n"
-          "                     way (off = pure stepped oracle)\n"
+          "  --tier T           theory | sim | audit (default\n"
+          "                     theory): 'theory' answers provably\n"
+          "                     conflict-free and periodic accesses\n"
+          "                     analytically (steady-state solver\n"
+          "                     with an outcome memo) and falls\n"
+          "                     back to the engine otherwise; 'sim'\n"
+          "                     is the pure stepped oracle (every\n"
+          "                     cycle of every access simulated);\n"
+          "                     'audit' runs both tiers on every\n"
+          "                     scenario, cross-checks them bit for\n"
+          "                     bit, and exits non-zero on any\n"
+          "                     divergence.  Reports differ across\n"
+          "                     tiers only in the tier-attribution\n"
+          "                     columns\n"
           "  --dedup D          on | off | audit (default on):\n"
           "                     canonicalize scenarios into\n"
           "                     outcome-equivalence classes,\n"
@@ -284,28 +277,6 @@ parseWorkloadKind(const std::string &name)
                " (expected single|chain|retune|stencil)");
 }
 
-MapPath
-parseMapPath(const std::string &name)
-{
-    if (name == "bitsliced")
-        return MapPath::BitSliced;
-    if (name == "scalar")
-        return MapPath::Scalar;
-    cfva_fatal("unknown map path: ", name,
-               " (expected bitsliced|scalar)");
-}
-
-CollapseMode
-parseCollapse(const std::string &name)
-{
-    if (name == "on")
-        return CollapseMode::On;
-    if (name == "off")
-        return CollapseMode::Off;
-    cfva_fatal("unknown collapse mode: ", name,
-               " (expected on|off)");
-}
-
 TierPolicy
 parseTier(const std::string &name)
 {
@@ -387,9 +358,7 @@ struct Options
     sim::ShardSpec shard;
     bool stream = false;
     std::vector<EngineKind> engines = {EngineKind::PerCycle};
-    TierPolicy tier = TierPolicy::SimulateAlways;
-    MapPath mapPath = MapPath::BitSliced;
-    CollapseMode collapse = CollapseMode::On;
+    TierPolicy tier = TierPolicy::TheoryFirst;
     sim::DedupMode dedup = sim::DedupMode::On;
     std::string cacheDir;
     std::string csvPath;
@@ -470,10 +439,6 @@ parseArgs(int argc, char **argv)
             o.engines = parseEngines(need(i, "--engine"));
         } else if (a == "--tier") {
             o.tier = parseTier(need(i, "--tier"));
-        } else if (a == "--map-path") {
-            o.mapPath = parseMapPath(need(i, "--map-path"));
-        } else if (a == "--collapse") {
-            o.collapse = parseCollapse(need(i, "--collapse"));
         } else if (a == "--dedup") {
             o.dedup = sim::parseDedupFlag("--dedup",
                                           need(i, "--dedup"));
@@ -593,6 +558,10 @@ buildGrid(const Options &o)
         grid.workloads.push_back(wl);
     }
     grid.seed = o.seed;
+    if (const std::string overflow = grid.cycleOverflow();
+        !overflow.empty())
+        cfva_fatal(overflow, " (lower --exec-latency, --lengths, "
+                   "--retune-period, or --ports)");
     return grid;
 }
 
@@ -639,13 +608,14 @@ printTierStats(std::ostream &info, TierPolicy tier,
     }
 }
 
-/** Prints the collapse/memo fast-path counters of a run; silent
- *  when the fast path is disabled (every counter is 0 there). */
+/** Prints the steady-state solver's collapse/memo counters of a
+ *  run; silent under the sim tier (the stepped engines have no
+ *  fast path, so every counter is 0 there). */
 void
-printFastPathStats(std::ostream &info, CollapseMode collapse,
+printFastPathStats(std::ostream &info, TierPolicy tier,
                    const sim::SweepRunStats &stats)
 {
-    if (collapse == CollapseMode::Off)
+    if (tier == TierPolicy::SimulateAlways)
         return;
     info << "fast path: " << stats.collapseHits
          << " steady-state collapses ("
@@ -761,7 +731,6 @@ struct BenchRun
 {
     EngineKind engine = EngineKind::PerCycle;
     TierPolicy tier = TierPolicy::SimulateAlways;
-    CollapseMode collapse = CollapseMode::On;
     sim::DedupMode dedup = sim::DedupMode::Off;
     std::string cache = "none"; // none | cold | warm
     std::uint64_t threads = 0;
@@ -780,7 +749,6 @@ struct WorkloadBenchRun
 {
     std::string label;
     TierPolicy tier = TierPolicy::SimulateAlways;
-    CollapseMode collapse = CollapseMode::On;
     sim::DedupMode dedup = sim::DedupMode::Off;
     std::size_t jobs = 0;
     unsigned reps = 0;
@@ -804,8 +772,6 @@ writeBenchJson(const std::string &path, const Options &o,
         << ",\n  \"shard\": \"" << o.shard.index << "/"
         << o.shard.count << "\",\n  \"grain\": " << o.grain
         << ",\n  \"tier\": \"" << to_string(o.tier)
-        << "\",\n  \"map_path\": \"" << to_string(o.mapPath)
-        << "\",\n  \"collapse\": \"" << to_string(o.collapse)
         << "\",\n  \"dedup\": \"" << to_string(o.dedup)
         << "\",\n  \"reports_identical\": "
         << (identical ? "true" : "false") << ",\n  \"runs\": [";
@@ -813,8 +779,7 @@ writeBenchJson(const std::string &path, const Options &o,
         const BenchRun &r = runs[i];
         out << (i ? ",\n" : "\n") << "    {\"engine\": \""
             << to_string(r.engine) << "\", \"tier\": \""
-            << to_string(r.tier) << "\", \"collapse\": \""
-            << to_string(r.collapse) << "\", \"dedup\": \""
+            << to_string(r.tier) << "\", \"dedup\": \""
             << to_string(r.dedup) << "\", \"cache\": \"" << r.cache
             << "\", \"threads\": "
             << r.threads << ", \"reps\": " << r.reps
@@ -863,7 +828,6 @@ writeBenchJson(const std::string &path, const Options &o,
         const WorkloadBenchRun &w = workloadRuns[i];
         out << (i ? ",\n" : "\n") << "    {\"workload\": \""
             << w.label << "\", \"tier\": \"" << to_string(w.tier)
-            << "\", \"collapse\": \"" << to_string(w.collapse)
             << "\", \"dedup\": \"" << to_string(w.dedup)
             << "\", \"jobs\": " << w.jobs
             << ", \"reps\": " << w.reps
@@ -919,54 +883,35 @@ main(int argc, char **argv)
     for (std::size_t e = 1; e < o.engines.size(); ++e)
         engineNames += std::string(" + ") + to_string(o.engines[e]);
     info << "engine: " << engineNames << "\n";
-    if (o.tier != TierPolicy::SimulateAlways)
-        info << "tier: " << to_string(o.tier) << "\n";
-    if (o.mapPath != MapPath::BitSliced)
-        info << "map path: " << to_string(o.mapPath) << "\n";
-    if (o.collapse != CollapseMode::On)
-        info << "collapse: " << to_string(o.collapse) << "\n";
+    info << "tier: " << to_string(o.tier) << "\n";
 
     if (!o.benchThreads.empty()) {
-        TextTable t({"engine", "tier", "collapse", "dedup", "cache",
+        TextTable t({"engine", "tier", "dedup", "cache",
                      "threads", "reps", "seconds", "scenarios/s",
                      "speedup"});
         // Under --tier theory the bench times the simulation
-        // baseline too — with the collapse fast path off (the pure
-        // stepped oracle) and on, then with scenario dedup layered
-        // on top and finally against a cold and a warm persistent
-        // result cache — so BENCH_sweep.json records what each
-        // fast-path tier buys next to what it replaced.
+        // baseline too — the pure stepped oracle, then with
+        // scenario dedup layered on top and finally against a cold
+        // and a warm persistent result cache — so BENCH_sweep.json
+        // records what each fast-path tier buys next to what it
+        // replaced.
         struct Leg
         {
             TierPolicy tier;
-            CollapseMode collapse;
             sim::DedupMode dedup = sim::DedupMode::Off;
             const char *cache = "none"; // none | cold | warm
         };
         std::vector<Leg> legs;
         if (o.tier == TierPolicy::TheoryFirst) {
-            if (o.collapse == CollapseMode::On)
-                legs = {{TierPolicy::SimulateAlways,
-                         CollapseMode::Off},
-                        {TierPolicy::SimulateAlways,
-                         CollapseMode::On},
-                        {TierPolicy::SimulateAlways,
-                         CollapseMode::On, sim::DedupMode::On},
-                        {TierPolicy::SimulateAlways,
-                         CollapseMode::On, sim::DedupMode::On,
-                         "cold"},
-                        {TierPolicy::SimulateAlways,
-                         CollapseMode::On, sim::DedupMode::On,
-                         "warm"},
-                        {TierPolicy::TheoryFirst,
-                         CollapseMode::On}};
-            else
-                legs = {{TierPolicy::SimulateAlways,
-                         CollapseMode::Off},
-                        {TierPolicy::TheoryFirst,
-                         CollapseMode::Off}};
+            legs = {{TierPolicy::SimulateAlways},
+                    {TierPolicy::SimulateAlways, sim::DedupMode::On},
+                    {TierPolicy::SimulateAlways, sim::DedupMode::On,
+                     "cold"},
+                    {TierPolicy::SimulateAlways, sim::DedupMode::On,
+                     "warm"},
+                    {TierPolicy::TheoryFirst}};
         } else {
-            legs = {{o.tier, o.collapse, o.dedup}};
+            legs = {{o.tier, o.dedup}};
         }
         // Cache legs run against a fresh temporary directory (a
         // user --cache-dir is rejected above, so nothing of the
@@ -998,8 +943,6 @@ main(int argc, char **argv)
             warm.shard = o.shard;
             warm.engine = o.engines.front();
             warm.tier = o.tier;
-            warm.mapPath = o.mapPath;
-            warm.collapse = o.collapse;
             warm.dedup = o.dedup;
             sim::SweepReport scratch;
             timedRun(sim::SweepEngine(warm), grid, scratch);
@@ -1045,8 +988,6 @@ main(int argc, char **argv)
                     opts.shard = o.shard;
                     opts.engine = engine;
                     opts.tier = leg.tier;
-                    opts.mapPath = o.mapPath;
-                    opts.collapse = leg.collapse;
                     opts.dedup = leg.dedup;
                     std::function<void()> prep;
                     if (std::strcmp(leg.cache, "none") != 0) {
@@ -1078,7 +1019,6 @@ main(int argc, char **argv)
                     BenchRun row;
                     row.engine = engine;
                     row.tier = leg.tier;
-                    row.collapse = leg.collapse;
                     row.dedup = leg.dedup;
                     row.cache = leg.cache;
                     row.threads = threads;
@@ -1090,7 +1030,6 @@ main(int argc, char **argv)
                     row.stats = stats;
                     runs.push_back(row);
                     t.row(to_string(engine), to_string(leg.tier),
-                          to_string(leg.collapse),
                           to_string(leg.dedup), leg.cache, threads,
                           timing.reps, fixed(secs, 3),
                           fixed(row.scenariosPerSec, 0),
@@ -1111,7 +1050,7 @@ main(int argc, char **argv)
         // the narrowed grid would be the grid already timed.
         std::vector<WorkloadBenchRun> workloadRuns;
         {
-            TextTable wt({"workload", "tier", "collapse", "dedup",
+            TextTable wt({"workload", "tier", "dedup",
                           "jobs", "reps", "seconds",
                           "scenarios/s"});
             // The committed BENCH artifact should track every
@@ -1147,14 +1086,12 @@ main(int argc, char **argv)
                     WorkloadBenchRun row;
                     row.label = wl.label();
                     row.tier = leg.tier;
-                    row.collapse = leg.collapse;
                     row.dedup = leg.dedup;
                     const BenchRun *reuse = nullptr;
                     if (sameAsGrid) {
                         for (const auto &r : runs) {
                             if (r.engine == o.engines.front()
                                 && r.tier == leg.tier
-                                && r.collapse == leg.collapse
                                 && r.dedup == leg.dedup
                                 && r.cache == "none"
                                 && r.threads
@@ -1179,8 +1116,6 @@ main(int argc, char **argv)
                         opts.shard = o.shard;
                         opts.engine = o.engines.front();
                         opts.tier = leg.tier;
-                        opts.mapPath = o.mapPath;
-                        opts.collapse = leg.collapse;
                         opts.dedup = leg.dedup;
                         sim::SweepReport r;
                         sim::SweepRunStats s;
@@ -1195,7 +1130,6 @@ main(int argc, char **argv)
                     }
                     workloadRuns.push_back(row);
                     wt.row(row.label, to_string(row.tier),
-                           to_string(row.collapse),
                            to_string(row.dedup), row.jobs, row.reps,
                            fixed(row.seconds, 3),
                            fixed(row.scenariosPerSec, 0));
@@ -1235,18 +1169,17 @@ main(int argc, char **argv)
                  << s.arenaAcquires
                  << " buffer acquires served from pools, peak "
                  << s.arenaPeakBytes << " bytes retained\n";
-            // The first row with the requested tier and collapse
-            // mode carries the attribution (under --tier theory
-            // the leading rows are the oracle baselines and count
-            // nothing, or only the sim-tier share).
+            // The first row with the requested tier carries the
+            // attribution (under --tier theory the leading rows are
+            // the oracle baselines and count nothing).
             const BenchRun *tierRow = &runs.front();
             for (const auto &r : runs) {
-                if (r.tier == o.tier && r.collapse == o.collapse) {
+                if (r.tier == o.tier) {
                     tierRow = &r;
                     break;
                 }
             }
-            printFastPathStats(info, o.collapse, tierRow->stats);
+            printFastPathStats(info, o.tier, tierRow->stats);
             printTierStats(info, o.tier, tierRow->stats);
             // The dedup and cache footers come from the legs that
             // actually exercised them (the leading rows run with
@@ -1308,8 +1241,6 @@ main(int argc, char **argv)
         opts.shard = o.shard;
         opts.engine = o.engines.front();
         opts.tier = o.tier;
-        opts.mapPath = o.mapPath;
-        opts.collapse = o.collapse;
         opts.dedup = o.dedup;
         opts.cacheDir = o.cacheDir;
 
@@ -1355,7 +1286,7 @@ main(int argc, char **argv)
             info << "backend cache: " << stats.backendCacheHits
                  << " hits / " << stats.backendCacheMisses
                  << " misses\n";
-            printFastPathStats(info, o.collapse, stats);
+            printFastPathStats(info, o.tier, stats);
             printTierStats(info, o.tier, stats);
             printDedupStats(info, o.dedup, o.cacheDir, stats);
         }
@@ -1381,8 +1312,6 @@ main(int argc, char **argv)
         opts.shard = o.shard;
         opts.engine = o.engines[e];
         opts.tier = o.tier;
-        opts.mapPath = o.mapPath;
-        opts.collapse = o.collapse;
         opts.dedup = o.dedup;
         opts.cacheDir = o.cacheDir;
         sim::SweepReport r;
@@ -1422,7 +1351,7 @@ main(int argc, char **argv)
         info << "backend cache: " << firstStats.backendCacheHits
              << " hits / " << firstStats.backendCacheMisses
              << " misses\n";
-        printFastPathStats(info, o.collapse, firstStats);
+        printFastPathStats(info, o.tier, firstStats);
         printTierStats(info, o.tier, firstStats);
         printDedupStats(info, o.dedup, o.cacheDir, firstStats);
     }
