@@ -221,13 +221,6 @@ sweepKernel(const std::vector<VectorUnitConfig> &cfgs,
     // rebuild the per-worker backends and the cache counters the
     // audit checks would depend on the machine.
     opts.threads = 1;
-    // Audit, not the On default: the kernel batches vary only the
-    // base address, which the canonical key excludes, so dedup
-    // would execute one representative per class and starve the
-    // backend-cache reuse this audit measures.  Audit executes
-    // every member (keeping the counters meaningful) and
-    // cross-checks each replay field for field on the way.
-    opts.dedup = sim::DedupMode::Audit;
     MixSink sink(mix);
     sim::SweepRunStats stats;
     const auto start = std::chrono::steady_clock::now();

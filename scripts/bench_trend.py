@@ -3,8 +3,8 @@
 
 Usage: bench_trend.py BASELINE FRESH [--threshold 0.30]
 
-Scaling rows are matched on (engine, tier, dedup, cache, threads)
-and per-workload rows on (workload, tier, dedup); only legs present
+Scaling rows are matched on (engine, tier, threads) and
+per-workload rows on (workload, tier); only legs present
 in BOTH files are compared, so adding or removing a leg never trips
 the gate.  A fresh leg whose
 scenarios_per_s falls more than the threshold below the same
@@ -25,8 +25,6 @@ def run_key(row):
         "run",
         row.get("engine"),
         row.get("tier"),
-        row.get("dedup"),
-        row.get("cache"),
         row.get("threads"),
     )
 
@@ -36,7 +34,6 @@ def workload_key(row):
         "workload",
         row.get("workload"),
         row.get("tier"),
-        row.get("dedup"),
     )
 
 

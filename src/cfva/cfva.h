@@ -62,9 +62,7 @@
 #include "vproc/stripmine.h"
 
 // Batch scenario sweeps.
-#include "sim/canonical.h"
 #include "sim/merge.h"
-#include "sim/result_cache.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 #include "sim/sweep_sink.h"

@@ -124,8 +124,8 @@ class VectorAccessUnit
      * given, the access is attributed to it as claimed or fallback
      * (under SimulateAlways: always fallback).
      *
-     * @p detail selects how much of a theory-claimed result is
-     * materialized (see ResultDetail; simulated results are always
+     * @p detail selects how much of a theory-tier result is
+     * materialized (see ResultDetail; fresh simulations are always
      * full).  Under TheoryFirst a plan the planner certified
      * conflict free (AccessPlan::expectConflictFree) is claimed
      * directly from the paper's window theorems — O(1) per access

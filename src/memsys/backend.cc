@@ -141,6 +141,16 @@ MemoryBackend::runSingleMapped(const std::vector<Request> &stream,
     return runSingle(stream, arena);
 }
 
+MultiPortResult
+MemoryBackend::runMapped(
+    const std::vector<std::vector<Request>> &streams,
+    const std::vector<std::vector<ModuleId>> &modules,
+    DeliveryArena *arena)
+{
+    (void)modules;
+    return run(streams, arena);
+}
+
 std::unique_ptr<MemoryBackend>
 makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
                   const ModuleMapping &map)
@@ -207,6 +217,22 @@ wrapSinglePort(AccessResult &&r)
     out.makespan = r.deliveries.empty() ? 0 : r.lastDelivery + 1;
     out.ports.push_back(std::move(r));
     return out;
+}
+
+void
+premapPorts(const BitSlicedMapper &slicer,
+            const std::vector<std::vector<Request>> &streams,
+            std::vector<std::vector<ModuleId>> &mods)
+{
+    if (mods.size() < streams.size())
+        mods.resize(streams.size());
+    for (std::size_t p = 0; p < streams.size(); ++p) {
+        const std::vector<Request> &stream = streams[p];
+        mods[p].resize(stream.size());
+        slicer.mapWith(
+            [&stream](std::size_t i) { return stream[i].addr; },
+            stream.size(), mods[p].data());
+    }
 }
 
 } // namespace detail

@@ -93,7 +93,9 @@ enum class ResultDetail
     Full,
 
     /** Timing aggregates only; a claimed result's deliveries stay
-     *  empty.  Fallback simulation still materializes. */
+     *  empty, and so do those of a rejected access the theory
+     *  tier's fallback memo replays.  A fresh fallback simulation
+     *  still materializes. */
     Summary,
 
     /**
@@ -109,9 +111,8 @@ enum class ResultDetail
  * Why the theory tier handed an access to the simulation engine.
  * None means the access was answered analytically (or the theory
  * tier was not active at all).  The reason is a deterministic
- * function of the mapping and the planned module sequence — the same
- * inputs the scenario CanonicalKey encodes — so dedup replays and
- * cached results carry it soundly.
+ * function of the mapping and the planned module sequence, so a
+ * fallback memo replay carries the reason a simulation would.
  */
 enum class FallbackReason : std::uint8_t
 {
@@ -314,6 +315,20 @@ class MemoryBackend
                     const ModuleId *modules,
                     DeliveryArena *arena = nullptr);
 
+    /**
+     * run() over streams whose module assignments were already
+     * computed: @p modules holds at least streams.size() sequences
+     * and modules[p][i] is the mapping of streams[p][i].addr.  The
+     * multi-port counterpart of runSingleMapped(), with the same
+     * default (ignore @p modules, call run()) and the same purpose:
+     * the theory tier premaps every port for its disjointness check
+     * and its fallback memo key, and the engine reuses that premap.
+     */
+    virtual MultiPortResult
+    runMapped(const std::vector<std::vector<Request>> &streams,
+              const std::vector<std::vector<ModuleId>> &modules,
+              DeliveryArena *arena = nullptr);
+
     /** Engine name for logs and diagnostics. */
     virtual const char *name() const = 0;
 };
@@ -366,6 +381,12 @@ Cycle wedgeLimit(const MemConfig &cfg, std::size_t total,
 /** Lifts a single-port AccessResult into the P = 1 MultiPortResult
  *  the generic loops would produce for the same stream. */
 MultiPortResult wrapSinglePort(AccessResult &&r);
+
+/** Premaps every stream of @p streams into @p mods (grown to at
+ *  least streams.size() sequences; entry p sized to stream p). */
+void premapPorts(const BitSlicedMapper &slicer,
+                 const std::vector<std::vector<Request>> &streams,
+                 std::vector<std::vector<ModuleId>> &mods);
 
 } // namespace detail
 

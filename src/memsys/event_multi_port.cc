@@ -51,6 +51,26 @@ EventDrivenMultiPort::run(
     if (streams.size() == 1)
         return detail::wrapSinglePort(runSingle(streams[0], arena));
 
+    // Premap every stream before the simulation loop (bit-sliced
+    // for linear mappings); issue attempts just index the result.
+    detail::premapPorts(slicer_, streams, portMods_);
+    return runMapped(streams, portMods_, arena);
+}
+
+MultiPortResult
+EventDrivenMultiPort::runMapped(
+    const std::vector<std::vector<Request>> &streams,
+    const std::vector<std::vector<ModuleId>> &mods,
+    DeliveryArena *arena)
+{
+    cfva_assert(!streams.empty(), "need at least one port");
+    cfva_assert(mods.size() >= streams.size(),
+                "need one module sequence per port");
+    if (streams.size() == 1) {
+        return detail::wrapSinglePort(
+            runSingleMapped(streams[0], mods[0].data(), arena));
+    }
+
     const unsigned n_ports = static_cast<unsigned>(streams.size());
     const Cycle t_cycles = cfg_.serviceCycles();
 
@@ -66,18 +86,11 @@ EventDrivenMultiPort::run(
     ports_.resize(n_ports);
     std::vector<PortState> &ports = ports_;
 
-    // Premap every stream before the event loop (bit-sliced for
-    // linear mappings); issue attempts below just index the result.
-    while (portMods_.size() < n_ports)
-        portMods_.emplace_back();
     std::size_t total = 0;
     for (unsigned p = 0; p < n_ports; ++p) {
         total += streams[p].size();
-        const std::vector<Request> &stream = streams[p];
-        portMods_[p].resize(stream.size());
-        slicer_.mapWith(
-            [&stream](std::size_t i) { return stream[i].addr; },
-            stream.size(), portMods_[p].data());
+        cfva_assert(mods[p].size() == streams[p].size(),
+                    "port ", p, " module sequence length mismatch");
         if (arena)
             ports[p].delivered = arena->acquire(streams[p].size());
         else
@@ -123,7 +136,7 @@ EventDrivenMultiPort::run(
     // Each port's issue target comes straight from the premapped
     // stream.
     auto targetModule = [&](unsigned p) -> ModuleId {
-        const ModuleId target = portMods_[p][ports[p].next];
+        const ModuleId target = mods[p][ports[p].next];
         cfva_assert(target < cfg_.modules(),
                     "mapping produced module ", target,
                     " outside 2^", cfg_.m);

@@ -48,6 +48,26 @@ PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
     if (streams.size() == 1)
         return detail::wrapSinglePort(runSingle(streams[0], arena));
 
+    // Premap every stream before the simulation loop (bit-sliced
+    // for linear mappings); issue attempts just index the result.
+    detail::premapPorts(slicer_, streams, portMods_);
+    return runMapped(streams, portMods_, arena);
+}
+
+MultiPortResult
+PerCycleMultiPort::runMapped(
+    const std::vector<std::vector<Request>> &streams,
+    const std::vector<std::vector<ModuleId>> &mods,
+    DeliveryArena *arena)
+{
+    cfva_assert(!streams.empty(), "need at least one port");
+    cfva_assert(mods.size() >= streams.size(),
+                "need one module sequence per port");
+    if (streams.size() == 1) {
+        return detail::wrapSinglePort(
+            runSingleMapped(streams[0], mods[0].data(), arena));
+    }
+
     const unsigned n_ports = static_cast<unsigned>(streams.size());
     std::vector<MemoryModule> &modules = modules_;
     for (auto &mod : modules)
@@ -61,18 +81,11 @@ PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
     ports_.resize(n_ports);
     std::vector<PortState> &ports = ports_;
 
-    // Premap every stream before the cycle loop (bit-sliced for
-    // linear mappings); issue attempts below just index the result.
-    while (portMods_.size() < n_ports)
-        portMods_.emplace_back();
     std::size_t total = 0;
     for (unsigned p = 0; p < n_ports; ++p) {
         total += streams[p].size();
-        const std::vector<Request> &stream = streams[p];
-        portMods_[p].resize(stream.size());
-        slicer_.mapWith(
-            [&stream](std::size_t i) { return stream[i].addr; },
-            stream.size(), portMods_[p].data());
+        cfva_assert(mods[p].size() == streams[p].size(),
+                    "port ", p, " module sequence length mismatch");
         if (arena)
             ports[p].delivered = arena->acquire(streams[p].size());
         else
@@ -154,7 +167,7 @@ PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
             if (ps.next >= streams[p].size())
                 continue;
             const Request &req = streams[p][ps.next];
-            const ModuleId target = portMods_[p][ps.next];
+            const ModuleId target = mods[p][ps.next];
             cfva_assert(target < cfg_.modules(),
                         "mapping produced module ", target,
                         " outside 2^", cfg_.m);

@@ -65,6 +65,12 @@ class PerCycleMultiPort final : public MemoryBackend
                     const ModuleId *modules,
                     DeliveryArena *arena = nullptr) override;
 
+    /** run() with caller-supplied module assignments. */
+    MultiPortResult
+    runMapped(const std::vector<std::vector<Request>> &streams,
+              const std::vector<std::vector<ModuleId>> &modules,
+              DeliveryArena *arena = nullptr) override;
+
     const char *name() const override { return "per-cycle"; }
 
   private:

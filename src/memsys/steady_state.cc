@@ -12,13 +12,15 @@ void
 materializeEmits(const EmitSummary &summary,
                  const std::vector<Emit> &emits,
                  const std::vector<Request> &stream,
-                 const ModuleId *mods, AccessResult &result)
+                 const ModuleId *mods, AccessResult &result,
+                 unsigned port)
 {
     for (const Emit &e : emits) {
         Delivery d;
         d.addr = stream[e.pos].addr;
         d.element = stream[e.pos].element;
         d.module = mods[e.pos];
+        d.port = port;
         d.issued = e.issued;
         d.arrived = e.arrived;
         d.serviceStart = e.serviceStart;
@@ -364,33 +366,46 @@ SteadyStateCollapser::tryRun(const MemConfig &cfg, std::size_t length,
 }
 
 bool
-OutcomeMemo::lookup(std::size_t length, const ModuleId *mods,
+OutcomeMemo::lookup(const PortSeq *ports, std::size_t count,
                     ModuleId moduleCount)
 {
     found_ = ~std::size_t{0};
-    if (length == 0 || length > kMaxLen)
+    keyed_ = false;
+    std::size_t total = 0;
+    for (std::size_t p = 0; p < count; ++p)
+        total += ports[p].length;
+    if (total == 0 || total > kMaxLen)
         return false;
+    keyed_ = true;
 
-    // Rank-canonicalize: the distinct modules used, sorted
-    // ascending, renamed 0..k-1.  An order-preserving relabeling
-    // keeps every engine comparison (return-bus tie-breaks compare
-    // module ids) intact, so equal rank sequences have bit-identical
-    // position-form outcomes.  First-seen-order naming would NOT be
-    // sound: it can map an ascending pair to a descending one and
-    // flip a tie-break.
+    // Rank-canonicalize jointly: the distinct modules used by any
+    // port, sorted ascending, renamed 0..k-1.  An order-preserving
+    // relabeling keeps every engine comparison (return-bus
+    // tie-breaks compare module ids) intact, and one relabeling for
+    // all ports keeps which ports share which module, so equal keys
+    // have bit-identical position-form outcomes.  First-seen-order
+    // naming would NOT be sound: it can map an ascending pair to a
+    // descending one and flip a tie-break.
     rankOf_.assign(moduleCount, kUnranked);
-    for (std::size_t i = 0; i < length; ++i)
-        rankOf_[mods[i]] = 0;
+    for (std::size_t p = 0; p < count; ++p)
+        for (std::size_t i = 0; i < ports[p].length; ++i)
+            rankOf_[ports[p].mods[i]] = 0;
     ModuleId rank = 0;
     for (ModuleId m = 0; m < moduleCount; ++m)
         if (rankOf_[m] != kUnranked)
             rankOf_[m] = rank++;
-    rankSeq_.resize(length);
-    for (std::size_t i = 0; i < length; ++i)
-        rankSeq_[i] = rankOf_[mods[i]];
+    // Each port's ranks follow its length, so the encoding parses
+    // back into exactly one list of port sequences.
+    key_.clear();
+    key_.reserve(count + total);
+    for (std::size_t p = 0; p < count; ++p) {
+        key_.push_back(static_cast<ModuleId>(ports[p].length));
+        for (std::size_t i = 0; i < ports[p].length; ++i)
+            key_.push_back(rankOf_[ports[p].mods[i]]);
+    }
 
     std::uint64_t h = 14695981039346656037ull;
-    for (ModuleId r : rankSeq_) {
+    for (ModuleId r : key_) {
         h ^= r;
         h *= 1099511628211ull;
     }
@@ -398,7 +413,7 @@ OutcomeMemo::lookup(std::size_t length, const ModuleId *mods,
 
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         const Entry &e = entries_[i];
-        if (e.hash == hash_ && e.rankSeq == rankSeq_) {
+        if (e.hash == hash_ && e.key == key_) {
             found_ = i;
             return true;
         }
@@ -407,37 +422,40 @@ OutcomeMemo::lookup(std::size_t length, const ModuleId *mods,
 }
 
 void
-OutcomeMemo::store(std::size_t length, const std::vector<Emit> &emits,
-                   const EmitSummary &summary)
+OutcomeMemo::store(MemoOutcome outcome)
 {
-    if (length == 0 || length > kMaxLen)
+    if (!keyed_)
         return;
-    cfva_assert(rankSeq_.size() == length,
-                "store() without a matching lookup()");
+    if (found_ != ~std::size_t{0}) {
+        entries_[found_].outcome = std::move(outcome);
+        return;
+    }
     Entry e;
     e.hash = hash_;
-    e.rankSeq = rankSeq_;
-    e.emits = emits;
-    e.summary = summary;
+    e.key = key_;
+    e.outcome = std::move(outcome);
     entries_.push_back(std::move(e));
-    if (entries_.size() > kMaxEntries)
+    if (entries_.size() > capacity_)
         entries_.pop_front();
 }
 
-const std::vector<Emit> &
-OutcomeMemo::cachedEmits() const
+void
+OutcomeMemo::store(const std::vector<Emit> &emits,
+                   const EmitSummary &summary)
 {
-    cfva_assert(found_ != ~std::size_t{0},
-                "cachedEmits() without a lookup() hit");
-    return entries_[found_].emits;
+    if (!keyed_)
+        return;
+    MemoOutcome o;
+    o.ports.push_back({summary, emits});
+    store(std::move(o));
 }
 
-const EmitSummary &
-OutcomeMemo::cachedSummary() const
+const MemoOutcome &
+OutcomeMemo::cached() const
 {
     cfva_assert(found_ != ~std::size_t{0},
-                "cachedSummary() without a lookup() hit");
-    return entries_[found_].summary;
+                "cached() without a lookup() hit");
+    return entries_[found_].outcome;
 }
 
 } // namespace cfva

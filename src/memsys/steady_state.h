@@ -31,12 +31,15 @@
  *   yields an order-isomorphic module sequence hits; one that
  *   reorders modules (XOR mappings do) correctly misses.
  *
- * Both are owned by one caller: theory/conflict_solver.h, the
- * analytic tier, whose solve() runs the memo lookup and the
- * collapse.  The stepped engines (memory_system.h,
- * event_driven.h) have no fast path of their own — they are the
- * plain oracles the solver is differentially tested against
- * (tests/test_collapse.cc, tests/test_conflict_solver.cc,
+ * Both live in the analytic tier.  theory/conflict_solver.h runs
+ * the collapse and memoizes its proofs; theory/theory_backend.h
+ * holds a second, separate OutcomeMemo in front of its simulation
+ * fallback, keyed on the same canonical form over all P ports, so a
+ * repeated rejected access replays instead of re-simulating.  The
+ * stepped engines (memory_system.h, event_driven.h) have no fast
+ * path of their own — they are the plain oracles both are
+ * differentially tested against (tests/test_collapse.cc,
+ * tests/test_conflict_solver.cc, tests/test_theory_backend.cc,
  * --tier audit).
  */
 
@@ -71,6 +74,11 @@ struct FastPathStats
     /** Memo lookups that missed (collapse then ran or failed). */
     std::uint64_t memoMisses = 0;
 
+    /** Rejected accesses the theory tier's fallback memo replayed
+     *  instead of simulating, and those it sent to the engine. */
+    std::uint64_t fallbackMemoHits = 0;
+    std::uint64_t fallbackMemoMisses = 0;
+
     FastPathStats &
     operator+=(const FastPathStats &o)
     {
@@ -78,6 +86,8 @@ struct FastPathStats
         collapsePrefixCycles += o.collapsePrefixCycles;
         memoHits += o.memoHits;
         memoMisses += o.memoMisses;
+        fallbackMemoHits += o.fallbackMemoHits;
+        fallbackMemoMisses += o.fallbackMemoMisses;
         return *this;
     }
 
@@ -119,13 +129,15 @@ struct EmitSummary
  * Fills @p result from a position-form outcome and the concrete
  * stream it is being replayed against: addresses, element indices,
  * and module numbers come from (@p stream, @p mods) at the stored
- * positions, every timing field from the cached trace.
- * result.deliveries must be empty (capacity may be reserved).
+ * positions, every timing field from the cached trace, and each
+ * delivery is stamped with @p port.  result.deliveries must be
+ * empty (capacity may be reserved).
  */
 void materializeEmits(const EmitSummary &summary,
                       const std::vector<Emit> &emits,
                       const std::vector<Request> &stream,
-                      const ModuleId *mods, AccessResult &result);
+                      const ModuleId *mods, AccessResult &result,
+                      unsigned port = 0);
 
 /** Copies only the scalar aggregates of a position-form outcome
  *  into @p result, leaving result.deliveries untouched — the
@@ -218,44 +230,113 @@ class SteadyStateCollapser
     EmitSummary summary_;
 };
 
+/** One port's premapped module sequence: the unit an OutcomeMemo
+ *  key is built from. */
+struct PortSeq
+{
+    const ModuleId *mods = nullptr;
+    std::size_t length = 0;
+};
+
+/** One port of a memoized outcome: its aggregates and, unless the
+ *  entry is summary-only, its deliveries in position form. */
+struct MemoPort
+{
+    EmitSummary summary;
+    std::vector<Emit> emits;
+};
+
+/** A memoized access outcome over P >= 1 ports. */
+struct MemoOutcome
+{
+    std::vector<MemoPort> ports;
+
+    /** The access makespan (MultiPortResult::makespan). */
+    Cycle makespan = 0;
+
+    /** Only the scalar aggregates were kept: the entry can answer
+     *  a caller that folds aggregates, never one that needs the
+     *  delivery records. */
+    bool summaryOnly = false;
+};
+
 /**
- * Bounded cache of collapsed outcomes keyed on the
- * rank-canonicalized module sequence (distinct modules used, sorted
- * ascending, rewritten as ranks 0..k-1).  Not thread-safe; the
- * solver holds one per instance, exactly like its other scratch.
+ * Bounded FIFO cache of access outcomes keyed on the jointly
+ * rank-canonicalized per-port module sequences: the distinct
+ * modules used by any port, sorted ascending, rewritten as ranks
+ * 0..k-1, each port's rank sequence prefixed by its length.  One
+ * relabeling shared by every port keeps both the per-port tie-breaks
+ * and the cross-port module sharing intact, so equal keys have
+ * bit-identical position-form outcomes on either stepped engine.
+ * Not thread-safe; each owner holds its own instance, exactly like
+ * its other scratch.
  */
 class OutcomeMemo
 {
   public:
-    /** Longest stream worth caching (bounds per-entry memory). */
+    /** Longest access (elements summed over ports) worth caching;
+     *  bounds per-entry memory. */
     static constexpr std::size_t kMaxLen = 4096;
 
-    /** Entries retained; the oldest is evicted beyond this. */
+    /** Default capacity; the oldest entry is evicted beyond it. */
     static constexpr std::size_t kMaxEntries = 256;
 
+    explicit OutcomeMemo(std::size_t capacity = kMaxEntries)
+        : capacity_(capacity)
+    {
+    }
+
     /**
-     * Canonicalizes (@p length, @p mods) over @p moduleCount
-     * modules and looks the rank sequence up.  On a hit returns
-     * true with cachedEmits()/cachedSummary() readable; on a miss
-     * the canonical form is kept so an immediately following
-     * store() of the same stream reuses it.
+     * Canonicalizes the @p count port sequences @p ports over
+     * @p moduleCount modules and looks the key up.  On a hit
+     * returns true with cached() readable.  An empty or oversize
+     * access is not keyed (returns false, and a following store()
+     * is a no-op); any other miss keeps the key so an immediately
+     * following store() reuses it.
      */
-    bool lookup(std::size_t length, const ModuleId *mods,
+    bool lookup(const PortSeq *ports, std::size_t count,
                 ModuleId moduleCount);
 
+    /** Single-port lookup(). */
+    bool
+    lookup(std::size_t length, const ModuleId *mods,
+           ModuleId moduleCount)
+    {
+        const PortSeq port{mods, length};
+        return lookup(&port, 1, moduleCount);
+    }
+
+    /** True iff the most recent lookup() produced a key (the
+     *  access was neither empty nor oversize). */
+    bool keyed() const { return keyed_; }
+
     /**
-     * Inserts the outcome of the stream most recently passed to
-     * lookup() (which must have missed).  Oversize streams are
-     * ignored; the oldest entry is evicted at capacity.
+     * Records @p outcome under the key of the most recent lookup().
+     * After a hit the entry is replaced in place (a summary-only
+     * entry upgraded to a full one); after a miss it is appended,
+     * evicting the oldest entry at capacity.  A no-op when the
+     * lookup produced no key.
      */
-    void store(std::size_t length, const std::vector<Emit> &emits,
+    void store(MemoOutcome outcome);
+
+    /** Single-port store() of a full position-form outcome. */
+    void store(const std::vector<Emit> &emits,
                const EmitSummary &summary);
 
-    /** Trace of the last lookup() hit. */
-    const std::vector<Emit> &cachedEmits() const;
+    /** The outcome of the last lookup() hit. */
+    const MemoOutcome &cached() const;
 
-    /** Aggregates of the last lookup() hit. */
-    const EmitSummary &cachedSummary() const;
+    /** Single-port views of cached(). */
+    const std::vector<Emit> &
+    cachedEmits() const
+    {
+        return cached().ports.front().emits;
+    }
+    const EmitSummary &
+    cachedSummary() const
+    {
+        return cached().ports.front().summary;
+    }
 
     /** Entries currently cached (for tests). */
     std::size_t size() const { return entries_.size(); }
@@ -264,18 +345,18 @@ class OutcomeMemo
     struct Entry
     {
         std::uint64_t hash = 0;
-        std::vector<ModuleId> rankSeq;
-        std::vector<Emit> emits;
-        EmitSummary summary;
+        std::vector<ModuleId> key;
+        MemoOutcome outcome;
     };
 
     static constexpr ModuleId kUnranked = ~ModuleId{0};
 
-    std::vector<ModuleId> rankSeq_; //!< canonical form of last lookup
+    std::size_t capacity_;
+    std::vector<ModuleId> key_;     //!< canonical form of last lookup
     std::uint64_t hash_ = 0;
+    bool keyed_ = false;
     std::size_t found_ = ~std::size_t{0};
     std::vector<ModuleId> rankOf_;  //!< module id -> rank scratch
-    std::vector<ModuleId> used_;    //!< distinct modules scratch
     std::deque<Entry> entries_;     //!< FIFO eviction order
 };
 

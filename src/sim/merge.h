@@ -47,18 +47,13 @@ void mergeJson(std::ostream &out,
 /**
  * Merges cfva_sweep --bench outputs (BENCH_sweep.json files from
  * sharded or repeated runs) into one document: the header scalars
- * (grid_jobs, tier, dedup, ...) are kept from the first file,
+ * (grid_jobs, shard, tier, ...) are kept from the first file,
  * and the "runs" and "workloads" arrays are concatenated in input
  * order.  Rows are spliced as opaque text, so files written by
  * builds before and after a row field was added — e.g. the
  * per-(workload, tier) rows that replaced the single-workload
  * summary — merge without a schema conflict; a file with no
- * "workloads" section at all contributes an empty one.  A "totals"
- * object is appended summing the scenario-dedup and result-cache
- * counters (dedup_classes, dedup_replays, cache_hits,
- * cache_misses, cache_corrupt) across every runs row, so a sharded
- * bench still reports fleet-wide dedup/cache traffic; rows that
- * predate those fields contribute zero.
+ * "workloads" section at all contributes an empty one.
  */
 void mergeBench(std::ostream &out,
                 const std::vector<std::istream *> &shards);

@@ -82,6 +82,29 @@ ScenarioGrid::cycleOverflow() const
     return {};
 }
 
+std::string
+ScenarioGrid::lengthOverBudget() const
+{
+    for (const auto &cfg : mappings) {
+        for (std::uint64_t len : lengths) {
+            const std::uint64_t resolved =
+                len ? len : cfg.registerLength();
+            for (unsigned p : ports) {
+                // Division instead of resolved * p: no wraparound.
+                if (p == 0 || resolved <= kLengthBudget / p)
+                    continue;
+                std::ostringstream os;
+                os << "access of length " << resolved << " on " << p
+                   << " port(s) of " << cfg.describe()
+                   << " exceeds the length budget of "
+                   << kLengthBudget << " elements";
+                return os.str();
+            }
+        }
+    }
+    return {};
+}
+
 std::vector<Scenario>
 ScenarioGrid::expand() const
 {
@@ -113,6 +136,8 @@ ScenarioGrid::expand() const
         }
     }
 
+    const std::string overBudget = lengthOverBudget();
+    cfva_assert(overBudget.empty(), overBudget);
     const std::string overflow = cycleOverflow();
     cfva_assert(overflow.empty(), overflow);
 

@@ -139,6 +139,15 @@ struct ScenarioGrid
     Addr randomStartBound = Addr{1} << 24;
 
     /**
+     * Most elements one access may plan, summed over its ports
+     * (resolved length x ports): 2^20, about 80 MB of Request and
+     * Delivery records.  An unbounded --lengths value would
+     * allocate gigabytes before the first cycle; expand() rejects a
+     * grid with any combination beyond the budget.
+     */
+    static constexpr std::uint64_t kLengthBudget = std::uint64_t{1} << 20;
+
+    /**
      * Appends the strides {sigma * 2^x : x in [xLo, xHi], sigma in
      * @p sigmas} to the stride axis.  @p sigmas must be odd.
      */
@@ -159,10 +168,20 @@ struct ScenarioGrid
     std::string cycleOverflow() const;
 
     /**
+     * Describes the first (mapping, length, ports) combination whose
+     * access exceeds kLengthBudget, or returns an empty string when
+     * every combination fits.  expand() rejects a grid with such a
+     * combination; callers that want to fail gracefully check
+     * first.
+     */
+    std::string lengthOverBudget() const;
+
+    /**
      * Flattens the grid into jobs in deterministic order and
      * resolves randomized starts.  Calls validate() on every
      * mapping configuration and workload first, and rejects a grid
-     * whose cycle totals could overflow (cycleOverflow()).
+     * whose accesses exceed the length budget (lengthOverBudget())
+     * or whose cycle totals could overflow (cycleOverflow()).
      */
     std::vector<Scenario> expand() const;
 };

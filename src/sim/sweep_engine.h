@@ -29,8 +29,8 @@
 #include "common/bits.h"
 #include "common/table.h"
 #include "core/access_unit.h"
-#include "sim/canonical.h"
 #include "sim/scenario.h"
+#include "sim/workload.h"
 
 namespace cfva::sim {
 
@@ -127,8 +127,7 @@ struct ScenarioOutcome
      * every access was claimed, and always None under
      * SimulateAlways).  Any fallback on a dynamically re-tuned
      * mapping reads Dynamic — the scheme, not the stream, defeats
-     * the analysis.  Deterministic per canonical class, so dedup
-     * replays and cached results carry it soundly.
+     * the analysis.
      */
     FallbackReason fallbackReason = FallbackReason::None;
 
@@ -305,9 +304,8 @@ struct SweepRunStats
      *  this is nonzero). */
     std::uint64_t tierAuditDivergences = 0;
 
-    /** Fallback taxonomy over this run's EXECUTED scenarios (dedup
-     *  replays, like the claim counters, are not re-counted):
-     *  scenarios whose first fallback was a conflicted stream, a
+    /** Fallback taxonomy over this run's scenarios: scenarios
+     *  whose first fallback was a conflicted stream, a
      *  module-sharing multi-port access, an unproven conflict-free
      *  expectation, or a dynamically re-tuned mapping.  All 0 when
      *  the theory tier never fell back (or was inactive). */
@@ -315,12 +313,6 @@ struct SweepRunStats
     std::uint64_t fallbackMultiport = 0;
     std::uint64_t fallbackUnproven = 0;
     std::uint64_t fallbackDynamic = 0;
-
-    /** Wall seconds the sequential dedup keying pre-pass spent
-     *  canonicalizing this run's slice (0 under DedupMode::Off) —
-     *  it runs before any worker starts, so it is invisible in the
-     *  parallel-phase timings. */
-    double dedupKeySeconds = 0.0;
 
     /** High-water mark of outcomes parked in the ordered flush
      *  queue, and the admission window that bounds it — the
@@ -349,27 +341,13 @@ struct SweepRunStats
     std::uint64_t memoHits = 0;
     std::uint64_t memoMisses = 0;
 
-    /** Scenario-dedup attribution (sim/canonical.h): equivalence
-     *  classes this run's slice partitioned into, and outcomes
-     *  delivered by replaying a class result (representative
-     *  executions are jobs - dedupReplays).  classes = 0 under
-     *  DedupMode::Off; replays = 0 under Off and Audit (audit
-     *  executes every member). */
-    std::uint64_t dedupClasses = 0;
-    std::uint64_t dedupReplays = 0;
-
-    /** Members whose executed outcome differed from the class
-     *  replay under DedupMode::Audit (cfva_sweep --dedup audit
-     *  exits nonzero when this is nonzero). */
-    std::uint64_t dedupAuditDivergences = 0;
-
-    /** Result-cache attribution (sim/result_cache.h): classes
-     *  answered from --cache-dir, classes that missed, and entries
-     *  dropped as corrupt (each corrupt entry also counts as a
-     *  miss).  All 0 without a cache directory. */
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t cacheCorrupt = 0;
+    /** Which path answered each rejected access of the theory tier,
+     *  summed over all workers: replayed from the fallback memo
+     *  (theory/theory_backend.h) or simulated by the engine.  Empty
+     *  and oversize accesses count neither way; all 0 under
+     *  TierPolicy::SimulateAlways. */
+    std::uint64_t fallbackMemoHits = 0;
+    std::uint64_t fallbackMemoMisses = 0;
 };
 
 /** Engine tuning knobs. */
@@ -416,36 +394,15 @@ struct SweepOptions
      * Evaluation tier for every scenario: simulate (the default —
      * the pure stepped oracle, every cycle of every access), the
      * analytic theory fast path (conflict-free claims plus the
-     * steady-state solver's collapse and memo) with simulation
-     * fallback, or both with a bit-for-bit cross-check
-     * (SweepRunStats counts the divergences).  Reports are
-     * identical across tiers by construction except for the
-     * tier-attribution columns.  Together with engine, dedup and
-     * cacheDir this is one of the run's four execution knobs.
+     * steady-state solver's collapse and memo, and the fallback
+     * memo in front of the engine) with simulation fallback, or
+     * both with a bit-for-bit cross-check (SweepRunStats counts the
+     * divergences).  Reports are identical across tiers by
+     * construction except for the tier-attribution columns.
+     * Together with engine this is one of the run's two execution
+     * knobs.
      */
     TierPolicy tier = TierPolicy::SimulateAlways;
-
-    /**
-     * Whether the run may group its jobs into canonical equivalence
-     * classes (sim/canonical.h), execute one representative per
-     * class, and replay its outcome to the other members.  On (the
-     * default) is byte-identical to Off by construction — replays
-     * flow through the same ordered flush and sinks with only the
-     * identity columns rewritten; Audit executes every member too
-     * and counts divergences from the replay
-     * (SweepRunStats::dedupAuditDivergences).
-     */
-    DedupMode dedup = DedupMode::On;
-
-    /**
-     * Directory of the persistent cross-run result cache
-     * (sim/result_cache.h).  Empty (the default) disables it.  Only
-     * consulted under DedupMode::On: each class is looked up before
-     * execution and freshly executed representatives are stored
-     * back, so a repeat or overlapping sweep answers warm classes
-     * without simulating.
-     */
-    std::string cacheDir;
 
     /** Panics on an impossible shard spec.  Any grain (including
      *  0 = adaptive) and any thread count are valid. */
@@ -521,18 +478,6 @@ class SweepEngine
                                            nullptr,
                                        TierPolicy tier =
                                            TierPolicy::SimulateAlways);
-
-    /**
-     * Rewrites the identity columns of a class representative's
-     * outcome (@p rep) for another member of the same canonical
-     * class: job index, mapping/port-mix/workload indices, stride,
-     * family, length, start address, and port count come from
-     * @p member; every measured field is copied unchanged — which is
-     * exactly what makes a dedup-on report byte-identical to
-     * dedup-off when the members' keys match.
-     */
-    static ScenarioOutcome replayOutcome(const ScenarioOutcome &rep,
-                                         const Scenario &member);
 
     const SweepOptions &options() const { return opts_; }
 

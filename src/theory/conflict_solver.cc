@@ -46,8 +46,7 @@ ConflictSolver::solve(const MemConfig &cfg,
     ++stats_.collapseHits;
     stats_.collapsePrefixCycles += steppedCycles;
     if (memoTried)
-        memo_.store(stream.size(), collapser_.emits(),
-                    collapser_.summary());
+        memo_.store(collapser_.emits(), collapser_.summary());
     return answer(collapser_.summary(), collapser_.emits());
 }
 

@@ -26,9 +26,8 @@
  *    (establish the O(period) transient, extrapolate the rest).
  *    Success/failure is a deterministic function of (config, module
  *    sequence, length) — memo state only changes the speed, never
- *    the answer or the claim attribution, which is what makes
- *    claimed/fallback columns sound under scenario dedup and result
- *    caching (sim/canonical.h).
+ *    the answer or the claim attribution, so the claimed/fallback
+ *    columns of a report never depend on what ran before.
  *  - beginPortCheck()/portDisjoint() implement the multi-port
  *    extension: when per-port streams are provably disjoint across
  *    modules, the ports never interact — each port's trace is

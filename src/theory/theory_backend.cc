@@ -8,6 +8,51 @@
 
 namespace cfva {
 
+namespace {
+
+/** The aggregates of a simulated port result. */
+EmitSummary
+summarizeResult(const AccessResult &result)
+{
+    EmitSummary s;
+    s.firstIssue = result.firstIssue;
+    s.lastDelivery = result.lastDelivery;
+    s.stallCycles = result.stallCycles;
+    s.latency = result.latency;
+    s.conflictFree = result.conflictFree;
+    return s;
+}
+
+/**
+ * Appends a simulated port's deliveries to @p out in position form.
+ * A port issues its stream in order, so a delivery's stream
+ * position is the rank of its issue cycle among the port's
+ * deliveries.
+ */
+void
+appendEmits(const AccessResult &result, std::vector<Emit> &out)
+{
+    std::vector<Cycle> issued;
+    issued.reserve(result.deliveries.size());
+    for (const Delivery &d : result.deliveries)
+        issued.push_back(d.issued);
+    std::sort(issued.begin(), issued.end());
+    for (const Delivery &d : result.deliveries) {
+        Emit e;
+        e.pos = static_cast<std::uint32_t>(
+            std::lower_bound(issued.begin(), issued.end(), d.issued)
+            - issued.begin());
+        e.issued = d.issued;
+        e.arrived = d.arrived;
+        e.serviceStart = d.serviceStart;
+        e.ready = d.ready;
+        e.delivered = d.delivered;
+        out.push_back(e);
+    }
+}
+
+} // namespace
+
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
                              const ModuleMapping &map,
                              std::unique_ptr<MemoryBackend> fallback)
@@ -154,7 +199,15 @@ TheoryBackend::runSingleHinted(bool claimHint,
     lastReason_ = claimHint ? FallbackReason::Unproven
                             : FallbackReason::Conflicted;
     stats_.add(false);
-    return fallback_->runSingleMapped(stream, mods_.data(), arena);
+    const PortSeq seq{mods_.data(), stream.size()};
+    if (fallbackHit(&seq, 1, detail)) {
+        replayPort(0, stream, mods_.data(), arena, detail, out);
+        return out;
+    }
+    // Empty streams were claimed above, so this one delivers.
+    out = fallback_->runSingleMapped(stream, mods_.data(), arena);
+    fallbackStore(&out, 1, out.lastDelivery + 1, detail);
+    return out;
 }
 
 AccessResult
@@ -189,10 +242,8 @@ TheoryBackend::tryClaimPorts(
     DeliveryArena *arena, MultiPortResult &out, ResultDetail detail)
 {
     const std::size_t P = streams.size();
-    portMods_.resize(P);
     solver_.beginPortCheck(cfg_.modules());
     for (std::size_t p = 0; p < P; ++p) {
-        premap(streams[p], portMods_[p]);
         if (!solver_.portDisjoint(streams[p].size(),
                                   portMods_[p].data(),
                                   static_cast<unsigned>(p)))
@@ -243,9 +294,23 @@ TheoryBackend::runPorts(
     DeliveryArena *arena, ResultDetail detail)
 {
     cfva_assert(!streams.empty(), "need at least one port");
-    if (streams.size() == 1)
-        return detail::wrapSinglePort(
+    if (streams.size() == 1) {
+        MultiPortResult out;
+        out.ports.push_back(
             runSingleHinted(true, streams[0], arena, detail));
+        // From the stream, not the deliveries: a summary answer
+        // carries none.
+        out.makespan = streams[0].empty()
+                           ? 0
+                           : out.ports[0].lastDelivery + 1;
+        return out;
+    }
+
+    // Premap every port once: the disjointness proof, the fallback
+    // memo key, and the engine all read these sequences.
+    detail::premapPorts(slicer_, streams, portMods_);
+    const std::size_t P = streams.size();
+
     MultiPortResult out;
     if (tryClaimPorts(streams, arena, out, detail)) {
         lastClaimed_ = true;
@@ -258,7 +323,81 @@ TheoryBackend::runPorts(
     lastClaimed_ = false;
     lastReason_ = FallbackReason::MultiPort;
     stats_.add(false);
-    return fallback_->run(streams, arena);
+    portSeqs_.resize(P);
+    for (std::size_t p = 0; p < P; ++p)
+        portSeqs_[p] = {portMods_[p].data(), streams[p].size()};
+    if (fallbackHit(portSeqs_.data(), P, detail)) {
+        out.ports.resize(P);
+        for (std::size_t p = 0; p < P; ++p)
+            replayPort(p, streams[p], portMods_[p].data(), arena,
+                       detail, out.ports[p]);
+        out.makespan = fallbackMemo_.cached().makespan;
+        return out;
+    }
+    out = fallback_->runMapped(streams, portMods_, arena);
+    fallbackStore(out.ports.data(), P, out.makespan, detail);
+    return out;
+}
+
+bool
+TheoryBackend::fallbackHit(const PortSeq *seqs, std::size_t count,
+                           ResultDetail detail)
+{
+    const bool hit =
+        fallbackMemo_.lookup(seqs, count, cfg_.modules())
+        && (detail == ResultDetail::Summary
+            || !fallbackMemo_.cached().summaryOnly);
+    if (hit)
+        ++fallbackMemoHits_;
+    else if (fallbackMemo_.keyed())
+        ++fallbackMemoMisses_;
+    return hit;
+}
+
+void
+TheoryBackend::fallbackStore(const AccessResult *ports,
+                             std::size_t count, Cycle makespan,
+                             ResultDetail detail)
+{
+    if (!fallbackMemo_.keyed())
+        return;
+    MemoOutcome o;
+    o.makespan = makespan;
+    o.summaryOnly = detail == ResultDetail::Summary;
+    o.ports.resize(count);
+    for (std::size_t p = 0; p < count; ++p) {
+        o.ports[p].summary = summarizeResult(ports[p]);
+        if (!o.summaryOnly)
+            appendEmits(ports[p], o.ports[p].emits);
+    }
+    fallbackMemo_.store(std::move(o));
+}
+
+void
+TheoryBackend::replayPort(std::size_t port,
+                          const std::vector<Request> &stream,
+                          const ModuleId *mods, DeliveryArena *arena,
+                          ResultDetail detail, AccessResult &out)
+{
+    const MemoPort &hit = fallbackMemo_.cached().ports[port];
+    if (detail == ResultDetail::Summary) {
+        applyEmitSummary(hit.summary, out);
+        return;
+    }
+    out.deliveries =
+        arena ? arena->acquire(stream.size()) : std::vector<Delivery>{};
+    out.deliveries.reserve(stream.size());
+    materializeEmits(hit.summary, hit.emits, stream, mods, out,
+                     static_cast<unsigned>(port));
+}
+
+FastPathStats
+TheoryBackend::fastPathStats() const
+{
+    FastPathStats s = solver_.stats();
+    s.fallbackMemoHits = fallbackMemoHits_;
+    s.fallbackMemoMisses = fallbackMemoMisses_;
+    return s;
 }
 
 MultiPortResult

@@ -31,16 +31,31 @@
  *    answers; ports that share modules (or defeat the solver) fall
  *    back to the port-aware engine.
  *
- * Streams no tier can answer are delegated untouched to a wrapped
- * simulation engine, so callers always get an answer and claimed
- * answers are bit-identical to simulation by construction
+ * Streams no tier can answer are delegated to a wrapped simulation
+ * engine, so callers always get an answer and claimed answers are
+ * bit-identical to simulation by construction
  * (tests/test_theory_backend.cc and tests/test_conflict_solver.cc
  * audit this across randomized grids; TierPolicy::AuditBoth audits
  * it on every sweep scenario it runs).  Every fallback is
  * attributed a FallbackReason; claim/fallback attribution is a
  * deterministic function of (config, mapping, planned streams) —
- * never of memo state — which is what keeps the attribution columns
- * sound under scenario dedup and result caching.
+ * never of memo state.
+ *
+ * The fallback memo.  A rejected access is keyed on its premapped
+ * per-port module sequences, jointly rank-canonicalized (the
+ * OutcomeMemo soundness argument: the engines compare module
+ * numbers only for order, so an order-preserving relabeling of the
+ * modules used cannot change one timing decision), and the engine's
+ * outcome is kept in position form in a bounded FIFO, separate from
+ * the solver's memo.  A repeated access — a stencil's store after
+ * its first load, the random starts of a sweep that land on an
+ * order-isomorphic module sequence — replays instead of
+ * re-simulating.  An entry taken for a ResultDetail::Summary
+ * request keeps the scalars only and serves only Summary requests;
+ * any other request gets materialized deliveries (from a full
+ * entry, or from a fresh simulation that upgrades the entry).  A
+ * hit is still a fallback: the attribution is the one a real
+ * simulation would carry.
  *
  * The window classification itself (mapping kind + stride family
  * against matchedWindow / sectionedWindows / ...) lives in the
@@ -101,7 +116,9 @@ class TheoryBackend final : public MemoryBackend
      * straight to the steady-state solver; when true the proof is
      * attempted first.  The plain runSingle() always attempts both.
      * @p detail selects how much of a claimed result is
-     * materialized (fallback simulation always materializes).
+     * materialized; a fallback simulation materializes, and a
+     * fallback memo replay materializes unless @p detail is
+     * Summary.
      */
     AccessResult
     runSingleHinted(bool claimHint,
@@ -147,11 +164,12 @@ class TheoryBackend final : public MemoryBackend
 
     /** Collapse/memo attribution of the steady-state solver — the
      *  only owner of the periodic fast path (the fallback engines
-     *  simulate every access they receive). */
-    const FastPathStats &fastPathStats() const
-    {
-        return solver_.stats();
-    }
+     *  simulate every access they receive) — plus the fallback
+     *  memo's hits and misses. */
+    FastPathStats fastPathStats() const;
+
+    /** Entries the fallback memo keeps (oldest evicted first). */
+    static constexpr std::size_t kFallbackMemoEntries = 64;
 
     /** The wrapped simulation engine (for diagnostics). */
     MemoryBackend &fallback() { return *fallback_; }
@@ -197,18 +215,40 @@ class TheoryBackend final : public MemoryBackend
                       AccessResult &out, ResultDetail detail);
 
     /**
-     * The multi-port claim: premaps every port, proves pairwise
-     * module-disjointness, and — since disjoint ports never
-     * interact — synthesizes the MultiPortResult from P independent
-     * single-port answers (port ids patched, makespan assembled
-     * exactly as detail::assemblePortResults would).  False when
-     * any two ports share a module or any port defeats both
-     * analytic paths.
+     * The multi-port claim over the premapped ports (portMods_):
+     * proves pairwise module-disjointness and — since disjoint
+     * ports never interact — synthesizes the MultiPortResult from P
+     * independent single-port answers (port ids patched, makespan
+     * assembled exactly as detail::assemblePortResults would).
+     * False when any two ports share a module or any port defeats
+     * both analytic paths.
      */
     bool tryClaimPorts(
         const std::vector<std::vector<Request>> &streams,
         DeliveryArena *arena, MultiPortResult &out,
         ResultDetail detail);
+
+    /**
+     * Looks the premapped ports @p seqs up in the fallback memo and
+     * counts the outcome.  True only for an entry that can answer
+     * @p detail: a summary-only entry answers Summary requests
+     * alone.  Empty and oversize accesses count neither way.
+     */
+    bool fallbackHit(const PortSeq *seqs, std::size_t count,
+                     ResultDetail detail);
+
+    /** Records the engine's answer for the key of the last
+     *  fallbackHit(): scalars only under ResultDetail::Summary,
+     *  deliveries in position form otherwise. */
+    void fallbackStore(const AccessResult *ports, std::size_t count,
+                       Cycle makespan, ResultDetail detail);
+
+    /** Fills @p out from port @p port of the fallback memo's hit,
+     *  replayed against (@p stream, @p mods). */
+    void replayPort(std::size_t port,
+                    const std::vector<Request> &stream,
+                    const ModuleId *mods, DeliveryArena *arena,
+                    ResultDetail detail, AccessResult &out);
 
     MemConfig cfg_;
     const ModuleMapping &map_;
@@ -218,6 +258,10 @@ class TheoryBackend final : public MemoryBackend
     std::vector<Cycle> nextFree_; // per-module scratch
     std::vector<ModuleId> mods_;  // premap scratch, reused per run
     std::vector<std::vector<ModuleId>> portMods_; // P > 1 premaps
+    std::vector<PortSeq> portSeqs_; // fallback memo key scratch
+    OutcomeMemo fallbackMemo_{kFallbackMemoEntries};
+    std::uint64_t fallbackMemoHits_ = 0;
+    std::uint64_t fallbackMemoMisses_ = 0;
     TierCounters stats_;
     bool lastClaimed_ = false;
     FallbackReason lastReason_ = FallbackReason::None;

@@ -306,58 +306,5 @@ TEST(SweepCli, ParsePortMixFlagRejectsMalformedLists)
                  std::runtime_error);
 }
 
-TEST(SweepCli, ParseDedupFlagAcceptsExactModeNames)
-{
-    EXPECT_EQ(parseDedupFlag("--dedup", "on"), DedupMode::On);
-    EXPECT_EQ(parseDedupFlag("--dedup", "off"), DedupMode::Off);
-    EXPECT_EQ(parseDedupFlag("--dedup", "audit"), DedupMode::Audit);
-}
-
-TEST(SweepCli, ParseDedupFlagRejectsUnknownTokens)
-{
-    test::ScopedPanicThrow guard;
-    EXPECT_THROW(parseDedupFlag("--dedup", ""),
-                 std::runtime_error);
-    EXPECT_THROW(parseDedupFlag("--dedup", "On"),
-                 std::runtime_error);
-    EXPECT_THROW(parseDedupFlag("--dedup", "true"),
-                 std::runtime_error);
-    try {
-        parseDedupFlag("--dedup", "audi");
-        FAIL() << "expected a fatal diagnostic";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("--dedup"), std::string::npos);
-        EXPECT_NE(what.find("audi"), std::string::npos);
-    }
-}
-
-TEST(SweepCli, ParseCacheDirFlagPassesOrdinaryPaths)
-{
-    EXPECT_EQ(parseCacheDirFlag("--cache-dir", "/tmp/cache"),
-              "/tmp/cache");
-    EXPECT_EQ(parseCacheDirFlag("--cache-dir", "rel/dir"),
-              "rel/dir");
-    // A single leading dash is a legal (if odd) directory name;
-    // only the double-dash flag shape is rejected.
-    EXPECT_EQ(parseCacheDirFlag("--cache-dir", "-cache"), "-cache");
-}
-
-TEST(SweepCli, ParseCacheDirFlagRejectsEmptyAndFlagLikePaths)
-{
-    test::ScopedPanicThrow guard;
-    EXPECT_THROW(parseCacheDirFlag("--cache-dir", ""),
-                 std::runtime_error);
-    // "--cache-dir --dedup" swallowed the next flag.
-    try {
-        parseCacheDirFlag("--cache-dir", "--dedup");
-        FAIL() << "expected a fatal diagnostic";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("--cache-dir"), std::string::npos);
-        EXPECT_NE(what.find("--dedup"), std::string::npos);
-    }
-}
-
 } // namespace
 } // namespace cfva::sim

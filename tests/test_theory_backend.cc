@@ -14,8 +14,10 @@
  * the theory identities the fast path leans on.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -413,11 +415,12 @@ TEST(TheoryBackendAudit, TierChangesOnlyAttributionColumns)
     }
 }
 
-// The steady-state solver is the only memo owner: a single-port
-// access the tier cannot answer costs exactly one memo lookup (the
-// solver's), never a second one inside the fallback engine.  On a
-// pseudo-random grid every module sequence is aperiodic, so every
-// solver attempt misses the memo, fails to collapse, and falls back.
+// The solver's memo and the fallback memo count apart: a
+// single-port access the tier cannot answer costs exactly one
+// solver memo lookup and one fallback memo lookup, never a lookup
+// inside the fallback engine.  On a pseudo-random grid every module
+// sequence is aperiodic, so every solver attempt misses its memo,
+// fails to collapse, and falls back.
 TEST(TheoryBackendAudit, SolverCountsOneMemoLookupPerAttempt)
 {
     sim::ScenarioGrid grid;
@@ -435,21 +438,347 @@ TEST(TheoryBackendAudit, SolverCountsOneMemoLookupPerAttempt)
     grid.workloads = {sim::Workload{}, retune};
     grid.seed = 0x9EA5Dull;
 
-    for (sim::DedupMode dedup :
-         {sim::DedupMode::Off, sim::DedupMode::On}) {
-        sim::SweepOptions opts;
-        opts.tier = TierPolicy::TheoryFirst;
-        opts.dedup = dedup;
-        sim::SweepRunStats stats;
-        sim::SweepEngine(opts).run(grid, &stats);
-        EXPECT_GT(stats.theoryFallbacks, 0u);
-        EXPECT_EQ(stats.collapseHits, 0u);
-        EXPECT_EQ(stats.memoMisses, stats.theoryFallbacks)
-            << "dedup " << to_string(dedup);
-        EXPECT_EQ(stats.memoHits + stats.memoMisses,
-                  stats.theoryClaims + stats.theoryFallbacks)
-            << "dedup " << to_string(dedup);
+    sim::SweepOptions opts;
+    opts.tier = TierPolicy::TheoryFirst;
+    sim::SweepRunStats stats;
+    sim::SweepEngine(opts).run(grid, &stats);
+    EXPECT_GT(stats.theoryFallbacks, 0u);
+    EXPECT_EQ(stats.collapseHits, 0u);
+    EXPECT_EQ(stats.memoMisses, stats.theoryFallbacks);
+    EXPECT_EQ(stats.memoHits + stats.memoMisses,
+              stats.theoryClaims + stats.theoryFallbacks);
+    EXPECT_EQ(stats.fallbackMemoHits + stats.fallbackMemoMisses,
+              stats.theoryFallbacks);
+    // The retune workload repeats each phase's access.
+    EXPECT_GT(stats.fallbackMemoHits, 0u);
+}
+
+// ---------------------------------------------------------------------
+// The fallback memo: rejected accesses replayed from a bounded FIFO
+// keyed on the jointly rank-canonicalized per-port module sequences.
+// ---------------------------------------------------------------------
+
+/** The kinds whose accesses reach the fallback: pseudo-random and
+ *  dynamically tuned mappings (tunes 0 and 3). */
+std::vector<VectorUnitConfig>
+fallbackConfigs()
+{
+    VectorUnitConfig prand;
+    prand.kind = MemoryKind::PseudoRandom;
+    prand.t = 2;
+    prand.lambda = 5;
+    std::vector<VectorUnitConfig> cfgs = {prand};
+    for (unsigned tune : {0u, 3u}) {
+        VectorUnitConfig dynamic = prand;
+        dynamic.kind = MemoryKind::DynamicTuned;
+        dynamic.dynamicTune = tune;
+        cfgs.push_back(dynamic);
     }
+    return cfgs;
+}
+
+/** prand + dynamic(0,3) x ports {1,2} x mixes 1 / 1,3 / -1 x the four
+ *  workload programs. */
+sim::ScenarioGrid
+fallbackGrid()
+{
+    sim::ScenarioGrid grid;
+    grid.mappings = fallbackConfigs();
+    grid.addFamilies(0, 5, {1, 3});
+    grid.lengths = {0, 9};
+    grid.randomStarts = 2;
+    grid.ports = {1, 2};
+    grid.portMixes = {sim::PortMix{{1}}, sim::PortMix{{1, 3}},
+                      sim::PortMix{{-1}}};
+    grid.workloads.clear();
+    for (sim::WorkloadKind kind :
+         {sim::WorkloadKind::Single, sim::WorkloadKind::Chain,
+          sim::WorkloadKind::Retune, sim::WorkloadKind::Stencil}) {
+        sim::Workload wl;
+        wl.kind = kind;
+        grid.workloads.push_back(wl);
+    }
+    grid.seed = 0xFA11BACCull;
+    return grid;
+}
+
+/** The attribution columns zeroed: what must match the oracle. */
+sim::ScenarioOutcome
+stripAttribution(sim::ScenarioOutcome o)
+{
+    o.theoryClaimed = 0;
+    o.theoryFallback = 0;
+    o.fallbackReason = FallbackReason::None;
+    return o;
+}
+
+TEST(FallbackMemo, SweepMatchesSimulateAlwaysOnBothEngines)
+{
+    const sim::ScenarioGrid grid = fallbackGrid();
+    for (EngineKind engine :
+         {EngineKind::PerCycle, EngineKind::EventDriven}) {
+        sim::SweepOptions simOpts;
+        simOpts.engine = engine;
+        simOpts.threads = 1;
+        const sim::SweepReport oracle =
+            sim::SweepEngine(simOpts).run(grid);
+
+        sim::SweepOptions theoryOpts = simOpts;
+        theoryOpts.tier = TierPolicy::TheoryFirst;
+        sim::SweepRunStats stats;
+        const sim::SweepReport theory =
+            sim::SweepEngine(theoryOpts).run(grid, &stats);
+        EXPECT_GT(stats.fallbackMemoHits, 0u) << to_string(engine);
+        EXPECT_GT(stats.fallbackMemoMisses, 0u) << to_string(engine);
+        EXPECT_EQ(stats.fallbackMemoHits + stats.fallbackMemoMisses,
+                  stats.theoryFallbacks)
+            << to_string(engine);
+
+        ASSERT_EQ(theory.jobs(), oracle.jobs());
+        for (std::size_t i = 0; i < theory.jobs(); ++i) {
+            EXPECT_EQ(stripAttribution(theory.outcomes[i]),
+                      oracle.outcomes[i])
+                << to_string(engine) << " job " << i << " ("
+                << theory.mappingLabels[theory.outcomes[i]
+                                            .mappingIndex]
+                << ", "
+                << theory.workloadLabels[theory.outcomes[i]
+                                             .workloadIndex]
+                << ", ports " << theory.outcomes[i].ports << ", mix "
+                << theory.portMixLabels[theory.outcomes[i]
+                                            .portMixIndex]
+                << ")";
+        }
+    }
+}
+
+/** The port streams of one access, planned like the sweep: stride
+ *  scaled per port by @p mix, ports staggered, descending streams
+ *  started at their top. */
+std::vector<std::vector<Request>>
+portStreams(const VectorAccessUnit &unit, Addr a1,
+            std::uint64_t stride, std::uint64_t length,
+            const std::vector<std::int64_t> &mix, unsigned ports)
+{
+    std::vector<std::vector<Request>> streams;
+    for (unsigned p = 0; p < ports; ++p) {
+        const std::int64_t mult = mix[p % mix.size()];
+        const std::int64_t s = static_cast<std::int64_t>(stride) * mult;
+        Addr start = a1 + Addr{p} * (Addr{1} << 20);
+        if (s < 0)
+            start += (length - 1) * static_cast<std::uint64_t>(-s);
+        streams.push_back(unit.plan(start, s, length).stream);
+    }
+    return streams;
+}
+
+// Access-level differential at every detail: cold (simulated) and
+// warm (replayed) answers must equal the engine's, deliveries
+// included at Full detail and aggregates at Summary detail.
+TEST(FallbackMemo, ReplaysMatchTheEngineAtEveryDetail)
+{
+    Rng rng(0xFA11ull);
+    for (const VectorUnitConfig &cfg : fallbackConfigs()) {
+        for (EngineKind engine :
+             {EngineKind::PerCycle, EngineKind::EventDriven}) {
+            const VectorAccessUnit unit(cfg);
+            TheoryBackend tb = theoryOver(unit, engine);
+            auto oracle = makeMemoryBackend(engine, unit.memConfig(),
+                                            unit.mapping());
+            for (unsigned family = 0; family <= 5; ++family) {
+                for (const std::vector<std::int64_t> &mix :
+                     {std::vector<std::int64_t>{1},
+                      std::vector<std::int64_t>{1, 3},
+                      std::vector<std::int64_t>{-1}}) {
+                    for (unsigned ports : {1u, 2u}) {
+                        const Addr a1 = rng.below(1u << 16);
+                        const auto streams = portStreams(
+                            unit, a1, std::uint64_t{3} << family, 32,
+                            mix, ports);
+                        const MultiPortResult ref =
+                            oracle->run(streams);
+                        // Summary first (a scalars-only entry), then
+                        // Full (the upgrade), then both as hits.
+                        for (ResultDetail detail :
+                             {ResultDetail::Summary,
+                              ResultDetail::Full, ResultDetail::Full,
+                              ResultDetail::Summary}) {
+                            const MultiPortResult got =
+                                tb.runPorts(streams, nullptr, detail);
+                            if (detail == ResultDetail::Full) {
+                                EXPECT_EQ(got, ref)
+                                    << cfg.describe() << " family "
+                                    << family << " ports " << ports;
+                                continue;
+                            }
+                            EXPECT_EQ(got.makespan, ref.makespan);
+                            ASSERT_EQ(got.ports.size(), ports);
+                            for (unsigned p = 0; p < ports; ++p) {
+                                AccessResult agg = ref.ports[p];
+                                agg.deliveries.clear();
+                                AccessResult sum = got.ports[p];
+                                sum.deliveries.clear();
+                                EXPECT_EQ(sum, agg)
+                                    << cfg.describe() << " family "
+                                    << family << " port " << p;
+                            }
+                        }
+                    }
+                }
+            }
+            EXPECT_GT(tb.stats().fallback, 0u) << cfg.describe();
+            EXPECT_GT(tb.fastPathStats().fallbackMemoHits, 0u)
+                << cfg.describe();
+        }
+    }
+}
+
+// The memo changes only the speed: each scenario run on a cold
+// backend cache must carry exactly the outcome, attribution columns
+// included, of the same scenario inside a warm single-worker sweep.
+TEST(FallbackMemo, ColdAndWarmMemoAgreeOnAttribution)
+{
+    const sim::ScenarioGrid grid = fallbackGrid();
+    sim::SweepOptions opts;
+    opts.threads = 1;
+    opts.tier = TierPolicy::TheoryFirst;
+    sim::SweepRunStats stats;
+    const sim::SweepReport warm = sim::SweepEngine(opts).run(grid, &stats);
+    EXPECT_GT(stats.fallbackMemoHits, 0u);
+
+    std::vector<std::unique_ptr<VectorAccessUnit>> units;
+    for (const VectorUnitConfig &cfg : grid.mappings)
+        units.push_back(std::make_unique<VectorAccessUnit>(cfg));
+    const std::vector<sim::Scenario> jobs = grid.expand();
+    ASSERT_EQ(jobs.size(), warm.jobs());
+    for (const sim::Scenario &sc : jobs) {
+        BackendCache cold;
+        const sim::ScenarioOutcome o = sim::SweepEngine::runScenario(
+            grid, sc, *units[sc.mappingIndex], nullptr, &cold, nullptr,
+            TierPolicy::TheoryFirst);
+        EXPECT_EQ(o, warm.outcomes[sc.index]) << "job " << sc.index;
+    }
+}
+
+/** True iff a fresh theory tier rejects @p plan's stream. */
+bool
+rejected(const VectorAccessUnit &unit, const AccessPlan &plan)
+{
+    TheoryBackend probe = theoryOver(unit, EngineKind::PerCycle);
+    probe.runSingleHinted(false, plan.stream);
+    return !probe.lastClaimed();
+}
+
+/** A pseudo-random-mapped stream the theory tier rejects. */
+AccessPlan
+rejectedPrandPlan(const VectorAccessUnit &unit, Addr a1)
+{
+    for (std::uint64_t stride = 1; stride < 64; stride += 2) {
+        AccessPlan plan = unit.plan(a1, Stride(stride), 32);
+        if (rejected(unit, plan))
+            return plan;
+    }
+    ADD_FAILURE() << "no rejected stream from a1=" << a1;
+    return unit.plan(a1, Stride(1), 32);
+}
+
+// A chain's last load asks for SummaryIfUniform: the EXECUTE step
+// reads an empty delivery vector as a uniform schedule, so a
+// summary-only entry must not answer it.  The load re-simulates,
+// upgrades the entry, and later Full requests replay it.
+TEST(FallbackMemo, SummaryOnlyEntryStillDeliversToChainedLoads)
+{
+    VectorUnitConfig cfg = fallbackConfigs().front();
+    const VectorAccessUnit unit(cfg);
+    const AccessPlan plan = rejectedPrandPlan(unit, 0);
+    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    const AccessResult ref = tb.fallback().runSingle(plan.stream);
+    ASSERT_FALSE(ref.deliveries.empty());
+    const auto memo = [&tb] { return tb.fastPathStats(); };
+
+    // Miss: simulated, entry kept as scalars only.
+    EXPECT_EQ(tb.runSingleHinted(false, plan.stream, nullptr,
+                                 ResultDetail::Summary),
+              ref);
+    EXPECT_FALSE(tb.lastClaimed());
+    EXPECT_EQ(memo().fallbackMemoMisses, 1u);
+
+    // Hit at Summary: aggregates only, same attribution.
+    const AccessResult summary = tb.runSingleHinted(
+        false, plan.stream, nullptr, ResultDetail::Summary);
+    EXPECT_EQ(memo().fallbackMemoHits, 1u);
+    EXPECT_FALSE(tb.lastClaimed());
+    EXPECT_EQ(tb.lastReason(), FallbackReason::Conflicted);
+    EXPECT_TRUE(summary.deliveries.empty());
+    AccessResult agg = ref;
+    agg.deliveries.clear();
+    EXPECT_EQ(summary, agg);
+
+    // The chained load: same key, but deliveries are required.
+    EXPECT_EQ(tb.runSingleHinted(false, plan.stream, nullptr,
+                                 ResultDetail::SummaryIfUniform),
+              ref);
+    EXPECT_EQ(memo().fallbackMemoHits, 1u);
+    EXPECT_EQ(memo().fallbackMemoMisses, 2u);
+
+    // The upgraded entry now serves every detail.
+    EXPECT_EQ(tb.runSingleHinted(false, plan.stream, nullptr,
+                                 ResultDetail::Full),
+              ref);
+    EXPECT_EQ(tb.runSingleHinted(false, plan.stream, nullptr,
+                                 ResultDetail::SummaryIfUniform),
+              ref);
+    EXPECT_EQ(memo().fallbackMemoHits, 3u);
+    EXPECT_EQ(memo().fallbackMemoMisses, 2u);
+    EXPECT_EQ(tb.stats().fallback, 5u);
+}
+
+/** Rank-canonical form of a module sequence (the memo's key). */
+std::vector<ModuleId>
+rankForm(const VectorAccessUnit &unit, const std::vector<Request> &s)
+{
+    std::vector<ModuleId> mods;
+    for (const Request &r : s)
+        mods.push_back(unit.mapping().moduleOf(r.addr));
+    std::vector<ModuleId> used = mods;
+    std::sort(used.begin(), used.end());
+    used.erase(std::unique(used.begin(), used.end()), used.end());
+    for (ModuleId &m : mods)
+        m = static_cast<ModuleId>(
+            std::lower_bound(used.begin(), used.end(), m)
+            - used.begin());
+    return mods;
+}
+
+// A shifted base that reorders the modules (a pseudo-random hash
+// does, almost always) must miss; replaying it would be unsound.
+TEST(FallbackMemo, PrandShiftThatReordersModulesMisses)
+{
+    VectorUnitConfig cfg = fallbackConfigs().front();
+    const VectorAccessUnit unit(cfg);
+    const AccessPlan first = rejectedPrandPlan(unit, 0);
+    const std::uint64_t stride =
+        first.stream.size() > 1
+            ? first.stream[1].addr - first.stream[0].addr
+            : 1;
+    AccessPlan shifted = first;
+    bool found = false;
+    for (Addr base = 1; base < 256 && !found; ++base) {
+        shifted = unit.plan(base, Stride(stride), 32);
+        found = rankForm(unit, shifted.stream)
+                    != rankForm(unit, first.stream)
+                && rejected(unit, shifted);
+    }
+    ASSERT_TRUE(found) << "no rejected reordering shift below 256";
+
+    TheoryBackend tb = theoryOver(unit, EngineKind::PerCycle);
+    EXPECT_EQ(tb.runSingleHinted(false, first.stream),
+              tb.fallback().runSingle(first.stream));
+    EXPECT_EQ(tb.runSingleHinted(false, shifted.stream),
+              tb.fallback().runSingle(shifted.stream));
+    EXPECT_EQ(tb.stats().fallback, 2u);
+    EXPECT_EQ(tb.fastPathStats().fallbackMemoHits, 0u);
+    EXPECT_EQ(tb.fastPathStats().fallbackMemoMisses, 2u);
 }
 
 // Property tests pinning the closed-form identities the fast path

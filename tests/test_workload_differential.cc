@@ -95,22 +95,13 @@ differentialGrid()
 TEST(WorkloadDifferential, EnginesBitIdenticalOnRandomizedGrid)
 {
     const ScenarioGrid grid = differentialGrid();
-    // Dedup audit executes every member (full differential
-    // coverage, nothing replayed) and cross-checks each against
-    // the canonical-class replay on the side.
     SweepOptions per_cycle;
     per_cycle.engine = EngineKind::PerCycle;
-    per_cycle.dedup = DedupMode::Audit;
     SweepOptions event;
     event.engine = EngineKind::EventDriven;
-    event.dedup = DedupMode::Audit;
 
-    SweepRunStats oracleStats, fastStats;
-    const SweepReport oracle =
-        SweepEngine(per_cycle).run(grid, &oracleStats);
-    const SweepReport fast = SweepEngine(event).run(grid, &fastStats);
-    EXPECT_EQ(oracleStats.dedupAuditDivergences, 0u);
-    EXPECT_EQ(fastStats.dedupAuditDivergences, 0u);
+    const SweepReport oracle = SweepEngine(per_cycle).run(grid);
+    const SweepReport fast = SweepEngine(event).run(grid);
 
     ASSERT_EQ(oracle.jobs(), grid.jobCount());
     ASSERT_EQ(oracle.outcomes.size(), fast.outcomes.size());
@@ -395,6 +386,39 @@ TEST(WorkloadDifferential, ExecLatencyOverflowIsRejected)
     ASSERT_TRUE(o.conflictFree);
     EXPECT_EQ(o.decoupledCycles, o.latency + (o.length - 1) + exec);
     EXPECT_EQ(o.chainedCycles, o.latency + exec);
+}
+
+// --lengths 99999999 would plan ~1.6 GB of Requests per stream before
+// the first cycle; the grid's length budget rejects it with a message
+// (counting every port), while an access at the budget is accepted.
+TEST(WorkloadDifferential, LengthBeyondBudgetIsRejected)
+{
+    ScenarioGrid grid;
+    grid.mappings = {paperMatchedExample()};
+    grid.strides = {1};
+    grid.lengths = {99999999};
+    const std::string why = grid.lengthOverBudget();
+    EXPECT_NE(why.find("exceeds the length budget"), std::string::npos)
+        << why;
+    {
+        test::ScopedPanicThrow guard;
+        EXPECT_THROW(grid.expand(), std::runtime_error);
+    }
+
+    // The budget counts elements across ports, without wrapping.
+    constexpr std::uint64_t kBudget = ScenarioGrid::kLengthBudget;
+    grid.lengths = {kBudget / 2 + 1};
+    grid.ports = {2};
+    EXPECT_NE(grid.lengthOverBudget(), "");
+    grid.lengths = {~std::uint64_t{0}};
+    grid.ports = {1024};
+    EXPECT_NE(grid.lengthOverBudget(), "");
+
+    // Accesses at the budget are accepted.
+    grid.lengths = {kBudget / 2};
+    grid.ports = {1, 2};
+    EXPECT_EQ(grid.lengthOverBudget(), "");
+    EXPECT_EQ(grid.expand().size(), 2u);
 }
 
 } // namespace

@@ -18,10 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -29,8 +26,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "cfva/cfva.h"
 #include "common/logging.h"
@@ -109,7 +104,9 @@ usage(std::ostream &os)
           "                     conflict-free and periodic accesses\n"
           "                     analytically (steady-state solver\n"
           "                     with an outcome memo) and falls\n"
-          "                     back to the engine otherwise; 'sim'\n"
+          "                     back to the engine otherwise,\n"
+          "                     replaying repeated fallbacks from\n"
+          "                     a bounded memo; 'sim'\n"
           "                     is the pure stepped oracle (every\n"
           "                     cycle of every access simulated);\n"
           "                     'audit' runs both tiers on every\n"
@@ -118,23 +115,6 @@ usage(std::ostream &os)
           "                     divergence.  Reports differ across\n"
           "                     tiers only in the tier-attribution\n"
           "                     columns\n"
-          "  --dedup D          on | off | audit (default on):\n"
-          "                     canonicalize scenarios into\n"
-          "                     outcome-equivalence classes,\n"
-          "                     execute one representative per\n"
-          "                     class, and replay its outcome to\n"
-          "                     the other members (byte-identical\n"
-          "                     reports either way); 'audit'\n"
-          "                     executes every member, cross-\n"
-          "                     checks each against the class\n"
-          "                     replay, and exits non-zero on any\n"
-          "                     divergence\n"
-          "  --cache-dir DIR    persist one outcome per canonical\n"
-          "                     class under DIR so later runs\n"
-          "                     skip simulation entirely (only\n"
-          "                     consulted with --dedup on);\n"
-          "                     corrupt or truncated entries fall\n"
-          "                     back to simulation\n"
           "  --threads N        worker threads (0 = all cores;\n"
           "                     clamped to the hardware)\n"
           "  --grain N          jobs per work item (0 = adaptive,\n"
@@ -359,8 +339,6 @@ struct Options
     bool stream = false;
     std::vector<EngineKind> engines = {EngineKind::PerCycle};
     TierPolicy tier = TierPolicy::TheoryFirst;
-    sim::DedupMode dedup = sim::DedupMode::On;
-    std::string cacheDir;
     std::string csvPath;
     std::string jsonPath;
     bool summary = true;
@@ -439,12 +417,6 @@ parseArgs(int argc, char **argv)
             o.engines = parseEngines(need(i, "--engine"));
         } else if (a == "--tier") {
             o.tier = parseTier(need(i, "--tier"));
-        } else if (a == "--dedup") {
-            o.dedup = sim::parseDedupFlag("--dedup",
-                                          need(i, "--dedup"));
-        } else if (a == "--cache-dir") {
-            o.cacheDir = sim::parseCacheDirFlag(
-                "--cache-dir", need(i, "--cache-dir"));
         } else if (a == "--threads") {
             o.threads = parseU32(need(i, "--threads"),
                                  "--threads");
@@ -558,6 +530,9 @@ buildGrid(const Options &o)
         grid.workloads.push_back(wl);
     }
     grid.seed = o.seed;
+    if (const std::string overBudget = grid.lengthOverBudget();
+        !overBudget.empty())
+        cfva_fatal(overBudget, " (lower --lengths or --ports)");
     if (const std::string overflow = grid.cycleOverflow();
         !overflow.empty())
         cfva_fatal(overflow, " (lower --exec-latency, --lengths, "
@@ -597,8 +572,7 @@ printTierStats(std::ostream &info, TierPolicy tier,
          << " conflicted, " << stats.fallbackMultiport
          << " multiport, " << stats.fallbackUnproven
          << " unproven, " << stats.fallbackDynamic
-         << " dynamic (executed scenarios with any simulated "
-            "access)\n";
+         << " dynamic (scenarios with any simulated access)\n";
     if (tier == TierPolicy::AuditBoth) {
         info << (stats.tierAuditDivergences
                      ? "TIER AUDIT DIVERGENCE"
@@ -622,36 +596,9 @@ printFastPathStats(std::ostream &info, TierPolicy tier,
          << stats.collapsePrefixCycles
          << " prefix cycles stepped), " << stats.memoHits
          << " memo hits / " << stats.memoMisses << " misses\n";
-}
-
-/** Prints the dedup class/replay counters and, when a cache
- *  directory is in play, the result-cache traffic of a run; silent
- *  under --dedup off. */
-void
-printDedupStats(std::ostream &info, sim::DedupMode dedup,
-                const std::string &cacheDir,
-                const sim::SweepRunStats &stats)
-{
-    if (dedup == sim::DedupMode::Off)
-        return;
-    info << "dedup: " << stats.dedupClasses
-         << " canonical classes over " << stats.jobs
-         << " scenarios (" << stats.dedupReplays << " replayed";
-    if (dedup == sim::DedupMode::Audit) {
-        info << ", audit "
-             << (stats.dedupAuditDivergences ? "DIVERGED on "
-                                             : "identical, ")
-             << stats.dedupAuditDivergences << " divergences";
-    }
-    // The keying pre-pass is the sequential part of a dedup run;
-    // reporting it keeps Amdahl's law honest as workers scale.
-    info << ", keyed in " << fixed(stats.dedupKeySeconds * 1e3, 3)
-         << " ms)\n";
-    if (!cacheDir.empty() && dedup == sim::DedupMode::On) {
-        info << "result cache: " << stats.cacheHits << " hits / "
-             << stats.cacheMisses << " misses, "
-             << stats.cacheCorrupt << " corrupt entries\n";
-    }
+    info << "fallback memo: " << stats.fallbackMemoHits
+         << " replayed / " << stats.fallbackMemoMisses
+         << " simulated (rejected accesses)\n";
 }
 
 double
@@ -671,8 +618,7 @@ timedRun(const sim::SweepEngine &engine,
  * count; 0 repeats adaptively — at least kMinReps reps, continuing
  * until kMinWallSeconds of cumulative wall time or kMaxReps, so
  * sub-millisecond legs still get a stable median without slow legs
- * paying 15x.  @p prep runs before every timed rep (cold-cache
- * legs wipe their directory there, so each rep really is cold).
+ * paying 15x.
  */
 struct RepTiming
 {
@@ -683,7 +629,6 @@ struct RepTiming
 RepTiming
 timedReps(const sim::SweepOptions &opts,
           const sim::ScenarioGrid &grid, unsigned benchReps,
-          const std::function<void()> &prep,
           sim::SweepReport &report, sim::SweepRunStats &stats)
 {
     constexpr unsigned kMinReps = 3;
@@ -702,8 +647,6 @@ timedReps(const sim::SweepOptions &opts,
                        || rep >= kMaxReps)) {
             break;
         }
-        if (prep)
-            prep();
         sim::SweepReport r;
         sim::SweepRunStats s;
         const double secs =
@@ -731,8 +674,6 @@ struct BenchRun
 {
     EngineKind engine = EngineKind::PerCycle;
     TierPolicy tier = TierPolicy::SimulateAlways;
-    sim::DedupMode dedup = sim::DedupMode::Off;
-    std::string cache = "none"; // none | cold | warm
     std::uint64_t threads = 0;
     unsigned reps = 0;
     double seconds = 0.0;
@@ -749,7 +690,6 @@ struct WorkloadBenchRun
 {
     std::string label;
     TierPolicy tier = TierPolicy::SimulateAlways;
-    sim::DedupMode dedup = sim::DedupMode::Off;
     std::size_t jobs = 0;
     unsigned reps = 0;
     double seconds = 0.0;
@@ -772,16 +712,13 @@ writeBenchJson(const std::string &path, const Options &o,
         << ",\n  \"shard\": \"" << o.shard.index << "/"
         << o.shard.count << "\",\n  \"grain\": " << o.grain
         << ",\n  \"tier\": \"" << to_string(o.tier)
-        << "\",\n  \"dedup\": \"" << to_string(o.dedup)
         << "\",\n  \"reports_identical\": "
         << (identical ? "true" : "false") << ",\n  \"runs\": [";
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const BenchRun &r = runs[i];
         out << (i ? ",\n" : "\n") << "    {\"engine\": \""
             << to_string(r.engine) << "\", \"tier\": \""
-            << to_string(r.tier) << "\", \"dedup\": \""
-            << to_string(r.dedup) << "\", \"cache\": \"" << r.cache
-            << "\", \"threads\": "
+            << to_string(r.tier) << "\", \"threads\": "
             << r.threads << ", \"reps\": " << r.reps
             << ", \"seconds\": " << fixed(r.seconds, 6)
             << ", \"scenarios_per_s\": "
@@ -792,13 +729,6 @@ writeBenchJson(const std::string &path, const Options &o,
             << r.stats.backendCacheHits
             << ", \"backend_cache_misses\": "
             << r.stats.backendCacheMisses
-            << ", \"dedup_classes\": " << r.stats.dedupClasses
-            << ", \"dedup_replays\": " << r.stats.dedupReplays
-            << ", \"cache_hits\": " << r.stats.cacheHits
-            << ", \"cache_misses\": " << r.stats.cacheMisses
-            << ", \"cache_corrupt\": " << r.stats.cacheCorrupt
-            << ", \"dedup_key_seconds\": "
-            << fixed(r.stats.dedupKeySeconds, 6)
             << ", \"theory_claimed\": " << r.stats.theoryClaims
             << ", \"theory_fallback\": " << r.stats.theoryFallbacks
             << ", \"fallback_conflicted\": "
@@ -816,6 +746,10 @@ writeBenchJson(const std::string &path, const Options &o,
             << r.stats.collapsePrefixCycles
             << ", \"memo_hits\": " << r.stats.memoHits
             << ", \"memo_misses\": " << r.stats.memoMisses
+            << ", \"fallback_memo_hits\": "
+            << r.stats.fallbackMemoHits
+            << ", \"fallback_memo_misses\": "
+            << r.stats.fallbackMemoMisses
             << ", \"peak_pending_outcomes\": "
             << r.stats.peakPendingOutcomes
             << ", \"arena_acquires\": " << r.stats.arenaAcquires
@@ -828,7 +762,6 @@ writeBenchJson(const std::string &path, const Options &o,
         const WorkloadBenchRun &w = workloadRuns[i];
         out << (i ? ",\n" : "\n") << "    {\"workload\": \""
             << w.label << "\", \"tier\": \"" << to_string(w.tier)
-            << "\", \"dedup\": \"" << to_string(w.dedup)
             << "\", \"jobs\": " << w.jobs
             << ", \"reps\": " << w.reps
             << ", \"seconds\": " << fixed(w.seconds, 6)
@@ -874,10 +807,6 @@ main(int argc, char **argv)
     if (o.stream && !o.benchThreads.empty())
         cfva_fatal("--bench times materialized runs; it cannot "
                    "honor --stream (drop one of the two)");
-    if (!o.benchThreads.empty() && !o.cacheDir.empty())
-        cfva_fatal("--bench manages its own cold/warm cache legs "
-                   "in a fresh temporary directory and never "
-                   "clears a user cache; drop --cache-dir");
 
     std::string engineNames = to_string(o.engines.front());
     for (std::size_t e = 1; e < o.engines.size(); ++e)
@@ -886,49 +815,14 @@ main(int argc, char **argv)
     info << "tier: " << to_string(o.tier) << "\n";
 
     if (!o.benchThreads.empty()) {
-        TextTable t({"engine", "tier", "dedup", "cache",
-                     "threads", "reps", "seconds", "scenarios/s",
-                     "speedup"});
-        // Under --tier theory the bench times the simulation
-        // baseline too — the pure stepped oracle, then with
-        // scenario dedup layered on top and finally against a cold
-        // and a warm persistent result cache — so BENCH_sweep.json
-        // records what each fast-path tier buys next to what it
-        // replaced.
-        struct Leg
-        {
-            TierPolicy tier;
-            sim::DedupMode dedup = sim::DedupMode::Off;
-            const char *cache = "none"; // none | cold | warm
-        };
-        std::vector<Leg> legs;
-        if (o.tier == TierPolicy::TheoryFirst) {
-            legs = {{TierPolicy::SimulateAlways},
-                    {TierPolicy::SimulateAlways, sim::DedupMode::On},
-                    {TierPolicy::SimulateAlways, sim::DedupMode::On,
-                     "cold"},
-                    {TierPolicy::SimulateAlways, sim::DedupMode::On,
-                     "warm"},
-                    {TierPolicy::TheoryFirst}};
-        } else {
-            legs = {{o.tier, o.dedup}};
-        }
-        // Cache legs run against a fresh temporary directory (a
-        // user --cache-dir is rejected above, so nothing of the
-        // user's is ever cleared).  A cold leg wipes it before
-        // every timed run; the warm legs reuse what the last cold
-        // run stored.
-        namespace fs = std::filesystem;
-        bool anyCacheLeg = false;
-        for (const Leg &leg : legs)
-            anyCacheLeg |= std::strcmp(leg.cache, "none") != 0;
-        fs::path benchCache;
-        if (anyCacheLeg) {
-            benchCache =
-                fs::temp_directory_path()
-                / ("cfva_bench_cache." + std::to_string(::getpid()));
-            fs::remove_all(benchCache);
-        }
+        TextTable t({"engine", "tier", "threads", "reps", "seconds",
+                     "scenarios/s", "speedup"});
+        // Under --tier theory the bench times the pure stepped
+        // oracle too, so BENCH_sweep.json records what the analytic
+        // tier buys next to what it replaced.
+        std::vector<TierPolicy> legs = {o.tier};
+        if (o.tier == TierPolicy::TheoryFirst)
+            legs = {TierPolicy::SimulateAlways, TierPolicy::TheoryFirst};
         double base = 0.0;
         sim::SweepReport first;
         bool allIdentical = true;
@@ -943,7 +837,6 @@ main(int argc, char **argv)
             warm.shard = o.shard;
             warm.engine = o.engines.front();
             warm.tier = o.tier;
-            warm.dedup = o.dedup;
             sim::SweepReport scratch;
             timedRun(sim::SweepEngine(warm), grid, scratch);
         }
@@ -980,32 +873,18 @@ main(int argc, char **argv)
         sim::SweepReport firstStripped;
         bool haveBase = false;
         for (EngineKind engine : o.engines) {
-            for (const Leg &leg : legs) {
+            for (TierPolicy tier : legs) {
                 for (std::uint64_t threads : benchThreads) {
                     sim::SweepOptions opts;
                     opts.threads = static_cast<unsigned>(threads);
                     opts.grain = o.grain;
                     opts.shard = o.shard;
                     opts.engine = engine;
-                    opts.tier = leg.tier;
-                    opts.dedup = leg.dedup;
-                    std::function<void()> prep;
-                    if (std::strcmp(leg.cache, "none") != 0) {
-                        if (std::strcmp(leg.cache, "cold") == 0) {
-                            // Wiped before EVERY timed rep, so the
-                            // median really measures a cold start.
-                            prep = [&benchCache] {
-                                fs::remove_all(benchCache);
-                                fs::create_directories(benchCache);
-                            };
-                        }
-                        opts.cacheDir = benchCache.string();
-                    }
+                    opts.tier = tier;
                     sim::SweepReport report;
                     sim::SweepRunStats stats;
-                    const RepTiming timing =
-                        timedReps(opts, grid, o.benchReps, prep,
-                                  report, stats);
+                    const RepTiming timing = timedReps(
+                        opts, grid, o.benchReps, report, stats);
                     const double secs = timing.seconds;
                     if (!haveBase) {
                         base = secs;
@@ -1018,9 +897,7 @@ main(int argc, char **argv)
                     }
                     BenchRun row;
                     row.engine = engine;
-                    row.tier = leg.tier;
-                    row.dedup = leg.dedup;
-                    row.cache = leg.cache;
+                    row.tier = tier;
                     row.threads = threads;
                     row.reps = timing.reps;
                     row.seconds = secs;
@@ -1029,8 +906,7 @@ main(int argc, char **argv)
                     row.speedup = base / secs;
                     row.stats = stats;
                     runs.push_back(row);
-                    t.row(to_string(engine), to_string(leg.tier),
-                          to_string(leg.dedup), leg.cache, threads,
+                    t.row(to_string(engine), to_string(tier), threads,
                           timing.reps, fixed(secs, 3),
                           fixed(row.scenariosPerSec, 0),
                           fixed(row.speedup, 2));
@@ -1050,9 +926,8 @@ main(int argc, char **argv)
         // the narrowed grid would be the grid already timed.
         std::vector<WorkloadBenchRun> workloadRuns;
         {
-            TextTable wt({"workload", "tier", "dedup",
-                          "jobs", "reps", "seconds",
-                          "scenarios/s"});
+            TextTable wt({"workload", "tier", "jobs", "reps",
+                          "seconds", "scenarios/s"});
             // The committed BENCH artifact should track every
             // workload program even when the grid itself runs only
             // the default single-access job: widen the bench-only
@@ -1078,22 +953,15 @@ main(int argc, char **argv)
                 const bool sameAsGrid =
                     grid.workloads.size() == 1
                     && wl.kind == grid.workloads.front().kind;
-                for (const Leg &leg : legs) {
-                    // Cache legs time persistence, not programs;
-                    // the per-workload table skips them.
-                    if (std::strcmp(leg.cache, "none") != 0)
-                        continue;
+                for (TierPolicy tier : legs) {
                     WorkloadBenchRun row;
                     row.label = wl.label();
-                    row.tier = leg.tier;
-                    row.dedup = leg.dedup;
+                    row.tier = tier;
                     const BenchRun *reuse = nullptr;
                     if (sameAsGrid) {
                         for (const auto &r : runs) {
                             if (r.engine == o.engines.front()
-                                && r.tier == leg.tier
-                                && r.dedup == leg.dedup
-                                && r.cache == "none"
+                                && r.tier == tier
                                 && r.threads
                                        == benchThreads.front()) {
                                 reuse = &r;
@@ -1115,12 +983,11 @@ main(int argc, char **argv)
                         opts.grain = o.grain;
                         opts.shard = o.shard;
                         opts.engine = o.engines.front();
-                        opts.tier = leg.tier;
-                        opts.dedup = leg.dedup;
+                        opts.tier = tier;
                         sim::SweepReport r;
                         sim::SweepRunStats s;
-                        const RepTiming timing = timedReps(
-                            opts, sub, o.benchReps, nullptr, r, s);
+                        const RepTiming timing =
+                            timedReps(opts, sub, o.benchReps, r, s);
                         row.reps = timing.reps;
                         row.seconds = timing.seconds;
                         row.jobs = r.jobs();
@@ -1129,8 +996,8 @@ main(int argc, char **argv)
                             / row.seconds;
                     }
                     workloadRuns.push_back(row);
-                    wt.row(row.label, to_string(row.tier),
-                           to_string(row.dedup), row.jobs, row.reps,
+                    wt.row(row.label, to_string(row.tier), row.jobs,
+                           row.reps,
                            fixed(row.seconds, 3),
                            fixed(row.scenariosPerSec, 0));
                 }
@@ -1181,41 +1048,12 @@ main(int argc, char **argv)
             }
             printFastPathStats(info, o.tier, tierRow->stats);
             printTierStats(info, o.tier, tierRow->stats);
-            // The dedup and cache footers come from the legs that
-            // actually exercised them (the leading rows run with
-            // dedup off as the baseline).
-            const BenchRun *dedupRow = nullptr;
-            const BenchRun *warmRow = nullptr;
-            for (const auto &r : runs) {
-                if (!dedupRow && r.dedup == sim::DedupMode::On
-                    && r.cache == "none") {
-                    dedupRow = &r;
-                }
-                if (r.cache == "warm")
-                    warmRow = &r;
-            }
-            if (dedupRow) {
-                printDedupStats(info, dedupRow->dedup, "",
-                                dedupRow->stats);
-            }
-            if (warmRow) {
-                info << "result cache (warm leg): "
-                     << warmRow->stats.cacheHits << " hits / "
-                     << warmRow->stats.cacheMisses << " misses, "
-                     << warmRow->stats.cacheCorrupt
-                     << " corrupt entries\n";
-            }
         }
         std::uint64_t auditDivergences = 0;
-        std::uint64_t dedupDivergences = 0;
-        for (const auto &r : runs) {
+        for (const auto &r : runs)
             auditDivergences += r.stats.tierAuditDivergences;
-            dedupDivergences += r.stats.dedupAuditDivergences;
-        }
         writeBenchJson(o.benchJsonPath, o, grid, runs, workloadRuns,
                        allIdentical);
-        if (anyCacheLeg)
-            fs::remove_all(benchCache);
         if (!o.csvPath.empty()) {
             std::ofstream file;
             first.writeCsv(*openSink(o.csvPath, file));
@@ -1224,10 +1062,7 @@ main(int argc, char **argv)
             std::ofstream file;
             first.writeJson(*openSink(o.jsonPath, file));
         }
-        return (allIdentical && auditDivergences == 0
-                && dedupDivergences == 0)
-                   ? 0
-                   : 1;
+        return (allIdentical && auditDivergences == 0) ? 0 : 1;
     }
 
     if (o.stream) {
@@ -1241,8 +1076,6 @@ main(int argc, char **argv)
         opts.shard = o.shard;
         opts.engine = o.engines.front();
         opts.tier = o.tier;
-        opts.dedup = o.dedup;
-        opts.cacheDir = o.cacheDir;
 
         std::ofstream csvFile, jsonFile;
         std::optional<sim::CsvStreamSink> csvSink;
@@ -1288,12 +1121,8 @@ main(int argc, char **argv)
                  << " misses\n";
             printFastPathStats(info, o.tier, stats);
             printTierStats(info, o.tier, stats);
-            printDedupStats(info, o.dedup, o.cacheDir, stats);
         }
-        return (stats.tierAuditDivergences == 0
-                && stats.dedupAuditDivergences == 0)
-                   ? 0
-                   : 1;
+        return stats.tierAuditDivergences == 0 ? 0 : 1;
     }
 
     // One timed run per requested engine; with --engine both the
@@ -1303,7 +1132,6 @@ main(int argc, char **argv)
     bool crossChecked = false;
     bool crossIdentical = true;
     std::uint64_t auditDivergences = 0;
-    std::uint64_t dedupDivergences = 0;
     double firstSecs = 0.0;
     for (std::size_t e = 0; e < o.engines.size(); ++e) {
         sim::SweepOptions opts;
@@ -1312,14 +1140,11 @@ main(int argc, char **argv)
         opts.shard = o.shard;
         opts.engine = o.engines[e];
         opts.tier = o.tier;
-        opts.dedup = o.dedup;
-        opts.cacheDir = o.cacheDir;
         sim::SweepReport r;
         sim::SweepRunStats stats;
         const double secs =
             timedRun(sim::SweepEngine(opts), grid, r, &stats);
         auditDivergences += stats.tierAuditDivergences;
-        dedupDivergences += stats.dedupAuditDivergences;
         if (o.summary) {
             info << to_string(o.engines[e]) << ": " << r.jobs()
                  << " scenarios in " << fixed(secs, 3) << " s ("
@@ -1353,7 +1178,6 @@ main(int argc, char **argv)
              << " misses\n";
         printFastPathStats(info, o.tier, firstStats);
         printTierStats(info, o.tier, firstStats);
-        printDedupStats(info, o.dedup, o.cacheDir, firstStats);
     }
     if (crossChecked) {
         info << (crossIdentical
@@ -1368,8 +1192,5 @@ main(int argc, char **argv)
         std::ofstream file;
         report.writeJson(*openSink(o.jsonPath, file));
     }
-    return (crossIdentical && auditDivergences == 0
-            && dedupDivergences == 0)
-               ? 0
-               : 1;
+    return (crossIdentical && auditDivergences == 0) ? 0 : 1;
 }
