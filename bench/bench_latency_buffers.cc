@@ -18,7 +18,7 @@
 #include "common/table.h"
 #include "core/config.h"
 #include "mapping/xor_matched.h"
-#include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "theory/theory.h"
 
 using namespace cfva;

@@ -19,7 +19,6 @@
 #include "mapping/xor_matched.h"
 #include "mapping/xor_sectioned.h"
 #include "memsys/backend_cache.h"
-#include "memsys/memory_system.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 #include "sim/sweep_sink.h"

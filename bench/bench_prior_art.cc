@@ -23,7 +23,7 @@
 #include "core/access_unit.h"
 #include "mapping/dynamic.h"
 #include "mapping/prand.h"
-#include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "theory/theory.h"
 
 using namespace cfva;

@@ -16,7 +16,7 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "mapping/analysis.h"
-#include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "theory/theory.h"
 
 using namespace cfva;

@@ -13,6 +13,7 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "core/access_unit.h"
+#include "memsys/multi_port.h"
 #include "theory/theory.h"
 
 using namespace cfva;

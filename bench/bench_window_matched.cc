@@ -15,6 +15,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/access_unit.h"
+#include "memsys/multi_port.h"
 #include "theory/theory.h"
 
 using namespace cfva;

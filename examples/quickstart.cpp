@@ -10,6 +10,7 @@
 
 #include "core/access_unit.h"
 #include "core/chaining.h"
+#include "memsys/multi_port.h"
 
 using namespace cfva;
 

@@ -21,7 +21,6 @@
 #include "access/short_vector.h"
 #include "core/config.h"
 #include "mapping/mapping.h"
-#include "memsys/memory_system.h"
 #include "theory/theory.h"
 
 namespace cfva {

@@ -18,7 +18,6 @@
 
 #include "common/bits.h"
 #include "memsys/backend.h"
-#include "memsys/memory_system.h"
 
 namespace cfva {
 

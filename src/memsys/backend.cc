@@ -151,6 +151,16 @@ MemoryBackend::runMapped(
     return run(streams, arena);
 }
 
+std::vector<std::uint64_t>
+AccessResult::deliveryOrder() const
+{
+    std::vector<std::uint64_t> order;
+    order.reserve(deliveries.size());
+    for (const auto &d : deliveries)
+        order.push_back(d.element);
+    return order;
+}
+
 std::unique_ptr<MemoryBackend>
 makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
                   const ModuleMapping &map)
@@ -168,7 +178,7 @@ namespace detail {
 
 MultiPortResult
 assemblePortResults(const MemConfig &cfg,
-                    const std::vector<std::vector<Request>> &streams,
+                    std::span<const PortView> views,
                     std::vector<PortState> &ports, Cycle lastDelivery)
 {
     MultiPortResult result;
@@ -186,15 +196,14 @@ assemblePortResults(const MemConfig &cfg,
         r.latency = r.deliveries.empty()
             ? 0 : r.lastDelivery - r.firstIssue + 1;
         r.stallCycles = ports[p].stalls;
-        if (streams[p].empty()) {
+        if (views[p].requests.empty()) {
             // A port with nothing to issue vacuously ran at its
-            // minimum (matches MemorySystem::run on an empty
-            // stream).
+            // minimum.
             r.conflictFree = true;
             continue;
         }
         const Cycle min_latency =
-            static_cast<Cycle>(streams[p].size())
+            static_cast<Cycle>(views[p].requests.size())
             + cfg.serviceCycles() + 1;
         r.conflictFree =
             r.stallCycles == 0 && r.latency == min_latency;
@@ -210,18 +219,9 @@ wedgeLimit(const MemConfig &cfg, std::size_t total, unsigned n_ports)
            + 64;
 }
 
-MultiPortResult
-wrapSinglePort(AccessResult &&r)
-{
-    MultiPortResult out;
-    out.makespan = r.deliveries.empty() ? 0 : r.lastDelivery + 1;
-    out.ports.push_back(std::move(r));
-    return out;
-}
-
 void
 premapPorts(const BitSlicedMapper &slicer,
-            const std::vector<std::vector<Request>> &streams,
+            std::span<const std::vector<Request>> streams,
             std::vector<std::vector<ModuleId>> &mods)
 {
     if (mods.size() < streams.size())
@@ -232,6 +232,22 @@ premapPorts(const BitSlicedMapper &slicer,
         slicer.mapWith(
             [&stream](std::size_t i) { return stream[i].addr; },
             stream.size(), mods[p].data());
+    }
+}
+
+void
+viewPorts(const std::vector<std::vector<Request>> &streams,
+          const std::vector<std::vector<ModuleId>> &mods,
+          std::vector<PortView> &views)
+{
+    cfva_assert(!streams.empty(), "need at least one port");
+    cfva_assert(mods.size() >= streams.size(),
+                "need one module sequence per port");
+    views.resize(streams.size());
+    for (std::size_t p = 0; p < streams.size(); ++p) {
+        cfva_assert(mods[p].size() == streams[p].size(),
+                    "port ", p, " module sequence length mismatch");
+        views[p] = {streams[p], mods[p].data()};
     }
 }
 

@@ -8,12 +8,15 @@
  * the P = 1 case.  Two engines implement it:
  *
  * - PerCycleMultiPort (memsys/multi_port.h): the cycle-stepped
- *   reference, bit-exact with the historical simulateMultiPort loop
- *   and — at P = 1 — with MemorySystem::run.  It remains the oracle
- *   the event-driven engines are differentially tested against.
+ *   reference.  It remains the oracle the event-driven engine, the
+ *   analytic tier and --tier audit are differentially tested
+ *   against.
  * - EventDrivenMultiPort (memsys/event_multi_port.h): jumps straight
  *   to the next state-changing cycle; per-port output heaps replace
  *   the O(P*M) per-cycle return-bus head scan.
+ *
+ * Each engine has one simulation loop, over P port views; the
+ * paper's single-port memory runs that same loop with P = 1.
  *
  * EngineKind lives here (not in core/) so the dispatch is decided at
  * the memsys layer and every consumer — VectorAccessUnit, the sweep
@@ -24,11 +27,11 @@
 #define CFVA_MEMSYS_BACKEND_H
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mapping/bitslice.h"
 #include "mapping/mapping.h"
-#include "memsys/memory_system.h"
 #include "memsys/request.h"
 
 namespace cfva {
@@ -292,9 +295,8 @@ class MemoryBackend
 
     /**
      * The P = 1 case without wrapping the stream: returns the
-     * port's AccessResult directly.  Bit-identical to the
-     * corresponding single-port engine (MemorySystem::run or
-     * EventDrivenMemorySystem::run).
+     * port's AccessResult directly, bit-identical to
+     * run({stream}).ports[0].
      */
     virtual AccessResult
     runSingle(const std::vector<Request> &stream,
@@ -349,6 +351,18 @@ makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
 
 namespace detail {
 
+/**
+ * One port's input to an engine's simulation loop: the request
+ * stream and its premapped module sequence (modules[i] is the
+ * mapping of requests[i].addr), both borrowed from the caller, so
+ * runSingle() hands the caller's stream to the loop uncopied.
+ */
+struct PortView
+{
+    std::span<const Request> requests;
+    const ModuleId *modules = nullptr;
+};
+
 /** Per-port issue bookkeeping shared by the multi-port backends. */
 struct PortState
 {
@@ -360,6 +374,31 @@ struct PortState
 };
 
 /**
+ * Re-sorts @p order, a permutation of the port indices, into the
+ * issue priority both backends share: least-issued port first,
+ * lowest port on ties.  The order is total, so re-sorting the
+ * previous cycle's order equals sorting the identity; one cycle's
+ * issues move a port only a few places, hence insertion sort.
+ */
+inline void
+rankPorts(std::vector<unsigned> &order,
+          const std::vector<PortState> &ports)
+{
+    const auto before = [&ports](unsigned a, unsigned b) {
+        return ports[a].next != ports[b].next
+                   ? ports[a].next < ports[b].next
+                   : a < b;
+    };
+    for (std::size_t k = 1; k < order.size(); ++k) {
+        const unsigned p = order[k];
+        std::size_t j = k;
+        for (; j > 0 && before(p, order[j - 1]); --j)
+            order[j] = order[j - 1];
+        order[j] = p;
+    }
+}
+
+/**
  * Folds per-port issue state into the MultiPortResult both backends
  * must agree on bit for bit: latency, conflict-free criterion, and
  * makespan are computed in exactly one place.  The delivered
@@ -368,7 +407,7 @@ struct PortState
  */
 MultiPortResult
 assemblePortResults(const MemConfig &cfg,
-                    const std::vector<std::vector<Request>> &streams,
+                    std::span<const PortView> views,
                     std::vector<PortState> &ports, Cycle lastDelivery);
 
 /**
@@ -378,15 +417,17 @@ assemblePortResults(const MemConfig &cfg,
 Cycle wedgeLimit(const MemConfig &cfg, std::size_t total,
                  unsigned n_ports);
 
-/** Lifts a single-port AccessResult into the P = 1 MultiPortResult
- *  the generic loops would produce for the same stream. */
-MultiPortResult wrapSinglePort(AccessResult &&r);
-
 /** Premaps every stream of @p streams into @p mods (grown to at
  *  least streams.size() sequences; entry p sized to stream p). */
 void premapPorts(const BitSlicedMapper &slicer,
-                 const std::vector<std::vector<Request>> &streams,
+                 std::span<const std::vector<Request>> streams,
                  std::vector<std::vector<ModuleId>> &mods);
+
+/** Points one view per port at @p streams and @p mods (one premapped
+ *  sequence per stream, as premapPorts() produces). */
+void viewPorts(const std::vector<std::vector<Request>> &streams,
+               const std::vector<std::vector<ModuleId>> &mods,
+               std::vector<PortView> &views);
 
 } // namespace detail
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
-#include "memsys/event_driven.h"
 
 namespace cfva {
 
@@ -12,8 +12,8 @@ using detail::PortState;
 
 EventDrivenMultiPort::EventDrivenMultiPort(const MemConfig &cfg,
                                            const ModuleMapping &map)
-    : cfg_(cfg), map_(map), slicer_(map), single_(cfg, map),
-      retire_(cfg.modules()), retireBlocked_(cfg.modules(), 0)
+    : cfg_(cfg), map_(map), slicer_(map), retire_(cfg.modules()),
+      retireBlocked_(cfg.modules(), 0)
 {
     cfva_assert(map.moduleBits() == cfg.m,
                 "mapping has 2^", map.moduleBits(),
@@ -29,9 +29,8 @@ AccessResult
 EventDrivenMultiPort::runSingle(const std::vector<Request> &stream,
                                 DeliveryArena *arena)
 {
-    // EventDrivenMemorySystem::run self-resets, so the persistent
-    // engine behaves exactly like a freshly built one.
-    return single_.run(stream, arena);
+    detail::premapPorts(slicer_, {&stream, 1}, portMods_);
+    return runSingleMapped(stream, portMods_[0].data(), arena);
 }
 
 AccessResult
@@ -39,7 +38,8 @@ EventDrivenMultiPort::runSingleMapped(
     const std::vector<Request> &stream, const ModuleId *modules,
     DeliveryArena *arena)
 {
-    return single_.run(stream, arena, modules);
+    const detail::PortView view{stream, modules};
+    return std::move(simulate({&view, 1}, arena).ports[0]);
 }
 
 MultiPortResult
@@ -47,10 +47,6 @@ EventDrivenMultiPort::run(
     const std::vector<std::vector<Request>> &streams,
     DeliveryArena *arena)
 {
-    cfva_assert(!streams.empty(), "need at least one port");
-    if (streams.size() == 1)
-        return detail::wrapSinglePort(runSingle(streams[0], arena));
-
     // Premap every stream before the simulation loop (bit-sliced
     // for linear mappings); issue attempts just index the result.
     detail::premapPorts(slicer_, streams, portMods_);
@@ -63,15 +59,15 @@ EventDrivenMultiPort::runMapped(
     const std::vector<std::vector<ModuleId>> &mods,
     DeliveryArena *arena)
 {
-    cfva_assert(!streams.empty(), "need at least one port");
-    cfva_assert(mods.size() >= streams.size(),
-                "need one module sequence per port");
-    if (streams.size() == 1) {
-        return detail::wrapSinglePort(
-            runSingleMapped(streams[0], mods[0].data(), arena));
-    }
+    detail::viewPorts(streams, mods, views_);
+    return simulate(views_, arena);
+}
 
-    const unsigned n_ports = static_cast<unsigned>(streams.size());
+MultiPortResult
+EventDrivenMultiPort::simulate(std::span<const detail::PortView> views,
+                               DeliveryArena *arena)
+{
+    const unsigned n_ports = static_cast<unsigned>(views.size());
     const Cycle t_cycles = cfg_.serviceCycles();
 
     // Reset the persistent simulation state (all empty after a
@@ -88,13 +84,12 @@ EventDrivenMultiPort::runMapped(
 
     std::size_t total = 0;
     for (unsigned p = 0; p < n_ports; ++p) {
-        total += streams[p].size();
-        cfva_assert(mods[p].size() == streams[p].size(),
-                    "port ", p, " module sequence length mismatch");
+        const std::size_t len = views[p].requests.size();
+        total += len;
         if (arena)
-            ports[p].delivered = arena->acquire(streams[p].size());
+            ports[p].delivered = arena->acquire(len);
         else
-            ports[p].delivered.reserve(streams[p].size());
+            ports[p].delivered.reserve(len);
     }
     std::size_t delivered_total = 0;
 
@@ -129,14 +124,22 @@ EventDrivenMultiPort::runMapped(
     /** Scratch: modules that may start a service this cycle. */
     std::vector<ModuleId> &startable = startable_;
 
-    /** Issue-priority scratch, hoisted like in the per-cycle loop. */
+    /** Issue priority, least-issued port first.  Every count is 0
+     *  at the start, so the identity order is already sorted. */
     order_.resize(n_ports);
     std::vector<unsigned> &order = order_;
+    for (unsigned p = 0; p < n_ports; ++p)
+        order[p] = p;
+    bool issued = false; //!< some port issued on the last event cycle
+
+    /** Modules filed in any port's output heap, so the wake step
+     *  tests one counter instead of P heaps. */
+    std::size_t filed = 0;
 
     // Each port's issue target comes straight from the premapped
     // stream.
     auto targetModule = [&](unsigned p) -> ModuleId {
-        const ModuleId target = mods[p][ports[p].next];
+        const ModuleId target = views[p].modules[ports[p].next];
         cfva_assert(target < cfg_.modules(),
                     "mapping produced module ", target,
                     " outside 2^", cfg_.m);
@@ -168,6 +171,7 @@ EventDrivenMultiPort::runMapped(
             if (!head_before) {
                 const Delivery *head = mod.outputHead();
                 outHeads[head->port].push(e.module, head->ready);
+                ++filed;
             }
             startable.push_back(e.module);
         }
@@ -181,6 +185,7 @@ EventDrivenMultiPort::runMapped(
             if (outHeads[p].empty() || outHeads[p].top().time > now)
                 continue;
             const ModuleEvent e = outHeads[p].pop();
+            --filed;
             MemoryModule &mod = modules[e.module];
             Delivery d = mod.popOutput();
             cfva_assert(d.ready == e.time && d.port == p,
@@ -190,8 +195,10 @@ EventDrivenMultiPort::runMapped(
             ports[p].delivered.push_back(d);
             ++delivered_total;
             makespan = now;
-            if (const Delivery *head = mod.outputHead())
+            if (const Delivery *head = mod.outputHead()) {
                 outHeads[head->port].push(e.module, head->ready);
+                ++filed;
+            }
             if (retireBlocked[e.module]) {
                 // The freed slot lets the parked service retire at
                 // the next cycle's step 1 (this cycle's retire step
@@ -217,22 +224,18 @@ EventDrivenMultiPort::runMapped(
         }
 
         // 4. Issue: least-issued port first (identical rotation to
-        //    the per-cycle loop — the sort keys are the per-port
-        //    issued counts, which change only on event cycles).
-        for (unsigned p = 0; p < n_ports; ++p)
-            order[p] = p;
-        std::sort(order.begin(), order.end(),
-                  [&](unsigned a, unsigned b) {
-                      return ports[a].next != ports[b].next
-                                 ? ports[a].next < ports[b].next
-                                 : a < b;
-                  });
+        //    the per-cycle loop).  The sort keys are the per-port
+        //    issued counts, so only a cycle that issued can change
+        //    the order.
+        if (issued)
+            detail::rankPorts(order, ports);
+        issued = false;
         for (unsigned k = 0; k < n_ports; ++k) {
             const unsigned p = order[k];
             PortState &ps = ports[p];
-            if (ps.next >= streams[p].size())
+            if (ps.next >= views[p].requests.size())
                 continue;
-            const Request &req = streams[p][ps.next];
+            const Request &req = views[p].requests[ps.next];
             const ModuleId tgt = targetModule(p);
             MemoryModule &mod = modules[tgt];
             if (mod.canAccept()) {
@@ -250,6 +253,7 @@ EventDrivenMultiPort::runMapped(
                     ps.firstIssue = now;
                 }
                 ++ps.next;
+                issued = true;
             } else {
                 ++ps.stalls;
             }
@@ -260,10 +264,7 @@ EventDrivenMultiPort::runMapped(
 
         // Advance to the next cycle at which any state can change.
         Cycle wake = never;
-        bool outputPending = false;
-        for (unsigned p = 0; p < n_ports; ++p)
-            outputPending |= !outHeads[p].empty();
-        if (outputPending) {
+        if (filed != 0) {
             // A pending output delivers next cycle.
             wake = now + 1;
         } else {
@@ -276,7 +277,7 @@ EventDrivenMultiPort::runMapped(
         }
         if (wake > now + 1) {
             for (unsigned p = 0; p < n_ports; ++p) {
-                if (ports[p].next < streams[p].size()
+                if (ports[p].next < views[p].requests.size()
                     && modules[targetModule(p)].canAccept()) {
                     // This port's pending issue succeeds next cycle.
                     wake = now + 1;
@@ -292,14 +293,16 @@ EventDrivenMultiPort::runMapped(
         // Every skipped cycle is, for each unfinished port, one
         // issue retry against an unchanged (full) input buffer:
         // account the stalls in bulk.
-        for (unsigned p = 0; p < n_ports; ++p) {
-            if (ports[p].next < streams[p].size())
-                ports[p].stalls += wake - now - 1;
+        if (wake > now + 1) {
+            for (unsigned p = 0; p < n_ports; ++p) {
+                if (ports[p].next < views[p].requests.size())
+                    ports[p].stalls += wake - now - 1;
+            }
         }
         now = wake;
     }
 
-    return detail::assemblePortResults(cfg_, streams, ports, makespan);
+    return detail::assemblePortResults(cfg_, views, ports, makespan);
 }
 
 MultiPortResult

@@ -15,11 +15,16 @@
  * PerCycleMultiPort::run on every stream set: identical delivery
  * records (all five timestamps and the port tag), identical
  * per-port stall counts, identical aggregates.  The per-cycle model
- * stays in-tree as the oracle; tests/test_multi_port_differential.cc
- * holds the two to that contract over randomized scenario grids.
+ * stays in-tree as the oracle; tests/test_engine_differential.cc
+ * (P = 1) and tests/test_multi_port_differential.cc hold the two to
+ * that contract over randomized scenario grids.
  *
- * Two event classes are new relative to the single-port engine
- * (memsys/event_driven.h):
+ * Why it is faster: the per-cycle loop scans all M modules several
+ * times per cycle.  This engine touches only the modules named by
+ * an event (O(log M) heap work each) and skips the dead cycles
+ * entirely — on heavily conflicting streams, where the per-cycle
+ * model burns ~L*T iterations, the event count stays O(L).  Two
+ * further devices serve P > 1 and cost nothing at P = 1:
  *
  * - Per-port output heaps: the per-cycle model scans all M module
  *   output heads once per port per cycle (O(P*M)).  Here a module
@@ -30,22 +35,22 @@
  *   the module in that port's heap within the same cycle (exactly
  *   the visibility order of the sequential per-cycle scan).
  * - Port-rotation issue events: issue priority depends only on the
- *   per-port issued counts, which change only on event cycles, so
- *   the least-issued-first rotation is re-sorted per event rather
- *   than per cycle.
+ *   per-port issued counts, which change only on a cycle that
+ *   issued, so the least-issued-first rotation is re-sorted after
+ *   such a cycle rather than every cycle.
  */
 
 #ifndef CFVA_MEMSYS_EVENT_MULTI_PORT_H
 #define CFVA_MEMSYS_EVENT_MULTI_PORT_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mapping/mapping.h"
 #include "memsys/backend.h"
-#include "memsys/event_driven.h"
 #include "memsys/event_queue.h"
-#include "memsys/memory_system.h"
+#include "memsys/module.h"
 
 namespace cfva {
 
@@ -65,8 +70,6 @@ class EventDrivenMultiPort final : public MemoryBackend
     run(const std::vector<std::vector<Request>> &streams,
         DeliveryArena *arena = nullptr) override;
 
-    /** P = 1 delegates to EventDrivenMemorySystem::run, the
-     *  optimized single-port event engine. */
     AccessResult
     runSingle(const std::vector<Request> &stream,
               DeliveryArena *arena = nullptr) override;
@@ -86,6 +89,10 @@ class EventDrivenMultiPort final : public MemoryBackend
     const char *name() const override { return "event-driven"; }
 
   private:
+    /** The simulation loop every entry point runs, for any P. */
+    MultiPortResult simulate(std::span<const detail::PortView> views,
+                             DeliveryArena *arena);
+
     MemConfig cfg_;
     const ModuleMapping &map_;
     BitSlicedMapper slicer_;
@@ -96,7 +103,6 @@ class EventDrivenMultiPort final : public MemoryBackend
     // accesses and are reset (cheaply — everything is empty after
     // a drained run) at the top of each run().  Per-port state is
     // sized in place, so one instance serves every port count.
-    EventDrivenMemorySystem single_;
     std::vector<MemoryModule> modules_;
     ModuleEventHeap retire_;
     std::vector<ModuleEventHeap> outHeads_;
@@ -106,6 +112,7 @@ class EventDrivenMultiPort final : public MemoryBackend
     std::vector<unsigned> order_;
     std::vector<detail::PortState> ports_; //!< per-port scratch
     std::vector<std::vector<ModuleId>> portMods_; //!< premap scratch
+    std::vector<detail::PortView> views_; //!< runMapped() scratch
 };
 
 /**

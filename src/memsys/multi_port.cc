@@ -1,7 +1,7 @@
 #include "memsys/multi_port.h"
 
-#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -11,7 +11,7 @@ using detail::PortState;
 
 PerCycleMultiPort::PerCycleMultiPort(const MemConfig &cfg,
                                      const ModuleMapping &map)
-    : cfg_(cfg), map_(map), slicer_(map), single_(cfg, map)
+    : cfg_(cfg), map_(map), slicer_(map)
 {
     cfva_assert(map.moduleBits() == cfg.m,
                 "mapping has 2^", map.moduleBits(),
@@ -26,10 +26,8 @@ AccessResult
 PerCycleMultiPort::runSingle(const std::vector<Request> &stream,
                              DeliveryArena *arena)
 {
-    // MemorySystem::run self-resets, so the persistent engine
-    // behaves exactly like the freshly built one simulateAccess
-    // used to construct per access.
-    return single_.run(stream, arena);
+    detail::premapPorts(slicer_, {&stream, 1}, portMods_);
+    return runSingleMapped(stream, portMods_[0].data(), arena);
 }
 
 AccessResult
@@ -37,17 +35,14 @@ PerCycleMultiPort::runSingleMapped(const std::vector<Request> &stream,
                                    const ModuleId *modules,
                                    DeliveryArena *arena)
 {
-    return single_.run(stream, arena, modules);
+    const detail::PortView view{stream, modules};
+    return std::move(simulate({&view, 1}, arena).ports[0]);
 }
 
 MultiPortResult
 PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
                        DeliveryArena *arena)
 {
-    cfva_assert(!streams.empty(), "need at least one port");
-    if (streams.size() == 1)
-        return detail::wrapSinglePort(runSingle(streams[0], arena));
-
     // Premap every stream before the simulation loop (bit-sliced
     // for linear mappings); issue attempts just index the result.
     detail::premapPorts(slicer_, streams, portMods_);
@@ -60,20 +55,22 @@ PerCycleMultiPort::runMapped(
     const std::vector<std::vector<ModuleId>> &mods,
     DeliveryArena *arena)
 {
-    cfva_assert(!streams.empty(), "need at least one port");
-    cfva_assert(mods.size() >= streams.size(),
-                "need one module sequence per port");
-    if (streams.size() == 1) {
-        return detail::wrapSinglePort(
-            runSingleMapped(streams[0], mods[0].data(), arena));
-    }
+    detail::viewPorts(streams, mods, views_);
+    return simulate(views_, arena);
+}
 
-    const unsigned n_ports = static_cast<unsigned>(streams.size());
+MultiPortResult
+PerCycleMultiPort::simulate(std::span<const detail::PortView> views,
+                            DeliveryArena *arena)
+{
+    const unsigned n_ports = static_cast<unsigned>(views.size());
     std::vector<MemoryModule> &modules = modules_;
     for (auto &mod : modules)
         mod.reset();
     order_.resize(n_ports);
     std::vector<unsigned> &order = order_;
+    for (unsigned p = 0; p < n_ports; ++p)
+        order[p] = p;
 
     // Member scratch: clear() + resize() value-initializes the
     // PortStates while keeping the vector's own capacity.
@@ -83,20 +80,19 @@ PerCycleMultiPort::runMapped(
 
     std::size_t total = 0;
     for (unsigned p = 0; p < n_ports; ++p) {
-        total += streams[p].size();
-        cfva_assert(mods[p].size() == streams[p].size(),
-                    "port ", p, " module sequence length mismatch");
+        const std::size_t len = views[p].requests.size();
+        total += len;
         if (arena)
-            ports[p].delivered = arena->acquire(streams[p].size());
+            ports[p].delivered = arena->acquire(len);
         else
-            ports[p].delivered.reserve(streams[p].size());
+            ports[p].delivered.reserve(len);
     }
     std::size_t delivered_total = 0;
 
     const Cycle limit = detail::wedgeLimit(cfg_, total, n_ports);
 
-    // Aggregate occupancy so quiet-phase scans can be skipped (same
-    // scheme as MemorySystem::run).
+    // Aggregate occupancy, maintained from the modules' returns, so
+    // the whole-array scans below can be skipped on quiet cycles.
     unsigned busy = 0;
     unsigned queued = 0;
     unsigned inOutput = 0;
@@ -153,21 +149,15 @@ PerCycleMultiPort::runMapped(
         }
 
         // 4. Issue: least-issued port first.
-        for (unsigned p = 0; p < n_ports; ++p)
-            order[p] = p;
-        std::sort(order.begin(), order.end(),
-                  [&](unsigned a, unsigned b) {
-                      return ports[a].next != ports[b].next
-                                 ? ports[a].next < ports[b].next
-                                 : a < b;
-                  });
+        detail::rankPorts(order, ports);
         for (unsigned k = 0; k < n_ports; ++k) {
             const unsigned p = order[k];
             PortState &ps = ports[p];
-            if (ps.next >= streams[p].size())
+            const detail::PortView &view = views[p];
+            if (ps.next >= view.requests.size())
                 continue;
-            const Request &req = streams[p][ps.next];
-            const ModuleId target = mods[p][ps.next];
+            const Request &req = view.requests[ps.next];
+            const ModuleId target = view.modules[ps.next];
             cfva_assert(target < cfg_.modules(),
                         "mapping produced module ", target,
                         " outside 2^", cfg_.m);
@@ -193,7 +183,7 @@ PerCycleMultiPort::runMapped(
         }
     }
 
-    return detail::assemblePortResults(cfg_, streams, ports, makespan);
+    return detail::assemblePortResults(cfg_, views, ports, makespan);
 }
 
 MultiPortResult
@@ -202,6 +192,15 @@ simulateMultiPort(const MemConfig &cfg, const ModuleMapping &map,
 {
     PerCycleMultiPort backend(cfg, map);
     return backend.run(streams);
+}
+
+AccessResult
+simulateAccess(const MemConfig &cfg, const ModuleMapping &map,
+               const std::vector<Request> &stream,
+               DeliveryArena *arena)
+{
+    PerCycleMultiPort backend(cfg, map);
+    return backend.runSingle(stream, arena);
 }
 
 } // namespace cfva

@@ -13,20 +13,25 @@
  * extra modules "can be justified by ... simultaneous access to
  * several vectors" becomes measurable (bench_multi_vector).
  *
- * This engine is the multi-port oracle: every cycle is stepped, so
- * its semantics are auditable line by line, and the event-driven
+ * The paper's own single-port memory (Figure 2) is the P = 1 case
+ * of the same loop.
+ *
+ * This engine is the oracle: every cycle is stepped, so its
+ * semantics are auditable line by line, and the event-driven
  * backend (memsys/event_multi_port.h) is held bit-identical to it
- * by tests/test_multi_port_differential.cc.
+ * by tests/test_engine_differential.cc (P = 1) and
+ * tests/test_multi_port_differential.cc.
  */
 
 #ifndef CFVA_MEMSYS_MULTI_PORT_H
 #define CFVA_MEMSYS_MULTI_PORT_H
 
+#include <span>
 #include <vector>
 
 #include "mapping/mapping.h"
 #include "memsys/backend.h"
-#include "memsys/memory_system.h"
+#include "memsys/module.h"
 
 namespace cfva {
 
@@ -53,8 +58,6 @@ class PerCycleMultiPort final : public MemoryBackend
     run(const std::vector<std::vector<Request>> &streams,
         DeliveryArena *arena = nullptr) override;
 
-    /** P = 1 delegates to MemorySystem::run, the single-port
-     *  oracle; bit-identical to run({stream}).ports[0]. */
     AccessResult
     runSingle(const std::vector<Request> &stream,
               DeliveryArena *arena = nullptr) override;
@@ -74,20 +77,24 @@ class PerCycleMultiPort final : public MemoryBackend
     const char *name() const override { return "per-cycle"; }
 
   private:
+    /** The simulation loop every entry point runs, for any P. */
+    MultiPortResult simulate(std::span<const detail::PortView> views,
+                             DeliveryArena *arena);
+
     MemConfig cfg_;
     const ModuleMapping &map_;
     BitSlicedMapper slicer_;
 
     // Persistent across run() calls so a cached backend stops
     // paying the per-access construction cost (module array with
-    // its buffers, the single-port engine, issue and premap
-    // scratch).  Every run() resets what it uses; results are
-    // bit-identical to a freshly constructed backend.
-    MemorySystem single_;
+    // its buffers, issue and premap scratch).  Every run() resets
+    // what it uses; results are bit-identical to a freshly
+    // constructed backend.
     std::vector<MemoryModule> modules_;
     std::vector<unsigned> order_; //!< issue-priority scratch
     std::vector<detail::PortState> ports_; //!< per-port scratch
     std::vector<std::vector<ModuleId>> portMods_; //!< premap scratch
+    std::vector<detail::PortView> views_; //!< runMapped() scratch
 };
 
 /**
@@ -101,6 +108,19 @@ class PerCycleMultiPort final : public MemoryBackend
 MultiPortResult
 simulateMultiPort(const MemConfig &cfg, const ModuleMapping &map,
                   const std::vector<std::vector<Request>> &streams);
+
+/**
+ * The single-port convenience wrapper: simulates @p stream, issued
+ * one request per cycle from cycle 0, on a fresh PerCycleMultiPort
+ * (the P = 1 case).
+ *
+ * @param arena  optional recycler the result's delivery buffer is
+ *               acquired from (timing-neutral)
+ */
+AccessResult simulateAccess(const MemConfig &cfg,
+                            const ModuleMapping &map,
+                            const std::vector<Request> &stream,
+                            DeliveryArena *arena = nullptr);
 
 } // namespace cfva
 

@@ -1,6 +1,14 @@
 /**
  * @file
- * Request/delivery value types for the multi-module memory simulator.
+ * Value types of the multi-module memory simulator (paper Figure 2):
+ * the memory's static shape and the request/delivery records.
+ *
+ * M = 2^m modules sit behind a 1-cycle request bus and one return
+ * bus per port that delivers at most one element per cycle.  Each
+ * port issues one request per cycle unless the target module's
+ * input buffer is full, in which case it stalls and retries —
+ * exactly the processor model the paper's latency arithmetic
+ * assumes.  The single-port memory of the paper is the P = 1 case.
  *
  * The simulator's timing contract (DESIGN.md "Key design decisions"):
  * a request issued by the processor at cycle c crosses the 1-cycle
@@ -20,6 +28,21 @@
 #include "common/bits.h"
 
 namespace cfva {
+
+/** Static configuration of the memory subsystem. */
+struct MemConfig
+{
+    unsigned m = 3;            //!< log2 module count (M = 2^m)
+    unsigned t = 3;            //!< log2 service time (T = 2^t)
+    unsigned inputBuffers = 1; //!< q, per-module input entries
+    unsigned outputBuffers = 1; //!< q', per-module output entries
+
+    ModuleId modules() const { return ModuleId{1} << m; }
+    Cycle serviceCycles() const { return Cycle{1} << t; }
+
+    /** True for the matched case M = T the paper starts from. */
+    bool matched() const { return m == t; }
+};
 
 /** One element request as produced by an access ordering. */
 struct Request

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "memsys/memory_system.h"
 
 namespace cfva {
 
@@ -252,7 +251,7 @@ SteadyStateCollapser::tryRun(const MemConfig &cfg, std::size_t length,
             }
         }
 
-        // The per-cycle model, step for step (memory_system.cc).
+        // The per-cycle model, step for step (multi_port.cc at P = 1).
         // 1. Retire finished services into output buffers.
         if (busy != 0) {
             for (ModState &ms : state_) {

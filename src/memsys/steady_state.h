@@ -36,7 +36,7 @@
  * holds a second, separate OutcomeMemo in front of its simulation
  * fallback, keyed on the same canonical form over all P ports, so a
  * repeated rejected access replays instead of re-simulating.  The
- * stepped engines (memory_system.h, event_driven.h) have no fast
+ * stepped engines (multi_port.h, event_multi_port.h) have no fast
  * path of their own — they are the plain oracles both are
  * differentially tested against (tests/test_collapse.cc,
  * tests/test_conflict_solver.cc, tests/test_theory_backend.cc,
@@ -163,7 +163,8 @@ class SteadyStateCollapser
      * Attempts to answer an access of @p length requests premapped
      * to @p mods on the shape @p cfg.  On success returns true with
      * emits()/summary() holding the full position-form trace —
-     * bit-identical to what MemorySystem::run would record — and
+     * bit-identical to what a stepped engine's runSingle() would
+     * record — and
      * writes the stepped-cycle count to @p steppedOut.  Returns
      * false (scratch clobbered, no other effect) when the module
      * sequence is aperiodic, too short, or the state never recurs

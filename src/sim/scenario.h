@@ -102,7 +102,15 @@ struct ScenarioGrid
      */
     std::vector<std::uint64_t> lengths = {0};
 
-    /** Explicit start addresses. */
+    /**
+     * Explicit start addresses.  Addressing is modular: element i
+     * of an access lives at (start + i * stride) mod 2^64, so a
+     * start near 2^64 wraps to the bottom of the address space
+     * (start 2^64 - 1 with stride 1 touches 2^64 - 1, 0, 1, ...).
+     * Every mapping is a function of the 64-bit address, so a
+     * wrapped access is as well defined as any other, and the
+     * analytic tier answers it exactly as the engines do.
+     */
     std::vector<Addr> starts = {0};
 
     /**

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/access_unit.h"
+#include "memsys/multi_port.h"
 #include "test_util.h"
 
 namespace cfva {

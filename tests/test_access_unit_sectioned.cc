@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/access_unit.h"
+#include "memsys/multi_port.h"
 #include "test_util.h"
 #include "theory/theory.h"
 

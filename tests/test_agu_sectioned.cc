@@ -12,7 +12,7 @@
 
 #include "access/agu.h"
 #include "mapping/xor_sectioned.h"
-#include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "theory/theory.h"
 
 namespace cfva {

@@ -40,7 +40,6 @@
 #include "mapping/xor_sectioned.h"
 #include "core/access_unit.h"
 #include "memsys/backend.h"
-#include "memsys/memory_system.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 

@@ -30,9 +30,9 @@
 #include "mapping/prand.h"
 #include "mapping/xor_matched.h"
 #include "mapping/xor_sectioned.h"
-#include "memsys/event_driven.h"
+#include "memsys/event_multi_port.h"
 #include "memsys/event_queue.h"
-#include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "memsys/steady_state.h"
 #include "test_util.h"
 #include "theory/conflict_solver.h"
@@ -73,14 +73,14 @@ expectSolverIdentical(const MemConfig &cfg, const ModuleMapping &map,
                       const std::string &what)
 {
     const std::vector<ModuleId> mods = scalarPremap(map, stream);
-    MemorySystem oracle(cfg, map);
-    const AccessResult expect = oracle.run(stream);
-    EXPECT_EQ(oracle.run(stream, nullptr, mods.data()), expect)
+    PerCycleMultiPort oracle(cfg, map);
+    const AccessResult expect = oracle.runSingle(stream);
+    EXPECT_EQ(oracle.runSingleMapped(stream, mods.data()), expect)
         << what << " (per-cycle engine, scalar premap)";
-    EventDrivenMemorySystem event(cfg, map);
-    EXPECT_EQ(event.run(stream), expect)
+    EventDrivenMultiPort event(cfg, map);
+    EXPECT_EQ(event.runSingle(stream), expect)
         << what << " (event-driven engine)";
-    EXPECT_EQ(event.run(stream, nullptr, mods.data()), expect)
+    EXPECT_EQ(event.runSingleMapped(stream, mods.data()), expect)
         << what << " (event-driven engine, scalar premap)";
 
     ConflictSolver solver;
@@ -225,7 +225,7 @@ TEST(OutcomeMemo, BaseShiftedOrderIsomorphicStreamHits)
     cfg.m = 2;
     cfg.t = 2;
     ConflictSolver solver;
-    MemorySystem oracle(cfg, map);
+    PerCycleMultiPort oracle(cfg, map);
     const auto solve = [&](const std::vector<Request> &stream) {
         const std::vector<ModuleId> mods = scalarPremap(map, stream);
         AccessResult r;
@@ -240,13 +240,13 @@ TEST(OutcomeMemo, BaseShiftedOrderIsomorphicStreamHits)
     const AccessResult first = solve(base0);
     EXPECT_EQ(solver.stats().memoMisses, 1u);
     EXPECT_EQ(solver.stats().collapseHits, 1u);
-    EXPECT_EQ(first, oracle.run(base0));
+    EXPECT_EQ(first, oracle.runSingle(base0));
     EXPECT_GT(first.stallCycles, 0u) << "stream should conflict";
 
     const AccessResult shifted = solve(base1);
     EXPECT_EQ(solver.stats().memoHits, 1u)
         << "base-shifted rank-isomorphic stream must replay";
-    EXPECT_EQ(shifted, oracle.run(base1));
+    EXPECT_EQ(shifted, oracle.runSingle(base1));
 
     // Same stream again: the identity relabeling also hits.
     const AccessResult again = solve(base0);
@@ -266,7 +266,7 @@ TEST(OutcomeMemo, XorBaseShiftReordersModulesAndMisses)
     const XorMatchedMapping map(3, 4);
     const MemConfig cfg;
     ConflictSolver solver;
-    MemorySystem oracle(cfg, map);
+    PerCycleMultiPort oracle(cfg, map);
 
     for (Addr base : {Addr{0}, Addr{3}}) {
         const auto stream = strideStream(base, 32, 64);
@@ -275,7 +275,7 @@ TEST(OutcomeMemo, XorBaseShiftReordersModulesAndMisses)
         ASSERT_TRUE(
             solver.solve(cfg, stream, mods.data(), nullptr, r))
             << "base " << base;
-        EXPECT_EQ(r, oracle.run(stream)) << "base " << base;
+        EXPECT_EQ(r, oracle.runSingle(stream)) << "base " << base;
         EXPECT_GT(r.stallCycles, 0u) << "stream should conflict";
     }
     EXPECT_EQ(solver.stats().memoHits, 0u)
@@ -303,8 +303,8 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
     EXPECT_EQ(solver.stats().collapseHits, 1u);
     EXPECT_EQ(solver.stats().memoMisses, 0u);
 
-    MemorySystem oracle(cfg, map);
-    EXPECT_EQ(result, oracle.run(stream));
+    PerCycleMultiPort oracle(cfg, map);
+    EXPECT_EQ(result, oracle.runSingle(stream));
 
     // Nothing was stored, so the same stream collapses again
     // instead of replaying.

@@ -1,13 +1,16 @@
 /**
  * @file
- * Differential testing of the event-driven memory-system engine
- * against the cycle-accurate per-cycle oracle.
+ * Differential testing of the event-driven engine against the
+ * cycle-accurate per-cycle oracle at P = 1, the paper's single-port
+ * memory.
  *
- * The contract (memsys/event_driven.h): for every request stream on
- * every memory shape, EventDrivenMemorySystem::run returns an
- * AccessResult bit-identical to MemorySystem::run — every delivery
- * record with all five timestamps, every stall, every aggregate.
- * Two layers of evidence:
+ * The contract (memsys/event_multi_port.h): for every request stream
+ * on every memory shape, EventDrivenMultiPort returns an
+ * AccessResult bit-identical to PerCycleMultiPort — every delivery
+ * record with all five timestamps, every stall, every aggregate —
+ * through each single-port entry point (runSingle, runSingleMapped,
+ * run({stream})), with or without a DeliveryArena.  Two layers of
+ * evidence:
  *
  * 1. Raw-stream properties: randomized and adversarial request
  *    streams (single-module pileups, clustered addresses, permuted
@@ -20,14 +23,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
 #include "core/access_unit.h"
 #include "mapping/interleave.h"
 #include "mapping/xor_matched.h"
-#include "memsys/event_driven.h"
-#include "memsys/memory_system.h"
+#include "memsys/backend.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 #include "test_util.h"
@@ -35,23 +39,71 @@
 namespace cfva {
 namespace {
 
-/** Runs @p stream through both engines and asserts equality. */
+/** Asserts @p got bit-identical to @p oracle, naming the first
+ *  diverging delivery. */
+void
+expectSameResult(const AccessResult &got, const AccessResult &oracle,
+                 const std::string &what)
+{
+    ASSERT_EQ(got.deliveries.size(), oracle.deliveries.size())
+        << what;
+    for (std::size_t i = 0; i < oracle.deliveries.size(); ++i) {
+        ASSERT_EQ(got.deliveries[i], oracle.deliveries[i])
+            << what << ": delivery " << i << " diverges (element "
+            << oracle.deliveries[i].element << ")";
+    }
+    EXPECT_EQ(got, oracle) << what;
+}
+
+/**
+ * Runs @p stream through both engines at P = 1 — runSingle(),
+ * runSingleMapped() over a scalar premap, and run({stream}), each
+ * without and with a DeliveryArena — and asserts every answer
+ * bit-identical to the per-cycle engine's runSingle().
+ */
 void
 expectEnginesAgree(const MemConfig &cfg, const ModuleMapping &map,
                    const std::vector<Request> &stream,
                    const char *what)
 {
-    const AccessResult oracle = simulateAccess(cfg, map, stream);
-    const AccessResult event =
-        simulateAccessEventDriven(cfg, map, stream);
-    ASSERT_EQ(event.deliveries.size(), oracle.deliveries.size())
-        << what;
-    for (std::size_t i = 0; i < oracle.deliveries.size(); ++i) {
-        ASSERT_EQ(event.deliveries[i], oracle.deliveries[i])
-            << what << ": delivery " << i << " diverges (element "
-            << oracle.deliveries[i].element << ")";
+    std::vector<ModuleId> mods(stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        mods[i] = map.moduleOf(stream[i].addr);
+
+    const auto per_cycle =
+        makeMemoryBackend(EngineKind::PerCycle, cfg, map);
+    const auto event =
+        makeMemoryBackend(EngineKind::EventDriven, cfg, map);
+    const AccessResult oracle = per_cycle->runSingle(stream);
+    const Cycle makespan =
+        oracle.deliveries.empty() ? 0 : oracle.lastDelivery + 1;
+
+    DeliveryArena arena;
+    for (MemoryBackend *engine : {per_cycle.get(), event.get()}) {
+        for (DeliveryArena *a : {static_cast<DeliveryArena *>(nullptr),
+                                 &arena}) {
+            const std::string where = std::string(what) + " ("
+                                      + engine->name()
+                                      + (a ? ", arena" : "") + ")";
+            AccessResult single = engine->runSingle(stream, a);
+            expectSameResult(single, oracle, where + " runSingle");
+            AccessResult mapped =
+                engine->runSingleMapped(stream, mods.data(), a);
+            expectSameResult(mapped, oracle,
+                             where + " runSingleMapped");
+            MultiPortResult wrapped = engine->run({stream}, a);
+            ASSERT_EQ(wrapped.ports.size(), 1u) << where;
+            expectSameResult(wrapped.ports[0], oracle,
+                             where + " run({stream})");
+            EXPECT_EQ(wrapped.makespan, makespan) << where;
+            if (a) {
+                // Recycle the buffers so later runs draw stale ones.
+                a->release(std::move(single.deliveries));
+                a->release(std::move(mapped.deliveries));
+                a->release(std::move(wrapped.ports[0].deliveries));
+            }
+        }
     }
-    EXPECT_EQ(event, oracle) << what;
 }
 
 std::vector<Request>

@@ -15,7 +15,7 @@
 #include "access/ordering.h"
 #include "common/stats.h"
 #include "core/access_unit.h"
-#include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "theory/theory.h"
 #include "vproc/data_memory.h"
 

@@ -13,7 +13,7 @@
 #include "mapping/interleave.h"
 #include "mapping/skew.h"
 #include "mapping/xor_matched.h"
-#include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "test_util.h"
 #include "theory/theory.h"
 

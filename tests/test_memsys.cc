@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the cycle-accurate multi-module memory simulator.
+ * Tests for the cycle-accurate multi-module memory simulator at
+ * P = 1, the paper's single-port memory.
  */
 
 #include <gtest/gtest.h>
@@ -8,7 +9,8 @@
 #include "access/ordering.h"
 #include "mapping/interleave.h"
 #include "mapping/xor_matched.h"
-#include "memsys/memory_system.h"
+#include "memsys/event_multi_port.h"
+#include "memsys/multi_port.h"
 #include "test_util.h"
 
 namespace cfva {
@@ -75,7 +77,7 @@ TEST(MemoryModule, RejectsMisroutedRequest)
     EXPECT_THROW(mod.accept(d), std::runtime_error);
 }
 
-TEST(MemorySystem, ConflictFreeStreamHitsMinimumLatency)
+TEST(SinglePortMemory, ConflictFreeStreamHitsMinimumLatency)
 {
     // Odd stride on low-order interleave: conflict free, so the
     // latency must be exactly L + T + 1 (paper Sec. 2).
@@ -97,7 +99,7 @@ TEST(MemorySystem, ConflictFreeStreamHitsMinimumLatency)
     }
 }
 
-TEST(MemorySystem, WorstCaseSingleModule)
+TEST(SinglePortMemory, WorstCaseSingleModule)
 {
     // Stride = M on interleave: every element in one module; the
     // memory serializes at T cycles per element.
@@ -116,7 +118,7 @@ TEST(MemorySystem, WorstCaseSingleModule)
         EXPECT_EQ(result.deliveries[i].element, i);
 }
 
-TEST(MemorySystem, PartialConflictLatencyBetweenBounds)
+TEST(SinglePortMemory, PartialConflictLatencyBetweenBounds)
 {
     // The Sec. 3 example (stride 12 in order) conflicts but spreads
     // over all modules: latency strictly between the minimum and
@@ -131,7 +133,7 @@ TEST(MemorySystem, PartialConflictLatencyBetweenBounds)
     EXPECT_LT(result.latency, 64u * 8u);
 }
 
-TEST(MemorySystem, InputBuffersAbsorbShortBursts)
+TEST(SinglePortMemory, InputBuffersAbsorbShortBursts)
 {
     // Two requests to the same module back to back: with q = 2 the
     // second is accepted immediately (no processor stall), it just
@@ -153,7 +155,7 @@ TEST(MemorySystem, InputBuffersAbsorbShortBursts)
     EXPECT_LE(r_deep.latency, r_shallow.latency);
 }
 
-TEST(MemorySystem, ReturnBusDeliversOldestReadyFirst)
+TEST(SinglePortMemory, ReturnBusDeliversOldestReadyFirst)
 {
     // Two modules finish in staggered order; the bus must deliver
     // by readiness, not module index.
@@ -168,7 +170,7 @@ TEST(MemorySystem, ReturnBusDeliversOldestReadyFirst)
     EXPECT_LE(result.deliveries[0].ready, result.deliveries[1].ready);
 }
 
-TEST(MemorySystem, EmptyStream)
+TEST(SinglePortMemory, EmptyStream)
 {
     const MemConfig cfg{2, 2, 1, 1};
     const LowOrderInterleave map(2);
@@ -177,15 +179,16 @@ TEST(MemorySystem, EmptyStream)
     EXPECT_TRUE(result.deliveries.empty());
 }
 
-TEST(MemorySystem, MismatchedMappingRejected)
+TEST(SinglePortMemory, MismatchedMappingRejected)
 {
     test::ScopedPanicThrow guard;
     const MemConfig cfg{3, 3, 1, 1};
     const LowOrderInterleave map(2);
-    EXPECT_THROW(MemorySystem(cfg, map), std::runtime_error);
+    EXPECT_THROW(PerCycleMultiPort(cfg, map), std::runtime_error);
+    EXPECT_THROW(EventDrivenMultiPort(cfg, map), std::runtime_error);
 }
 
-TEST(MemorySystem, UnmatchedMemoryMoreModulesNoSlower)
+TEST(SinglePortMemory, UnmatchedMemoryMoreModulesNoSlower)
 {
     // M = T^2 modules can only help relative to M = T for the same
     // request addresses.
@@ -218,7 +221,7 @@ TEST(MemoryModule, PeakOccupancyTracksBacklog)
     EXPECT_EQ(mod.peakInputOccupancy(), 3u);
 }
 
-TEST(MemorySystem, DeliveryOrderHelper)
+TEST(SinglePortMemory, DeliveryOrderHelper)
 {
     const MemConfig cfg{2, 2, 1, 1};
     const LowOrderInterleave map(2);

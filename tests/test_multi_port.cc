@@ -15,27 +15,33 @@
 namespace cfva {
 namespace {
 
-TEST(MultiPort, SinglePortMatchesSinglePortSimulator)
+TEST(MultiPort, SinglePortIsThePaperClosedForm)
 {
+    // P = 1 is the paper's single-port memory: a conflict-free
+    // stride-1 access of L = 64 on M = T = 8 issues element i at
+    // cycle i and delivers it at cycle i + 1 + T, for the minimum
+    // latency L + T + 1 and no stalls — through both the
+    // single-port entry point and the P-port one.
     const MemConfig cfg{3, 3, 1, 1};
     const LowOrderInterleave map(3);
     const auto stream = canonicalOrder(5, Stride(1), 64);
+    const std::uint64_t T = cfg.serviceCycles();
 
-    const auto single = simulateAccess(cfg, map, stream);
     const auto multi = simulateMultiPort(cfg, map, {stream});
-
     ASSERT_EQ(multi.ports.size(), 1u);
-    EXPECT_EQ(multi.ports[0].latency, single.latency);
-    EXPECT_EQ(multi.ports[0].stallCycles, single.stallCycles);
-    EXPECT_EQ(multi.ports[0].conflictFree, single.conflictFree);
-    ASSERT_EQ(multi.ports[0].deliveries.size(),
-              single.deliveries.size());
-    for (std::size_t i = 0; i < single.deliveries.size(); ++i) {
-        EXPECT_EQ(multi.ports[0].deliveries[i].element,
-                  single.deliveries[i].element);
-        EXPECT_EQ(multi.ports[0].deliveries[i].delivered,
-                  single.deliveries[i].delivered);
+    for (const AccessResult &r : {simulateAccess(cfg, map, stream),
+                                  multi.ports[0]}) {
+        EXPECT_EQ(r.latency, theory::minimumLatency(64, T));
+        EXPECT_EQ(r.stallCycles, 0u);
+        EXPECT_TRUE(r.conflictFree);
+        ASSERT_EQ(r.deliveries.size(), 64u);
+        for (std::size_t i = 0; i < r.deliveries.size(); ++i) {
+            EXPECT_EQ(r.deliveries[i].element, i);
+            EXPECT_EQ(r.deliveries[i].delivered, i + 1 + T)
+                << "delivery " << i;
+        }
     }
+    EXPECT_EQ(multi.makespan, 64 + 1 + T);
 }
 
 TEST(MultiPort, DisjointModuleStreamsDoNotInterfere)

@@ -11,7 +11,7 @@
 
 #include "access/ordering.h"
 #include "mapping/analysis.h"
-#include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "test_util.h"
 
 namespace cfva {

@@ -12,7 +12,7 @@
 
 #include "access/ordering.h"
 #include "mapping/analysis.h"
-#include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "theory/theory.h"
 
 namespace cfva {

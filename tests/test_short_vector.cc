@@ -10,7 +10,7 @@
 
 #include "access/short_vector.h"
 #include "mapping/analysis.h"
-#include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "test_util.h"
 
 namespace cfva {

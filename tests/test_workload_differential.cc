@@ -117,6 +117,43 @@ TEST(WorkloadDifferential, EnginesBitIdenticalOnRandomizedGrid)
     EXPECT_EQ(oracle, fast);
 }
 
+TEST(WorkloadDifferential, TopOfAddressSpaceWrapsAndAuditsClean)
+{
+    // Addressing is modular (ScenarioGrid::starts): a start of
+    // 2^64 - 1 with a positive stride wraps to address 0 on its
+    // second element, and the analytic tier must still agree with
+    // the stepped oracle bit for bit on every workload and port
+    // count.
+    constexpr Addr kTop = ~Addr{0};
+    ScenarioGrid grid = differentialGrid();
+    grid.starts = {kTop};
+    grid.randomStarts = 0;
+
+    SweepOptions opts;
+    opts.tier = TierPolicy::AuditBoth;
+    SweepRunStats stats;
+    const SweepReport report = SweepEngine(opts).run(grid, &stats);
+    ASSERT_EQ(report.jobs(), grid.jobCount());
+    EXPECT_EQ(stats.tierAuditDivergences, 0u);
+    for (const auto &o : report.outcomes) {
+        EXPECT_EQ(o.a1, kTop) << "job " << o.index;
+        EXPECT_FALSE(o.tierAuditDiverged) << "job " << o.index;
+    }
+
+    for (const VectorUnitConfig &cfg : grid.mappings) {
+        const VectorAccessUnit unit(cfg);
+        const AccessPlan plan = unit.plan(kTop, Stride(1), 8);
+        std::size_t seen = 0;
+        for (const Request &r : plan.stream) {
+            if (r.element == 1) {
+                EXPECT_EQ(r.addr, Addr{0}) << cfg.describe();
+                ++seen;
+            }
+        }
+        EXPECT_EQ(seen, 1u) << cfg.describe();
+    }
+}
+
 TEST(WorkloadDifferential, SingleWorkloadFieldsMatchLegacyShape)
 {
     // The default workload must reproduce the pre-workload engine:

@@ -57,7 +57,8 @@ usage(std::ostream &os)
           "families/sigmas)\n"
           "  --lengths LIST     access lengths; 0 = full register "
           "(default 0)\n"
-          "  --starts LIST      start addresses (default 0)\n"
+          "  --starts LIST      start addresses, modulo 2^64 "
+          "(default 0)\n"
           "  --random-starts N  extra random starts per combo "
           "(default 3)\n"
           "  --workloads LIST   workload programs per scenario:\n"
