@@ -146,6 +146,26 @@ BM_PlanFullAccess(benchmark::State &state)
 BENCHMARK(BM_PlanFullAccess);
 
 /**
+ * The same full-register in-window access answered the way the
+ * sweep answers it: certified, so the theory tier claims it from
+ * its length and no stream is built.  Next to BM_PlanFullAccess it
+ * reads as the planning cost a summary claim no longer pays.
+ */
+void
+BM_CertifiedSummaryAccess(benchmark::State &state)
+{
+    const VectorAccessUnit unit(paperMatchedExample());
+    BackendCache cache;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(unit.access(
+            16, Stride(12), 128, nullptr, &cache,
+            TierPolicy::TheoryFirst, nullptr, ResultDetail::Summary));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CertifiedSummaryAccess);
+
+/**
  * The per-access setup cost the backend cache removes: the same
  * plan executed with a fresh backend per access (the historical
  * hot path) vs through a per-worker BackendCache.  The cached/

@@ -36,20 +36,15 @@ shortVectorOrder(Addr a1, const Stride &s, const ShortVectorPlan &plan,
 {
     std::vector<Request> stream = std::move(seed);
     stream.clear();
-    stream.reserve(plan.total);
-
     if (plan.hasReorderedPart()) {
-        auto head = conflictFreeOrderByKey(a1, plan.head, key);
-        stream.insert(stream.end(), head.begin(), head.end());
+        stream = conflictFreeOrderByKey(a1, plan.head, key,
+                                        std::move(stream));
     }
-
-    if (plan.ordered > 0) {
-        const Addr tail_a1 = a1 + s.value() * plan.reordered;
-        auto tail = canonicalOrder(tail_a1, s, plan.ordered);
-        for (auto &req : tail)
-            req.element += plan.reordered;
-        stream.insert(stream.end(), tail.begin(), tail.end());
-    }
+    stream.reserve(plan.total);
+    Addr a = a1 + s.value() * plan.reordered;
+    for (std::uint64_t i = plan.reordered; i < plan.total;
+         ++i, a += s.value())
+        stream.push_back({a, i});
     return stream;
 }
 

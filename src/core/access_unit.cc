@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/bits.h"
 #include "common/logging.h"
 #include "mapping/dynamic.h"
 #include "mapping/gf2_linear.h"
@@ -13,6 +14,32 @@
 #include "theory/theory_backend.h"
 
 namespace cfva {
+
+namespace {
+
+/**
+ * |@p stride| of a signed access, after the guard both signed entry
+ * points run first: the stride is nonzero, and a descending walk of
+ * @p length elements from @p a1 stays at or above address 0.
+ */
+std::uint64_t
+signedMagnitude(Addr a1, std::int64_t stride, std::uint64_t length)
+{
+    cfva_assert(stride != 0, "stride must be nonzero");
+    // Negated in unsigned arithmetic: -INT64_MIN is undefined.
+    const std::uint64_t bits = static_cast<std::uint64_t>(stride);
+    if (stride > 0)
+        return bits;
+    const std::uint64_t mag = std::uint64_t{0} - bits;
+    std::uint64_t span = 0;
+    cfva_assert(length == 0
+                    || (checkedMul(length - 1, mag, span) && a1 >= span),
+                "negative-stride access underflows address 0: a1=",
+                a1, ", |S|=", mag, ", V=", length);
+    return mag;
+}
+
+} // namespace
 
 const char *
 to_string(AccessPolicy policy)
@@ -196,61 +223,20 @@ VectorAccessUnit::reorderKey(unsigned x) const
     cfva_panic("unreachable memory kind");
 }
 
-AccessPlan
-VectorAccessUnit::planExact(Addr a1, const Stride &s,
-                            std::uint64_t length,
-                            std::vector<Request> seed,
-                            bool explain) const
+bool
+VectorAccessUnit::certifies(const Stride &s, std::uint64_t length) const
 {
-    AccessPlan plan;
-    plan.a1 = a1;
-    plan.stride = s;
-    plan.length = length;
-
     const unsigned x = s.family();
-
-    if (inOrderConflictFree(x)) {
-        plan.policy = AccessPolicy::InOrder;
-        plan.expectConflictFree = true;
-        plan.stream = canonicalOrder(a1, s, length, std::move(seed));
-        if (explain) {
-            std::ostringstream why;
-            why << "family x=" << x
-                << " is conflict free in order on "
-                << mapping_->name();
-            plan.rationale = why.str();
-        }
-        return plan;
-    }
-
+    if (inOrderConflictFree(x))
+        return true;
+    // A k*L access (k > 1) is planned register by register
+    // (Sec. 5C case ii) and Theorems 1 / 3 do not cover the seams
+    // between registers; any other length is one Fig. 4 ordering,
+    // conflict free iff the ordering covers the whole access.
+    const std::uint64_t reg_len = cfg_.registerLength();
+    const bool chunked = length > reg_len && length % reg_len == 0;
     const auto w = windowW(x);
-    if (w && subsequencePlanExists(cfg_.t, *w, s, length)) {
-        const auto sub = makeSubsequencePlan(cfg_.t, *w, s, length);
-        plan.policy = AccessPolicy::ConflictFree;
-        plan.expectConflictFree = true;
-        plan.stream = conflictFreeOrderByKey(a1, sub, reorderKey(x),
-                                             std::move(seed));
-        if (explain) {
-            std::ostringstream why;
-            why << "family x=" << x << " in window via w=" << *w
-                << ": Sec. " << (cfg_.kind == MemoryKind::Sectioned
-                                 ? "4.2" : "3.2")
-                << " out-of-order issue";
-            plan.rationale = why.str();
-        }
-        return plan;
-    }
-
-    plan.policy = AccessPolicy::InOrder;
-    plan.expectConflictFree = false;
-    plan.stream = canonicalOrder(a1, s, length, std::move(seed));
-    if (explain) {
-        std::ostringstream why;
-        why << "family x=" << x << " outside every window (vector "
-            << "not T-matched); canonical order";
-        plan.rationale = why.str();
-    }
-    return plan;
+    return !chunked && w && subsequencePlanExists(cfg_.t, *w, s, length);
 }
 
 AccessPlan
@@ -260,102 +246,78 @@ VectorAccessUnit::plan(Addr a1, const Stride &s,
                        bool explain) const
 {
     cfva_assert(length > 0, "empty access");
+    AccessPlan p;
+    p.a1 = a1;
+    p.stride = s;
+    p.length = length;
+    p.expectConflictFree = certifies(s, length);
     const std::uint64_t reg_len = cfg_.registerLength();
     const unsigned x = s.family();
-
-    if (length == reg_len)
-        return planExact(a1, s, length, std::move(seed), explain);
+    const bool in_order = inOrderConflictFree(x);
+    const auto w = windowW(x);
 
     if (length > reg_len && length % reg_len == 0) {
         // Sec. 5C case ii: multiple-size registers; apply the
         // register-length scheme to each portion.  Each chunk is
         // individually conflict free; the seams may cost up to T-1
         // cycles each, which the simulator measures honestly.
-        AccessPlan plan;
-        plan.policy = AccessPolicy::ChunkedByL;
-        plan.a1 = a1;
-        plan.stride = s;
-        plan.length = length;
-        plan.stream = std::move(seed);
-        plan.stream.clear();
-        plan.stream.reserve(length);
+        p.policy = AccessPolicy::ChunkedByL;
+        p.stream = std::move(seed);
+        p.stream.clear();
+        p.stream.reserve(length);
         const std::uint64_t chunks = length / reg_len;
         for (std::uint64_t c = 0; c < chunks; ++c) {
             const Addr chunk_a1 = a1 + s.value() * (c * reg_len);
-            AccessPlan sub =
-                planExact(chunk_a1, s, reg_len, {}, explain);
+            AccessPlan sub = plan(chunk_a1, s, reg_len, {}, false);
             for (auto &req : sub.stream)
                 req.element += c * reg_len;
-            plan.stream.insert(plan.stream.end(), sub.stream.begin(),
-                               sub.stream.end());
-            if (c == 0)
-                plan.expectConflictFree = sub.expectConflictFree;
-            else
-                plan.expectConflictFree &= sub.expectConflictFree;
-        }
-        // Seams between chunks are not covered by Theorem 1/3; only
-        // a fully in-order stream keeps the guarantee end to end.
-        if (plan.expectConflictFree && chunks > 1
-            && !inOrderConflictFree(x)) {
-            plan.expectConflictFree = false;
+            p.stream.insert(p.stream.end(), sub.stream.begin(),
+                            sub.stream.end());
         }
         if (explain) {
             std::ostringstream why;
             why << "V = " << chunks << " * L: per-portion scheme "
                 << "(Sec. 5C case ii)";
-            plan.rationale = why.str();
+            p.rationale = why.str();
         }
-        return plan;
-    }
-
-    if (inOrderConflictFree(x)) {
-        AccessPlan plan;
-        plan.policy = AccessPolicy::InOrder;
-        plan.a1 = a1;
-        plan.stride = s;
-        plan.length = length;
-        plan.expectConflictFree = true;
-        plan.stream = canonicalOrder(a1, s, length, std::move(seed));
+    } else if (in_order || !w) {
+        p.policy = AccessPolicy::InOrder;
+        p.stream = canonicalOrder(a1, s, length, std::move(seed));
         if (explain) {
-            plan.rationale = "in-order family; any length is "
-                             "conflict free";
+            std::ostringstream why;
+            why << "family x=" << x;
+            if (in_order)
+                why << " is conflict free in order on "
+                    << mapping_->name();
+            else
+                why << " outside every window; canonical order";
+            p.rationale = why.str();
         }
-        return plan;
-    }
-
-    // Sec. 5C case i: short vector; split into an out-of-order head
-    // of length k*2^{w+t-x} and an in-order tail.
-    AccessPlan plan;
-    plan.policy = AccessPolicy::SplitShort;
-    plan.a1 = a1;
-    plan.stride = s;
-    plan.length = length;
-
-    const auto w = windowW(x);
-    if (!w) {
-        plan.policy = AccessPolicy::InOrder;
-        plan.expectConflictFree = false;
-        plan.stream = canonicalOrder(a1, s, length, std::move(seed));
+    } else {
+        // Sec. 3.2 / 4.2 out-of-order issue of the longest head that
+        // is a whole number of periods 2^{w+t-x}; a short vector's
+        // remainder issues in order (Sec. 5C case i).  A full
+        // register is either all head or, past every period, all
+        // in order.
+        const auto split = planShortVector(cfg_.t, *w, s, length);
+        p.policy = length != reg_len      ? AccessPolicy::SplitShort
+                   : split.ordered == 0 ? AccessPolicy::ConflictFree
+                                        : AccessPolicy::InOrder;
+        p.stream = shortVectorOrder(a1, s, split, reorderKey(x),
+                                    std::move(seed));
         if (explain) {
-            plan.rationale = "family outside every window; "
-                             "canonical order";
+            std::ostringstream why;
+            why << "family x=" << x << " in window via w=" << *w
+                << ": Sec. " << (cfg_.kind == MemoryKind::Sectioned
+                                 ? "4.2" : "3.2")
+                << " out-of-order issue";
+            if (split.ordered > 0)
+                why << " of " << split.reordered << " elements + "
+                    << split.ordered << " in order (Sec. 5C)";
+            p.rationale = why.str();
         }
-        return plan;
     }
-
-    const auto split = planShortVector(cfg_.t, *w, s, length);
-    plan.stream = shortVectorOrder(a1, s, split, reorderKey(x),
-                                   std::move(seed));
-    plan.expectConflictFree =
-        split.hasReorderedPart() && split.ordered == 0;
-    if (explain) {
-        std::ostringstream why;
-        why << "short vector: " << split.reordered
-            << " elements out of order + " << split.ordered
-            << " in order (Sec. 5C)";
-        plan.rationale = why.str();
-    }
-    return plan;
+    return p;
 }
 
 AccessPlan
@@ -364,16 +326,9 @@ VectorAccessUnit::plan(Addr a1, std::int64_t stride,
                        std::vector<Request> seed,
                        bool explain) const
 {
-    cfva_assert(stride != 0, "stride must be nonzero");
+    const std::uint64_t mag = signedMagnitude(a1, stride, length);
     if (stride > 0)
-        return plan(a1, Stride(static_cast<std::uint64_t>(stride)),
-                    length, std::move(seed), explain);
-
-    const std::uint64_t mag =
-        static_cast<std::uint64_t>(-stride);
-    cfva_assert(a1 >= (length - 1) * mag,
-                "negative-stride access underflows address 0: a1=",
-                a1, ", |S|=", mag, ", V=", length);
+        return plan(a1, Stride(mag), length, std::move(seed), explain);
 
     // Walk the same addresses from the low end and mirror the
     // element numbering: element i of the descending vector is
@@ -387,6 +342,29 @@ VectorAccessUnit::plan(Addr a1, std::int64_t stride,
     if (explain)
         p.rationale += " (descending: mirrored from ascending twin)";
     return p;
+}
+
+template <typename F>
+auto
+VectorAccessUnit::withTheory(BackendCache *cache, TierCounters *tiers,
+                             F &&f) const
+{
+    const auto answer = [&](TheoryBackend &tb) {
+        auto r = f(tb);
+        if (tiers) {
+            tiers->add(tb.lastClaimed());
+            tiers->lastReason = tb.lastReason();
+        }
+        return r;
+    };
+    if (cache) {
+        return answer(cache->theoryBackendFor(
+            cfg_.engine, cfg_.memConfig(), *mapping_));
+    }
+    TheoryBackend tb(cfg_.memConfig(), *mapping_,
+                     makeMemoryBackend(cfg_.engine, cfg_.memConfig(),
+                                       *mapping_));
+    return answer(tb);
 }
 
 AccessResult
@@ -403,28 +381,13 @@ VectorAccessUnit::execute(const AccessPlan &plan,
         // theorems (O(1) under summary detail); everything else goes
         // straight to the steady-state solver — the per-element
         // proof would only re-derive what the windows already said.
-        const auto answer = [&](TheoryBackend &tb) {
-            AccessResult r =
-                plan.expectConflictFree
-                    ? tb.runSingleCertified(plan.stream, arena,
-                                            detail)
-                    : tb.runSingleHinted(false, plan.stream, arena,
-                                         detail);
-            if (tiers) {
-                tiers->add(tb.lastClaimed());
-                tiers->lastReason = tb.lastReason();
-            }
-            return r;
-        };
-        if (cache) {
-            return answer(cache->theoryBackendFor(
-                cfg_.engine, cfg_.memConfig(), *mapping_));
-        }
-        TheoryBackend tb(cfg_.memConfig(), *mapping_,
-                         makeMemoryBackend(cfg_.engine,
-                                           cfg_.memConfig(),
-                                           *mapping_));
-        return answer(tb);
+        return withTheory(cache, tiers, [&](TheoryBackend &tb) {
+            return plan.expectConflictFree
+                       ? tb.runSingleCertified(plan.stream, arena,
+                                               detail)
+                       : tb.runSingleHinted(false, plan.stream, arena,
+                                            detail);
+        });
     }
     if (tiers)
         tiers->add(false);
@@ -447,23 +410,9 @@ VectorAccessUnit::executePorts(
                 "AuditBoth is resolved by the caller running both "
                 "tiers; executePorts() takes a single tier");
     if (tier == TierPolicy::TheoryFirst) {
-        const auto answer = [&](TheoryBackend &tb) {
-            MultiPortResult r = tb.runPorts(streams, arena, detail);
-            if (tiers) {
-                tiers->add(tb.lastClaimed());
-                tiers->lastReason = tb.lastReason();
-            }
-            return r;
-        };
-        if (cache) {
-            return answer(cache->theoryBackendFor(
-                cfg_.engine, cfg_.memConfig(), *mapping_));
-        }
-        TheoryBackend tb(cfg_.memConfig(), *mapping_,
-                         makeMemoryBackend(cfg_.engine,
-                                           cfg_.memConfig(),
-                                           *mapping_));
-        return answer(tb);
+        return withTheory(cache, tiers, [&](TheoryBackend &tb) {
+            return tb.runPorts(streams, arena, detail);
+        });
     }
     if (tiers)
         tiers->add(false);
@@ -476,11 +425,52 @@ VectorAccessUnit::executePorts(
         ->run(streams, arena);
 }
 
+template <typename S>
 AccessResult
-VectorAccessUnit::access(Addr a1, const Stride &s,
-                         std::uint64_t length) const
+VectorAccessUnit::accessAs(Addr a1, S stride, const Stride &mag,
+                           std::uint64_t length, DeliveryArena *arena,
+                           BackendCache *cache, TierPolicy tier,
+                           TierCounters *tiers,
+                           ResultDetail detail) const
 {
-    return execute(plan(a1, s, length));
+    cfva_assert(length > 0, "empty access");
+    // The claim execute() would make from the plan's certification
+    // reads nothing of the stream but its length.
+    if (tier == TierPolicy::TheoryFirst && detail != ResultDetail::Full
+        && certifies(mag, length)) {
+        return withTheory(cache, tiers, [length](TheoryBackend &tb) {
+            return tb.claimCertified(length);
+        });
+    }
+    AccessPlan p = plan(a1, stride, length,
+                        arena ? arena->acquireRequests(length)
+                              : std::vector<Request>{},
+                        /*explain=*/false);
+    AccessResult r = execute(p, arena, cache, tier, tiers, detail);
+    if (arena)
+        arena->releaseRequests(std::move(p.stream));
+    return r;
+}
+
+AccessResult
+VectorAccessUnit::access(Addr a1, const Stride &s, std::uint64_t length,
+                         DeliveryArena *arena, BackendCache *cache,
+                         TierPolicy tier, TierCounters *tiers,
+                         ResultDetail detail) const
+{
+    return accessAs(a1, s, s, length, arena, cache, tier, tiers,
+                    detail);
+}
+
+AccessResult
+VectorAccessUnit::access(Addr a1, std::int64_t stride,
+                         std::uint64_t length, DeliveryArena *arena,
+                         BackendCache *cache, TierPolicy tier,
+                         TierCounters *tiers, ResultDetail detail) const
+{
+    return accessAs(a1, stride,
+                    Stride(signedMagnitude(a1, stride, length)), length,
+                    arena, cache, tier, tiers, detail);
 }
 
 } // namespace cfva

@@ -39,7 +39,8 @@ enum class AccessPolicy
 
 const char *to_string(AccessPolicy policy);
 
-/** A fully materialized access: policy, rationale, request stream. */
+/** A fully materialized access: policy, rationale, request stream
+ *  (VectorAccessUnit::access answers some accesses without one). */
 struct AccessPlan
 {
     AccessPolicy policy = AccessPolicy::InOrder;
@@ -50,7 +51,8 @@ struct AccessPlan
     /** Requests in issue order. */
     std::vector<Request> stream;
 
-    /** True iff the plan should achieve minimum latency L+T+1. */
+    /** True iff the plan should achieve minimum latency L+T+1:
+     *  VectorAccessUnit::certifies(|S|, V). */
     bool expectConflictFree = false;
 
     /** Human-readable explanation of the choice (for examples);
@@ -78,6 +80,11 @@ class VectorAccessUnit
      *  full-register access of this stride is conflict free. */
     bool inWindow(const Stride &s) const;
 
+    /** True iff the paper's theorems make an access of @p length
+     *  elements of stride @p s conflict free from any start: O(1)
+     *  in (family, length), and plan()'s expectConflictFree. */
+    bool certifies(const Stride &s, std::uint64_t length) const;
+
     /**
      * Chooses an ordering for a vector access of @p length elements
      * with stride @p s starting at @p a1 (any address).  @p seed
@@ -96,8 +103,8 @@ class VectorAccessUnit
      * same modules as the positive one walked from the other end,
      * so the plan is built for |S| from the lowest address and the
      * element indices are mirrored.  @p stride must be nonzero, and
-     * for negative strides a1 >= (length-1)*|S| so no address
-     * underflows.
+     * for negative strides (length-1)*|S| must fit 64 bits and not
+     * exceed a1, so no address underflows.
      */
     AccessPlan plan(Addr a1, std::int64_t stride,
                     std::uint64_t length,
@@ -129,7 +136,7 @@ class VectorAccessUnit
      * conflict free (AccessPlan::expectConflictFree) is claimed
      * directly from the paper's window theorems — O(1) per access
      * when @p detail skips the deliveries — instead of being
-     * re-proved element by element.
+     * re-proved element by element (access() skips the plan).
      */
     AccessResult execute(const AccessPlan &plan,
                          DeliveryArena *arena = nullptr,
@@ -157,20 +164,47 @@ class VectorAccessUnit
                  TierCounters *tiers = nullptr,
                  ResultDetail detail = ResultDetail::Full) const;
 
-    /** plan() + execute() in one call. */
-    AccessResult access(Addr a1, const Stride &s,
-                        std::uint64_t length) const;
+    /**
+     * plan() + execute() in one call, with execute()'s trailing
+     * parameters and its results.  Under TheoryFirst below Full
+     * detail an access that certifies() is claimed from its length:
+     * no stream is built and @p arena lends no request buffer.
+     */
+    AccessResult access(Addr a1, const Stride &s, std::uint64_t length,
+                        DeliveryArena *arena = nullptr,
+                        BackendCache *cache = nullptr,
+                        TierPolicy tier = TierPolicy::SimulateAlways,
+                        TierCounters *tiers = nullptr,
+                        ResultDetail detail = ResultDetail::Full) const;
+
+    /** Signed-stride access(); the signed plan()'s guard runs
+     *  before any claim. */
+    AccessResult access(Addr a1, std::int64_t stride,
+                        std::uint64_t length,
+                        DeliveryArena *arena = nullptr,
+                        BackendCache *cache = nullptr,
+                        TierPolicy tier = TierPolicy::SimulateAlways,
+                        TierCounters *tiers = nullptr,
+                        ResultDetail detail = ResultDetail::Full) const;
 
     const VectorUnitConfig &config() const { return cfg_; }
     const ModuleMapping &mapping() const { return *mapping_; }
     MemConfig memConfig() const { return cfg_.memConfig(); }
 
   private:
-    /** Plans one full-register (or period-multiple) access. */
-    AccessPlan planExact(Addr a1, const Stride &s,
-                         std::uint64_t length,
-                         std::vector<Request> seed = {},
-                         bool explain = true) const;
+    /** access() for plan() stride @p stride, |stride| = @p mag. */
+    template <typename S>
+    AccessResult accessAs(Addr a1, S stride, const Stride &mag,
+                          std::uint64_t length, DeliveryArena *arena,
+                          BackendCache *cache, TierPolicy tier,
+                          TierCounters *tiers,
+                          ResultDetail detail) const;
+
+    /** Runs @p f on the cached theory backend (or a fresh one) and
+     *  attributes the access to @p tiers. */
+    template <typename F>
+    auto withTheory(BackendCache *cache, TierCounters *tiers,
+                    F &&f) const;
 
     /** The reorder key for conflict-free issue at family @p x. */
     std::function<ModuleId(Addr)> reorderKey(unsigned x) const;

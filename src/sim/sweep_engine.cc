@@ -250,18 +250,16 @@ mixedStride(std::uint64_t baseStride, const PortMix &mix, unsigned p)
 }
 
 /**
- * Plans port @p p's stream of one workload access: stride scaled by
- * the mix, base address staggered per port, descending accesses
- * anchored at the top of their block so no address underflows.
- * @p a1 and @p baseStride are the access's own values — workloads
- * shift/scale them between accesses of a sequence.  With @p arena
- * the stream buffer is drawn from the worker's request pool; the
- * caller releases it back after use.
+ * Port @p p's start address and signed stride in one workload
+ * access: stride scaled by the mix, base address staggered per
+ * port, descending accesses anchored at the top of their block so
+ * no address underflows.  @p a1 and @p baseStride are the access's
+ * own values — workloads shift/scale them between accesses of a
+ * sequence.
  */
-AccessPlan
-planPortStream(const ScenarioGrid &grid, const Scenario &sc,
-               const VectorAccessUnit &unit, unsigned p, Addr a1,
-               std::uint64_t baseStride, DeliveryArena *arena)
+std::pair<Addr, std::int64_t>
+portAccess(const ScenarioGrid &grid, const Scenario &sc, unsigned p,
+           Addr a1, std::uint64_t baseStride)
 {
     const PortMix &mix = grid.portMixes[sc.portMixIndex];
     const std::int64_t stride = mixedStride(baseStride, mix, p);
@@ -270,10 +268,7 @@ planPortStream(const ScenarioGrid &grid, const Scenario &sc,
         start += (sc.length - 1)
                  * static_cast<std::uint64_t>(-stride);
     }
-    return unit.plan(start, stride, sc.length,
-                     arena ? arena->acquireRequests(sc.length)
-                           : std::vector<Request>{},
-                     /*explain=*/false);
+    return {start, stride};
 }
 
 /** Scalar outcome of one access within a workload sequence. */
@@ -328,27 +323,27 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
     TierCounters *tcp =
         tier == TierPolicy::TheoryFirst ? &tc : nullptr;
     if (sc.ports <= 1) {
-        AccessPlan p =
-            planPortStream(grid, sc, unit, 0, a1, baseStride, arena);
         // The sweep folds aggregates; only the captured last load
         // feeds the chaining model, and a uniform (certified
         // conflict-free) claim's chain costs are closed-form, so no
         // sweep access ever needs a claimed delivery stream
-        // materialized.  Solver (periodic) claims are non-uniform:
-        // SummaryIfUniform materializes those for chainCosts().
+        // materialized — and access() claims a certified one from
+        // its length without building the stream.  Solver (periodic)
+        // claims are non-uniform: SummaryIfUniform materializes
+        // those for chainCosts().
         const ResultDetail detail = loadOut
                                         ? ResultDetail::SummaryIfUniform
                                         : ResultDetail::Summary;
-        AccessResult r =
-            unit.execute(p, arena, cache, tier, tcp, detail);
+        const auto [start, stride] =
+            portAccess(grid, sc, 0, a1, baseStride);
+        AccessResult r = unit.access(start, stride, sc.length, arena,
+                                     cache, tier, tcp, detail);
         out.latency = r.latency;
         out.stalls = r.stallCycles;
         out.conflictFree = r.conflictFree;
         out.claimed = tc.claimed;
         out.fallback = tc.fallback;
         out.reason = resolveReason(unit, tc.lastReason);
-        if (arena)
-            arena->releaseRequests(std::move(p.stream));
         if (loadOut) {
             *loadOut = std::move(r);
         } else if (arena) {
@@ -364,9 +359,16 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
     // by the unit's engine knob.
     std::vector<std::vector<Request>> streams;
     streams.reserve(sc.ports);
+    // Port disjointness reads every port's module sequence, so
+    // each stream is built.
     for (unsigned p = 0; p < sc.ports; ++p) {
+        const auto [start, stride] =
+            portAccess(grid, sc, p, a1, baseStride);
         streams.push_back(
-            planPortStream(grid, sc, unit, p, a1, baseStride, arena)
+            unit.plan(start, stride, sc.length,
+                      arena ? arena->acquireRequests(sc.length)
+                            : std::vector<Request>{},
+                      /*explain=*/false)
                 .stream);
     }
     MultiPortResult r =

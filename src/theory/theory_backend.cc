@@ -215,17 +215,23 @@ TheoryBackend::runSingleCertified(const std::vector<Request> &stream,
                                   DeliveryArena *arena,
                                   ResultDetail detail)
 {
-    lastClaimed_ = true;
-    lastReason_ = FallbackReason::None;
-    stats_.add(true);
-    AccessResult out;
+    AccessResult out = claimCertified(stream.size());
     if (detail == ResultDetail::Full) {
         // Full detail still needs each delivery's module number.
         premap(stream, mods_);
         synthesizeUniform(stream, mods_.data(), arena, out);
-    } else {
-        summarizeUniform(stream.size(), out);
     }
+    return out;
+}
+
+AccessResult
+TheoryBackend::claimCertified(std::uint64_t length)
+{
+    lastClaimed_ = true;
+    lastReason_ = FallbackReason::None;
+    stats_.add(true);
+    AccessResult out;
+    summarizeUniform(length, out);
     return out;
 }
 

@@ -59,10 +59,12 @@
  *
  * The window classification itself (mapping kind + stride family
  * against matchedWindow / sectionedWindows / ...) lives in the
- * planner: VectorAccessUnit::plan sets AccessPlan::expectConflictFree
- * from exactly those windows.  execute() dispatches on it: certified
- * streams take runSingleCertified (theorem-backed O(1) claim),
- * everything else goes straight to the steady-state solver.  The
+ * planner: VectorAccessUnit::certifies, from which plan() sets
+ * AccessPlan::expectConflictFree.  execute() dispatches on it:
+ * certified streams take runSingleCertified (theorem-backed O(1)
+ * claim), everything else goes straight to the steady-state solver;
+ * access() claims a certified summary access through
+ * claimCertified() without planning its stream at all.  The
  * hinted entry point keeps the historical semantics for library
  * callers: the hint gates only the O(L) conflict-free proof; the
  * solver is attempted either way.
@@ -138,12 +140,23 @@ class TheoryBackend final : public MemoryBackend
      * stepped oracle (tests/test_conflict_solver.cc certified-plan
      * suite), --tier audit re-simulates every claimed scenario on
      * demand, and the plain hinted/proof path remains available to
-     * any caller that wants the per-access verification.
+     * any caller that wants the per-access verification.  Below
+     * Full detail only the stream's length is read: that is
+     * claimCertified(), which VectorAccessUnit::access calls
+     * without building the stream at all.
      */
     AccessResult
     runSingleCertified(const std::vector<Request> &stream,
                        DeliveryArena *arena = nullptr,
                        ResultDetail detail = ResultDetail::Full);
+
+    /**
+     * The summary claim of a certified access of @p length
+     * elements: the uniform schedule's aggregates and no
+     * deliveries, attributed (lastClaimed, lastReason, stats) like
+     * every other claim.
+     */
+    AccessResult claimCertified(std::uint64_t length);
 
     /** run() with a claimed-result detail knob (the virtual run()
      *  is runPorts with ResultDetail::Full). */

@@ -164,6 +164,86 @@ TEST(AccessUnit, ElementsCoveredExactlyOnceAllPolicies)
     }
 }
 
+/** One unit of every memory kind that (t, lambda) admits. */
+std::vector<VectorUnitConfig>
+everyKind(unsigned t, unsigned lambda)
+{
+    std::vector<VectorUnitConfig> cfgs;
+    VectorUnitConfig base;
+    base.t = t;
+    base.lambda = lambda;
+    if (lambda >= 2 * t) { // default s = lambda - t >= t
+        for (MemoryKind kind : {MemoryKind::Matched,
+                                MemoryKind::Sectioned}) {
+            VectorUnitConfig c = base;
+            c.kind = kind;
+            cfgs.push_back(c);
+        }
+        if (lambda - t >= t + 1) { // s >= m
+            VectorUnitConfig c = base;
+            c.kind = MemoryKind::SimpleUnmatched;
+            c.mOverride = t + 1;
+            cfgs.push_back(c);
+        }
+    }
+    VectorUnitConfig dyn = base;
+    dyn.kind = MemoryKind::DynamicTuned;
+    dyn.dynamicTune = 2;
+    cfgs.push_back(dyn);
+    VectorUnitConfig prand = base;
+    prand.kind = MemoryKind::PseudoRandom;
+    cfgs.push_back(prand);
+    return cfgs;
+}
+
+TEST(AccessUnit, CertifiesIsThePlansCertification)
+{
+    // One definition: for every policy the planner picks, the
+    // plan's certification is the O(1) predicate, for both signs.
+    std::size_t cases = 0;
+    std::size_t certified = 0;
+    for (unsigned t = 1; t <= 3; ++t) {
+        for (unsigned lambda = 4; lambda <= 8; ++lambda) {
+            for (const VectorUnitConfig &cfg : everyKind(t, lambda)) {
+                const VectorAccessUnit unit(cfg);
+                const std::uint64_t L = cfg.registerLength();
+                for (unsigned x = 0; x <= 11; ++x) {
+                    for (std::uint64_t sigma = 1; sigma <= 15;
+                         sigma += 2) {
+                        const Stride s = Stride::fromFamily(sigma, x);
+                        const auto S =
+                            static_cast<std::int64_t>(s.value());
+                        for (std::uint64_t V :
+                             {std::uint64_t{1}, std::uint64_t{2},
+                              std::uint64_t{3}, std::uint64_t{5},
+                              std::uint64_t{8}, L / 4, L / 2, L - 1,
+                              L, L + 1, L + L / 2, 2 * L, 3 * L,
+                              4 * L}) {
+                            const bool c = unit.certifies(s, V);
+                            EXPECT_EQ(c, unit.plan(12345, S, V, {},
+                                                   false)
+                                             .expectConflictFree)
+                                << cfg.describe() << " S=" << S
+                                << " V=" << V;
+                            EXPECT_EQ(c, unit.plan(Addr{1} << 40, -S,
+                                                   V, {}, false)
+                                             .expectConflictFree)
+                                << cfg.describe() << " S=-" << S
+                                << " V=" << V;
+                            cases += 2;
+                            certified += c ? 2 : 0;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The grid reaches both answers in bulk.
+    EXPECT_GT(cases, 100000u);
+    EXPECT_GT(certified, 10000u);
+    EXPECT_LT(certified, cases);
+}
+
 TEST(AccessUnit, RejectsEmptyAccess)
 {
     test::ScopedPanicThrow guard;

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "core/access_unit.h"
+#include "memsys/backend_cache.h"
 #include "test_util.h"
 #include "theory/theory.h"
 
@@ -76,6 +78,52 @@ TEST(SignedStride, RejectsZeroAndUnderflow)
     // a1 too low for 128 descending elements of stride 12.
     EXPECT_THROW(unit.plan(100, std::int64_t{-12}, 128),
                  std::runtime_error);
+}
+
+TEST(SignedStride, MostNegativeStrideIsNegatedWithoutOverflow)
+{
+    // |INT64_MIN| = 2^63 is representable only unsigned; negating
+    // the signed value would be undefined behaviour.
+    test::ScopedPanicThrow guard;
+    const VectorAccessUnit unit(paperMatchedExample());
+    const std::int64_t most_negative = INT64_MIN;
+    const Addr top = (Addr{1} << 63) + 5;
+    const auto p = unit.plan(top, most_negative, 2);
+    ASSERT_EQ(p.stream.size(), 2u);
+    for (const auto &req : p.stream)
+        EXPECT_EQ(req.addr, req.element == 0 ? top : Addr{5});
+    EXPECT_EQ(unit.access(top, most_negative, 2).deliveries.size(), 2u);
+    // One element below 2^63 the walk underflows.
+    EXPECT_THROW(unit.plan(top - 6, most_negative, 2),
+                 std::runtime_error);
+    EXPECT_THROW(unit.access(top - 6, most_negative, 2),
+                 std::runtime_error);
+}
+
+TEST(SignedStride, RejectsWalkWhoseSpanOverflows)
+{
+    // (V-1)*|S| = 4 * 2^62 wraps to 0, which no start address is
+    // below: an unchecked guard would let this walk underflow.
+    test::ScopedPanicThrow guard;
+    const VectorAccessUnit unit(paperMatchedExample());
+    const std::int64_t s62 = -(std::int64_t{1} << 62);
+    EXPECT_THROW(unit.plan(100, s62, 5), std::runtime_error);
+    EXPECT_THROW(unit.access(100, s62, 5), std::runtime_error);
+
+    // The guard also runs before a certified access is claimed
+    // from its length: |S| = 2^62 + 1 is odd (x = 0, in the
+    // window), V = L certifies, and 127 * |S| wraps below a1.
+    const std::int64_t odd = -((std::int64_t{1} << 62) + 1);
+    const Addr a1 = ~Addr{0};
+    ASSERT_TRUE(unit.certifies(Stride((Addr{1} << 62) + 1), 128));
+    EXPECT_THROW(unit.plan(a1, odd, 128), std::runtime_error);
+    BackendCache cache;
+    TierCounters tiers;
+    EXPECT_THROW(unit.access(a1, odd, 128, nullptr, &cache,
+                             TierPolicy::TheoryFirst, &tiers,
+                             ResultDetail::Summary),
+                 std::runtime_error);
+    EXPECT_EQ(tiers.claimed + tiers.fallback, 0u);
 }
 
 TEST(SignedStride, RationaleMentionsMirroring)

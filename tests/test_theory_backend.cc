@@ -243,6 +243,89 @@ TEST(TheoryBackend, CacheKeepsTiersSeparate)
     EXPECT_EQ(cache.size(), 2u);
 }
 
+TEST(TheoryBackend, AccessClaimsCertifiedAccessesWithoutAStream)
+{
+    // t = 2, lambda = 6: L = 64, s = 4, period 2^{6-x} below s.
+    const VectorAccessUnit unit(matchedConfig());
+    struct Case
+    {
+        std::uint64_t stride;
+        std::uint64_t length;
+        bool certified;
+    };
+    const Case cases[] = {
+        {3, 64, true},    // x = 0: Theorem 1 reordering
+        {16, 20, true},   // x = s: in order, any length
+        {12, 32, true},   // x = 2: two whole periods (Sec. 5C)
+        {3, 40, false},   // no whole period: in-order tail
+        {32, 64, false},  // x = 5: outside the window (solver)
+        {3, 128, false},  // 2L: register seams
+    };
+    for (const Case &c : cases) {
+        ASSERT_EQ(unit.certifies(Stride(c.stride), c.length),
+                  c.certified);
+        for (const std::int64_t sign : {1, -1}) {
+            const auto stride =
+                sign * static_cast<std::int64_t>(c.stride);
+            const Addr a1 = sign > 0 ? 5 : Addr{1} << 20;
+            for (const ResultDetail detail :
+                 {ResultDetail::Summary, ResultDetail::SummaryIfUniform,
+                  ResultDetail::Full}) {
+                SCOPED_TRACE(testing::Message()
+                             << "S=" << stride << " V=" << c.length
+                             << " detail=" << static_cast<int>(detail));
+                BackendCache viaAccessCache, viaPlanCache;
+                DeliveryArena viaAccessArena, viaPlanArena;
+                TierCounters viaAccessTiers, viaPlanTiers;
+                const AccessResult viaAccess = unit.access(
+                    a1, stride, c.length, &viaAccessArena,
+                    &viaAccessCache, TierPolicy::TheoryFirst,
+                    &viaAccessTiers, detail);
+                const AccessPlan plan = unit.plan(a1, stride, c.length);
+                const AccessResult viaPlan = unit.execute(
+                    plan, &viaPlanArena, &viaPlanCache,
+                    TierPolicy::TheoryFirst, &viaPlanTiers, detail);
+
+                // Scalars, and deliveries wherever either has them.
+                EXPECT_TRUE(viaAccess == viaPlan);
+                EXPECT_EQ(viaAccess.latency, viaPlan.latency);
+                EXPECT_EQ(viaAccess.deliveries.size(),
+                          viaPlan.deliveries.size());
+                EXPECT_EQ(viaAccessTiers, viaPlanTiers);
+                const auto theory = [&](BackendCache &cache) {
+                    return cache
+                        .theoryBackendFor(unit.config().engine,
+                                          unit.memConfig(),
+                                          unit.mapping())
+                        .stats();
+                };
+                EXPECT_EQ(theory(viaAccessCache), theory(viaPlanCache));
+                EXPECT_EQ(theory(viaAccessCache).claimed
+                              + theory(viaAccessCache).fallback,
+                          1u);
+
+                const bool streamless =
+                    c.certified && detail != ResultDetail::Full;
+                // No request buffer for a stream-less claim (and no
+                // delivery buffer: a summary has none); a planned
+                // access takes one and hands it back.
+                EXPECT_EQ(viaAccessArena.acquires() == 0, streamless);
+                EXPECT_EQ(viaAccessArena.pooledRequests(),
+                          streamless ? 0u : 1u);
+
+                // Without a cache: a fresh backend, same answer.
+                TierCounters uncachedTiers;
+                EXPECT_TRUE(unit.access(a1, stride, c.length, nullptr,
+                                        nullptr,
+                                        TierPolicy::TheoryFirst,
+                                        &uncachedTiers, detail)
+                            == viaPlan);
+                EXPECT_EQ(uncachedTiers, viaPlanTiers);
+            }
+        }
+    }
+}
+
 /** Grid of unit configurations spanning every mapping kind. */
 std::vector<VectorUnitConfig>
 auditConfigs()
