@@ -107,32 +107,21 @@ BM_OutOfOrderAguStep(benchmark::State &state)
 BENCHMARK(BM_OutOfOrderAguStep);
 
 /**
- * One body per (engine x stream shape): each per-cycle/event pair
- * reads directly as the event-driven speedup on that shape
- * (conflict free = every cycle busy; conflicted = mostly stalls,
- * where the event engine skips the dead cycles).
+ * One body per stream shape on the per-cycle simulator: conflict
+ * free = every cycle busy; conflicted = mostly stalls.
  */
 void
-BM_SimulateAccess(benchmark::State &state, EngineKind engine,
-                  std::uint64_t stride)
+BM_SimulateAccess(benchmark::State &state, std::uint64_t stride)
 {
-    VectorUnitConfig cfg = paperMatchedExample();
-    cfg.engine = engine;
-    const VectorAccessUnit unit(cfg);
+    const VectorAccessUnit unit(paperMatchedExample());
     const auto plan = unit.plan(16, Stride(stride), 128);
     for (auto _ : state) {
         benchmark::DoNotOptimize(unit.execute(plan));
     }
     state.SetItemsProcessed(state.iterations() * 128);
 }
-BENCHMARK_CAPTURE(BM_SimulateAccess, conflict_free_percycle,
-                  cfva::EngineKind::PerCycle, 12);
-BENCHMARK_CAPTURE(BM_SimulateAccess, conflict_free_event,
-                  cfva::EngineKind::EventDriven, 12);
-BENCHMARK_CAPTURE(BM_SimulateAccess, conflicted_percycle,
-                  cfva::EngineKind::PerCycle, 32);
-BENCHMARK_CAPTURE(BM_SimulateAccess, conflicted_event,
-                  cfva::EngineKind::EventDriven, 32);
+BENCHMARK_CAPTURE(BM_SimulateAccess, conflict_free, 12);
+BENCHMARK_CAPTURE(BM_SimulateAccess, conflicted, 32);
 
 void
 BM_PlanFullAccess(benchmark::State &state)
@@ -172,12 +161,9 @@ BENCHMARK(BM_CertifiedSummaryAccess);
  * fresh ratio is the construction overhead at this M.
  */
 void
-BM_ExecuteBackend(benchmark::State &state, EngineKind engine,
-                  bool cached)
+BM_ExecuteBackend(benchmark::State &state, bool cached)
 {
-    VectorUnitConfig cfg = paperSectionedExample(); // M = 64
-    cfg.engine = engine;
-    const VectorAccessUnit unit(cfg);
+    const VectorAccessUnit unit(paperSectionedExample()); // M = 64
     const auto plan = unit.plan(16, Stride(12), 128);
     BackendCache cache;
     for (auto _ : state) {
@@ -186,14 +172,8 @@ BM_ExecuteBackend(benchmark::State &state, EngineKind engine,
     }
     state.SetItemsProcessed(state.iterations() * 128);
 }
-BENCHMARK_CAPTURE(BM_ExecuteBackend, fresh_percycle,
-                  cfva::EngineKind::PerCycle, false);
-BENCHMARK_CAPTURE(BM_ExecuteBackend, cached_percycle,
-                  cfva::EngineKind::PerCycle, true);
-BENCHMARK_CAPTURE(BM_ExecuteBackend, fresh_event,
-                  cfva::EngineKind::EventDriven, false);
-BENCHMARK_CAPTURE(BM_ExecuteBackend, cached_event,
-                  cfva::EngineKind::EventDriven, true);
+BENCHMARK_CAPTURE(BM_ExecuteBackend, fresh, false);
+BENCHMARK_CAPTURE(BM_ExecuteBackend, cached, true);
 
 /**
  * End-to-end streaming sweep: a small grid run through runToSink
@@ -211,7 +191,6 @@ BM_SweepStreamCsv(benchmark::State &state)
 
     sim::SweepOptions opts;
     opts.threads = static_cast<unsigned>(state.range(0));
-    opts.engine = EngineKind::EventDriven;
     const sim::SweepEngine engine(opts);
     for (auto _ : state) {
         std::ostringstream sink_os;

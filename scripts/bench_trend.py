@@ -3,10 +3,9 @@
 
 Usage: bench_trend.py BASELINE FRESH [--threshold 0.30]
 
-Scaling rows are matched on (engine, tier, threads) and
-per-workload rows on (workload, tier); only legs present
-in BOTH files are compared, so adding or removing a leg never trips
-the gate.  A fresh leg whose
+Scaling rows are matched on (tier, threads) and per-workload rows
+on (workload, tier); only legs present in BOTH files are compared,
+so adding or removing a leg never trips the gate.  A fresh leg whose
 scenarios_per_s falls more than the threshold below the same
 baseline leg emits a GitHub Actions ::warning:: annotation.  The
 exit code is always 0: CI hosts are noisy and the committed
@@ -21,9 +20,10 @@ import sys
 
 
 def run_key(row):
+    # Rows written while the sweep had an engine knob also carry an
+    # "engine" field; it is ignored, so they match current rows.
     return (
         "run",
-        row.get("engine"),
         row.get("tier"),
         row.get("threads"),
     )

@@ -34,8 +34,6 @@
 // Memory-system simulators.
 #include "memsys/backend.h"
 #include "memsys/backend_cache.h"
-#include "memsys/event_multi_port.h"
-#include "memsys/event_queue.h"
 #include "memsys/multi_port.h"
 
 // Orderings and address-generation hardware.

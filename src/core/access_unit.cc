@@ -11,6 +11,7 @@
 #include "mapping/xor_sectioned.h"
 #include "memsys/backend.h"
 #include "memsys/backend_cache.h"
+#include "memsys/multi_port.h"
 #include "theory/theory_backend.h"
 
 namespace cfva {
@@ -359,11 +360,9 @@ VectorAccessUnit::withTheory(BackendCache *cache, TierCounters *tiers,
     };
     if (cache) {
         return answer(cache->theoryBackendFor(
-            cfg_.engine, cfg_.memConfig(), *mapping_));
+            EngineKind::PerCycle, cfg_.memConfig(), *mapping_));
     }
-    TheoryBackend tb(cfg_.memConfig(), *mapping_,
-                     makeMemoryBackend(cfg_.engine, cfg_.memConfig(),
-                                       *mapping_));
+    TheoryBackend tb(cfg_.memConfig(), *mapping_);
     return answer(tb);
 }
 
@@ -392,12 +391,11 @@ VectorAccessUnit::execute(const AccessPlan &plan,
     if (tiers)
         tiers->add(false);
     if (cache) {
-        return cache
-            ->backendFor(cfg_.engine, cfg_.memConfig(), *mapping_)
+        return cache->backendFor(cfg_.memConfig(), *mapping_)
             .runSingle(plan.stream, arena);
     }
-    return makeMemoryBackend(cfg_.engine, cfg_.memConfig(), *mapping_)
-        ->runSingle(plan.stream, arena);
+    return simulateAccess(cfg_.memConfig(), *mapping_, plan.stream,
+                          arena);
 }
 
 MultiPortResult
@@ -417,12 +415,11 @@ VectorAccessUnit::executePorts(
     if (tiers)
         tiers->add(false);
     if (cache) {
-        return cache
-            ->backendFor(cfg_.engine, cfg_.memConfig(), *mapping_)
+        return cache->backendFor(cfg_.memConfig(), *mapping_)
             .run(streams, arena);
     }
-    return makeMemoryBackend(cfg_.engine, cfg_.memConfig(), *mapping_)
-        ->run(streams, arena);
+    return PerCycleMultiPort(cfg_.memConfig(), *mapping_)
+        .run(streams, arena);
 }
 
 template <typename S>

@@ -112,17 +112,15 @@ class VectorAccessUnit
                     bool explain = true) const;
 
     /**
-     * Runs a plan through the memory backend selected by
-     * config().engine — the per-cycle reference or the event-driven
-     * engine; both produce identical results.  When @p arena is
+     * Runs a plan through the memory backend.  When @p arena is
      * given, the result's delivery buffer is recycled through it.
      * When @p cache is given, the backend instance is taken from it
      * (and built into it on first use) instead of being rebuilt for
      * this one access — the sweep engine passes each worker's cache
-     * so modules and event heaps are reused across all scenarios.
+     * so modules and scratch are reused across all scenarios.
      *
      * @p tier selects the evaluation tier: SimulateAlways runs the
-     * engine; TheoryFirst hands the plan to the analytic
+     * per-cycle simulator; TheoryFirst hands the plan to the analytic
      * TheoryBackend (the plan's expectConflictFree classification is
      * the claim hint) and simulates only when the claim is refused.
      * AuditBoth is resolved a layer up (runScenario runs both tiers
@@ -148,13 +146,10 @@ class VectorAccessUnit
 
     /**
      * Runs P = streams.size() simultaneous request streams through
-     * the port-aware backend selected by config().engine.  The
-     * engine knob is honored for every port count; the per-cycle
-     * and event-driven backends produce bit-identical results.
-     * @p cache, @p tier, @p tiers, @p detail as in
-     * execute(); the theory tier claims P > 1 accesses whose port
-     * streams are provably module-disjoint and falls back to the
-     * port-aware engine otherwise.
+     * the port-aware memory backend.  @p cache, @p tier, @p tiers,
+     * @p detail as in execute(); the theory tier claims P > 1
+     * accesses whose port streams are provably module-disjoint and
+     * falls back to the per-cycle simulator otherwise.
      */
     MultiPortResult
     executePorts(const std::vector<std::vector<Request>> &streams,

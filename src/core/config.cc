@@ -83,9 +83,6 @@ VectorUnitConfig::validate() const
                    " shorter than service time 2^", t);
     if (lambda > 24)
         cfva_fatal("lambda out of supported range: ", lambda);
-    if (inputBuffers < 1 || outputBuffers < 1)
-        cfva_fatal("buffers must be >= 1");
-
     const unsigned mm = m();
     if (mm < t)
         cfva_fatal("fewer modules (2^", mm, ") than the service "
@@ -94,6 +91,7 @@ VectorUnitConfig::validate() const
     if (lambda < mm)
         cfva_fatal("the paper requires lambda >= m (lambda=", lambda,
                    ", m=", mm, ")");
+    memConfig().validate();
 
     // The s/y transform parameters only exist for the paper's XOR
     // organizations; the prior-art kinds have their own knobs.

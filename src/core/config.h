@@ -56,9 +56,6 @@ enum class MemoryKind
 
 const char *to_string(MemoryKind kind);
 
-// EngineKind (per-cycle vs event-driven) lives with the backends it
-// selects: memsys/backend.h, included above.
-
 /** Validated parameters of a vector access unit. */
 struct VectorUnitConfig
 {
@@ -91,8 +88,7 @@ struct VectorUnitConfig
     /** PseudoRandom only: seed of the GF(2) matrix. */
     std::uint64_t prandSeed = 0x52A5ull;
 
-    /** Which simulation engine access() / execute() /
-     *  executePorts() run on — honored for every port count. */
+    /** Kept while sweepbench names it; drop at the next benchmark PR. */
     EngineKind engine = EngineKind::PerCycle;
 
     unsigned m() const;
@@ -111,17 +107,14 @@ struct VectorUnitConfig
 
     /**
      * Checks every paper precondition (s >= t, y >= s+t,
-     * lambda >= m, ...); calls cfva_fatal with a diagnostic on the
-     * first violation.
+     * lambda >= m, ...) and the memory shape
+     * (MemConfig::validate()); calls cfva_fatal with a diagnostic
+     * on the first violation.
      */
     void validate() const;
 
-    /**
-     * One-line summary for logs and bench headers.  Deliberately
-     * excludes the engine: both engines produce identical results,
-     * and sweep reports keyed by this label must compare equal
-     * across engines (the cfva_sweep cross-check relies on it).
-     */
+    /** One-line summary for logs, bench headers, and the sweep
+     *  reports' mapping labels. */
     std::string describe() const;
 };
 

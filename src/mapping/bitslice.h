@@ -14,12 +14,12 @@
  * elements.  The transpose itself is the classic 64x64 recursive
  * block swap (6 rounds of 32 masked swaps, ~18 ops per element).
  *
- * BitSlicedMapper packages this for the memory engines: built from
+ * BitSlicedMapper packages this for the memory backends: built from
  * a mapping, it captures the rows when the mapping declares itself
  * GF(2)-linear (ModuleMapping::gf2Rows) and falls back to scalar
  * moduleOf() calls otherwise — the dynamic (retunable) scheme keeps
  * its exact semantics because its rows change under retune() and it
- * therefore never exposes them.  Engines premap whole request
+ * therefore never exposes them.  The backends premap whole request
  * streams through one mapper instead of querying the mapping
  * per element inside their cycle loops;
  * tests/test_bitslice.cc proves packed lanes == scalar mapModule
@@ -67,7 +67,7 @@ void transpose64(std::uint64_t w[64]);
  * There is no knob to force the scalar mode on a linear mapping:
  * moduleOf() stays the definition, and tests diff the packed path
  * against a plain moduleOf() loop (or hand such a premap to the
- * engines through their premapped argument).
+ * backends through their premapped argument).
  */
 class BitSlicedMapper
 {
@@ -104,7 +104,7 @@ class BitSlicedMapper
 
     /**
      * Maps @p n elements addressed through @p addrAt(i) — the form
-     * the engines use to premap Request streams without copying the
+     * the backends use to premap Request streams without copying the
      * addresses out first.  Blocks of kLaneWidth go through the
      * packed-lane path; the tail (and the scalar mode) map one
      * element at a time.

@@ -4,21 +4,22 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "memsys/event_multi_port.h"
 #include "memsys/multi_port.h"
 
 namespace cfva {
 
-const char *
-to_string(EngineKind engine)
+void
+MemConfig::validate() const
 {
-    switch (engine) {
-      case EngineKind::PerCycle:
-        return "per-cycle";
-      case EngineKind::EventDriven:
-        return "event-driven";
-    }
-    return "?";
+    if (m >= 32)
+        cfva_fatal("2^", m, " modules overflow a 32-bit module id "
+                   "(m must be < 32)");
+    if (t >= 64)
+        cfva_fatal("service time 2^", t, " overflows a 64-bit cycle "
+                   "count (t must be < 64)");
+    if (inputBuffers < 1 || outputBuffers < 1)
+        cfva_fatal("buffers must be >= 1 (q=", inputBuffers,
+                   ", q'=", outputBuffers, ")");
 }
 
 const char *
@@ -132,25 +133,6 @@ DeliveryArena::pooledBytes() const
     return bytes;
 }
 
-AccessResult
-MemoryBackend::runSingleMapped(const std::vector<Request> &stream,
-                               const ModuleId *modules,
-                               DeliveryArena *arena)
-{
-    (void)modules;
-    return runSingle(stream, arena);
-}
-
-MultiPortResult
-MemoryBackend::runMapped(
-    const std::vector<std::vector<Request>> &streams,
-    const std::vector<std::vector<ModuleId>> &modules,
-    DeliveryArena *arena)
-{
-    (void)modules;
-    return run(streams, arena);
-}
-
 std::vector<std::uint64_t>
 AccessResult::deliveryOrder() const
 {
@@ -162,62 +144,12 @@ AccessResult::deliveryOrder() const
 }
 
 std::unique_ptr<MemoryBackend>
-makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
-                  const ModuleMapping &map)
+makeMemoryBackend(const MemConfig &cfg, const ModuleMapping &map)
 {
-    switch (engine) {
-      case EngineKind::PerCycle:
-        return std::make_unique<PerCycleMultiPort>(cfg, map);
-      case EngineKind::EventDriven:
-        return std::make_unique<EventDrivenMultiPort>(cfg, map);
-    }
-    cfva_panic("unreachable engine kind");
+    return std::make_unique<PerCycleMultiPort>(cfg, map);
 }
 
 namespace detail {
-
-MultiPortResult
-assemblePortResults(const MemConfig &cfg,
-                    std::span<const PortView> views,
-                    std::vector<PortState> &ports, Cycle lastDelivery)
-{
-    MultiPortResult result;
-    bool any = false;
-    for (const auto &p : ports)
-        any |= !p.delivered.empty();
-    result.makespan = any ? lastDelivery + 1 : 0;
-    result.ports.resize(ports.size());
-    for (std::size_t p = 0; p < ports.size(); ++p) {
-        AccessResult &r = result.ports[p];
-        r.deliveries = std::move(ports[p].delivered);
-        r.firstIssue = ports[p].firstIssue;
-        r.lastDelivery =
-            r.deliveries.empty() ? 0 : r.deliveries.back().delivered;
-        r.latency = r.deliveries.empty()
-            ? 0 : r.lastDelivery - r.firstIssue + 1;
-        r.stallCycles = ports[p].stalls;
-        if (views[p].requests.empty()) {
-            // A port with nothing to issue vacuously ran at its
-            // minimum.
-            r.conflictFree = true;
-            continue;
-        }
-        const Cycle min_latency =
-            static_cast<Cycle>(views[p].requests.size())
-            + cfg.serviceCycles() + 1;
-        r.conflictFree =
-            r.stallCycles == 0 && r.latency == min_latency;
-    }
-    return result;
-}
-
-Cycle
-wedgeLimit(const MemConfig &cfg, std::size_t total, unsigned n_ports)
-{
-    return (static_cast<Cycle>(total) + 4 * n_ports)
-               * (cfg.serviceCycles() + 2)
-           + 64;
-}
 
 void
 premapPorts(const BitSlicedMapper &slicer,
@@ -232,22 +164,6 @@ premapPorts(const BitSlicedMapper &slicer,
         slicer.mapWith(
             [&stream](std::size_t i) { return stream[i].addr; },
             stream.size(), mods[p].data());
-    }
-}
-
-void
-viewPorts(const std::vector<std::vector<Request>> &streams,
-          const std::vector<std::vector<ModuleId>> &mods,
-          std::vector<PortView> &views)
-{
-    cfva_assert(!streams.empty(), "need at least one port");
-    cfva_assert(mods.size() >= streams.size(),
-                "need one module sequence per port");
-    views.resize(streams.size());
-    for (std::size_t p = 0; p < streams.size(); ++p) {
-        cfva_assert(mods[p].size() == streams[p].size(),
-                    "port ", p, " module sequence length mismatch");
-        views[p] = {streams[p], mods[p].data()};
     }
 }
 

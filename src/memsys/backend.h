@@ -5,20 +5,18 @@
  * One abstraction covers every simulation path: a MemoryBackend maps
  * (streams, config, mapping) to a MultiPortResult, where the
  * single-port access every earlier layer was built around is simply
- * the P = 1 case.  Two engines implement it:
+ * the P = 1 case.  Two implementations exist:
  *
  * - PerCycleMultiPort (memsys/multi_port.h): the cycle-stepped
- *   reference.  It remains the oracle the event-driven engine, the
+ *   simulator, one loop over P port views; the paper's single-port
+ *   memory runs that same loop with P = 1.  It is the oracle the
  *   analytic tier and --tier audit are differentially tested
  *   against.
- * - EventDrivenMultiPort (memsys/event_multi_port.h): jumps straight
- *   to the next state-changing cycle; per-port output heaps replace
- *   the O(P*M) per-cycle return-bus head scan.
+ * - TheoryBackend (theory/theory_backend.h): the analytic tier,
+ *   which answers what it can prove and falls back to a
+ *   PerCycleMultiPort for the rest.
  *
- * Each engine has one simulation loop, over P port views; the
- * paper's single-port memory runs that same loop with P = 1.
- *
- * EngineKind lives here (not in core/) so the dispatch is decided at
+ * TierPolicy lives here (not in core/) so the dispatch is decided at
  * the memsys layer and every consumer — VectorAccessUnit, the sweep
  * engine, tools — honors the knob for all port counts.
  */
@@ -36,56 +34,42 @@
 
 namespace cfva {
 
-/** Which memory-system simulation engine executes an access. */
+/** Kept while sweepbench names it; drop at the next benchmark PR. */
 enum class EngineKind
 {
-    /** The cycle-accurate reference: every cycle is stepped. */
-    PerCycle,
-
-    /**
-     * Event-driven scheduling: time jumps to the next
-     * state-changing instant.  Bit-identical results, measurably
-     * faster — the per-cycle model remains the oracle.
-     */
-    EventDriven,
+    PerCycle, //!< the per-cycle simulator, the only engine
 };
-
-const char *to_string(EngineKind engine);
 
 /**
  * Which evaluation tier answers an access: the analytic theory
- * fast path (theory/theory_backend.h), the simulation engines, or
- * both with a bit-for-bit cross-check.  Lives here for the same
- * reason as EngineKind: the dispatch is decided where the backends
- * are, and every consumer honors one knob.
+ * fast path (theory/theory_backend.h), the per-cycle simulator, or
+ * both with a bit-for-bit cross-check.  The dispatch is decided
+ * where the backends are, and every consumer honors one knob.
  */
 enum class TierPolicy
 {
     /** Always simulate, every cycle of every access: the pure
-     *  stepped oracle and the library default (cfva_sweep defaults
-     *  to TheoryFirst). */
+     *  stepped oracle. */
     SimulateAlways,
 
     /**
      * Try the analytic TheoryBackend first; accesses it cannot
-     * prove conflict free fall back to the simulation engine.
+     * prove conflict free fall back to the per-cycle simulator.
      * Claimed results are bit-identical to simulation by
-     * construction (the audit tier enforces it).
+     * construction (the audit tier enforces it).  The default of
+     * SweepOptions and of cfva_sweep.
      */
     TheoryFirst,
 
-    /**
-     * Run both tiers on every scenario and flag any divergence —
-     * the --engine both idiom, across abstraction levels.
-     */
+    /** Run both tiers on every scenario and flag any divergence. */
     AuditBoth,
 };
 
 const char *to_string(TierPolicy tier);
 
 /**
- * How much of a claimed AccessResult the caller needs.  Simulation
- * engines always materialize every Delivery; the analytic tier can
+ * How much of a claimed AccessResult the caller needs.  The
+ * simulator always materializes every Delivery; the analytic tier can
  * answer in O(1) when the caller only folds aggregates (latency,
  * stalls, conflict-free), which is what the sweep hot path does with
  * every access whose delivery stream it would immediately release.
@@ -111,7 +95,7 @@ enum class ResultDetail
 };
 
 /**
- * Why the theory tier handed an access to the simulation engine.
+ * Why the theory tier handed an access to the simulator.
  * None means the access was answered analytically (or the theory
  * tier was not active at all).  The reason is a deterministic
  * function of the mapping and the planned module sequence, so a
@@ -169,7 +153,7 @@ struct TierCounters
  * Per-worker bump arena for the sweep hot path: freelists of
  * Delivery result buffers and Request stream buffers, recycled
  * across accesses so tight sweeps stop paying heap allocations
- * (plus growth doublings) per simulated access.  Engines acquire()
+ * (plus growth doublings) per simulated access.  Backends acquire()
  * their result buffers from it when one is supplied; the caller
  * release()s the buffers once the records have been consumed.
  * Stream builders use acquireRequests()/releaseRequests() the same
@@ -267,10 +251,9 @@ struct MultiPortResult
 };
 
 /**
- * A simulation engine for P simultaneous request streams sharing
- * one set of memory modules.  Implementations are constructed per
- * (config, mapping) pair via makeMemoryBackend and are stateless
- * across run() calls.
+ * A memory backend for P simultaneous request streams sharing one
+ * set of memory modules.  Implementations are constructed per
+ * (config, mapping) pair and are stateless across run() calls.
  */
 class MemoryBackend
 {
@@ -301,133 +284,28 @@ class MemoryBackend
     virtual AccessResult
     runSingle(const std::vector<Request> &stream,
               DeliveryArena *arena = nullptr) = 0;
-
-    /**
-     * runSingle() over a stream whose module assignments were
-     * already computed (modules[i] = mapping of stream[i].addr,
-     * typically by a BitSlicedMapper).  Lets a caller that premapped
-     * the stream for its own analysis — the theory tier's
-     * conflict-freedom proof — hand the work to the simulation
-     * fallback instead of mapping every element twice.  The default
-     * ignores @p modules and calls runSingle(); the engines override
-     * it to skip their internal premap pass.
-     */
-    virtual AccessResult
-    runSingleMapped(const std::vector<Request> &stream,
-                    const ModuleId *modules,
-                    DeliveryArena *arena = nullptr);
-
-    /**
-     * run() over streams whose module assignments were already
-     * computed: @p modules holds at least streams.size() sequences
-     * and modules[p][i] is the mapping of streams[p][i].addr.  The
-     * multi-port counterpart of runSingleMapped(), with the same
-     * default (ignore @p modules, call run()) and the same purpose:
-     * the theory tier premaps every port for its disjointness check
-     * and its fallback memo key, and the engine reuses that premap.
-     */
-    virtual MultiPortResult
-    runMapped(const std::vector<std::vector<Request>> &streams,
-              const std::vector<std::vector<ModuleId>> &modules,
-              DeliveryArena *arena = nullptr);
-
-    /** Engine name for logs and diagnostics. */
-    virtual const char *name() const = 0;
 };
 
 /**
- * Builds the backend implementing @p engine over @p cfg and @p map.
- * The mapping must outlive the returned backend.  The engines
- * premap their streams through a BitSlicedMapper (GF(2) bit-matrix
- * multiplies whenever the mapping exposes fixed rows) and simulate
- * every access cycle by cycle: they are the plain stepped oracles.
- * The analytic fast paths — conflict-free claims and the periodic
- * steady-state solver — live in front of them, in
+ * Builds the per-cycle simulator (memsys/multi_port.h) over @p cfg
+ * and @p map.  The mapping must outlive the returned backend.  The
+ * simulator premaps its streams through a BitSlicedMapper (GF(2)
+ * bit-matrix multiplies whenever the mapping exposes fixed rows) and
+ * steps every access cycle by cycle: it is the plain oracle.  The
+ * analytic fast paths — conflict-free claims and the periodic
+ * steady-state solver — live in front of it, in
  * theory/theory_backend.h.
  */
 std::unique_ptr<MemoryBackend>
-makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
-                  const ModuleMapping &map);
+makeMemoryBackend(const MemConfig &cfg, const ModuleMapping &map);
 
 namespace detail {
-
-/**
- * One port's input to an engine's simulation loop: the request
- * stream and its premapped module sequence (modules[i] is the
- * mapping of requests[i].addr), both borrowed from the caller, so
- * runSingle() hands the caller's stream to the loop uncopied.
- */
-struct PortView
-{
-    std::span<const Request> requests;
-    const ModuleId *modules = nullptr;
-};
-
-/** Per-port issue bookkeeping shared by the multi-port backends. */
-struct PortState
-{
-    std::size_t next = 0; //!< next request index (= requests issued)
-    bool started = false;
-    Cycle firstIssue = 0;
-    std::uint64_t stalls = 0;
-    std::vector<Delivery> delivered;
-};
-
-/**
- * Re-sorts @p order, a permutation of the port indices, into the
- * issue priority both backends share: least-issued port first,
- * lowest port on ties.  The order is total, so re-sorting the
- * previous cycle's order equals sorting the identity; one cycle's
- * issues move a port only a few places, hence insertion sort.
- */
-inline void
-rankPorts(std::vector<unsigned> &order,
-          const std::vector<PortState> &ports)
-{
-    const auto before = [&ports](unsigned a, unsigned b) {
-        return ports[a].next != ports[b].next
-                   ? ports[a].next < ports[b].next
-                   : a < b;
-    };
-    for (std::size_t k = 1; k < order.size(); ++k) {
-        const unsigned p = order[k];
-        std::size_t j = k;
-        for (; j > 0 && before(p, order[j - 1]); --j)
-            order[j] = order[j - 1];
-        order[j] = p;
-    }
-}
-
-/**
- * Folds per-port issue state into the MultiPortResult both backends
- * must agree on bit for bit: latency, conflict-free criterion, and
- * makespan are computed in exactly one place.  The delivered
- * buffers are moved out of @p ports, but the vector itself is left
- * intact so engines can keep it as reusable member scratch.
- */
-MultiPortResult
-assemblePortResults(const MemConfig &cfg,
-                    std::span<const PortView> views,
-                    std::vector<PortState> &ports, Cycle lastDelivery);
-
-/**
- * Wedge guard for P serialized streams of @p total requests; the
- * same bound both backends assert against.
- */
-Cycle wedgeLimit(const MemConfig &cfg, std::size_t total,
-                 unsigned n_ports);
 
 /** Premaps every stream of @p streams into @p mods (grown to at
  *  least streams.size() sequences; entry p sized to stream p). */
 void premapPorts(const BitSlicedMapper &slicer,
                  std::span<const std::vector<Request>> streams,
                  std::vector<std::vector<ModuleId>> &mods);
-
-/** Points one view per port at @p streams and @p mods (one premapped
- *  sequence per stream, as premapPorts() produces). */
-void viewPorts(const std::vector<std::vector<Request>> &streams,
-               const std::vector<std::vector<ModuleId>> &mods,
-               std::vector<PortView> &views);
 
 } // namespace detail
 

@@ -22,31 +22,27 @@ BackendCache::lookup(const Key &key)
 }
 
 MemoryBackend &
-BackendCache::backendFor(EngineKind engine, const MemConfig &cfg,
-                         const ModuleMapping &map)
+BackendCache::backendFor(const MemConfig &cfg, const ModuleMapping &map)
 {
-    const Key key{engine,           cfg.m, cfg.t, cfg.inputBuffers,
-                  cfg.outputBuffers, &map, false};
+    const Key key{cfg.m, cfg.t, cfg.inputBuffers, cfg.outputBuffers,
+                  &map, false};
     if (MemoryBackend *hit = lookup(key))
         return *hit;
     entries_.insert(entries_.begin(),
-                    Entry{key, makeMemoryBackend(engine, cfg, map)});
+                    Entry{key, makeMemoryBackend(cfg, map)});
     return *entries_.front().backend;
 }
 
 TheoryBackend &
-BackendCache::theoryBackendFor(EngineKind engine, const MemConfig &cfg,
+BackendCache::theoryBackendFor(EngineKind, const MemConfig &cfg,
                                const ModuleMapping &map)
 {
-    const Key key{engine,           cfg.m, cfg.t, cfg.inputBuffers,
-                  cfg.outputBuffers, &map, /*theory=*/true};
+    const Key key{cfg.m, cfg.t, cfg.inputBuffers, cfg.outputBuffers,
+                  &map, /*theory=*/true};
     if (MemoryBackend *hit = lookup(key))
         return static_cast<TheoryBackend &>(*hit);
-    entries_.insert(
-        entries_.begin(),
-        Entry{key,
-              std::make_unique<TheoryBackend>(
-                  cfg, map, makeMemoryBackend(engine, cfg, map))});
+    entries_.insert(entries_.begin(),
+                    Entry{key, std::make_unique<TheoryBackend>(cfg, map)});
     return static_cast<TheoryBackend &>(*entries_.front().backend);
 }
 

@@ -3,10 +3,10 @@
  * Per-worker cache of MemoryBackend instances.
  *
  * The sweep hot path used to rebuild a backend — modules with their
- * buffer deques, event heaps, issue scratch — for every simulated
- * access.  The backends are stateless across run() calls (they
- * self-reset), so one instance per (engine, memory shape, mapping)
- * can serve every scenario a worker executes.  The cache owns those
+ * buffer deques, issue scratch — for every simulated access.  The
+ * backends are stateless across run() calls (they self-reset), so
+ * one instance per (tier, memory shape, mapping) can serve every
+ * scenario a worker executes.  The cache owns those
  * instances and hands out references; hit/miss counters make the
  * saved setup cost observable (cfva_sweep --bench reports them).
  *
@@ -18,7 +18,7 @@
  * The port count is deliberately NOT part of the key: the backends
  * size their per-port scratch in place on each run, so a single
  * instance serves every port count of a mapping — strictly more
- * reuse than a (engine, ports, config) key would allow.
+ * reuse than a (ports, config) key would allow.
  */
 
 #ifndef CFVA_MEMSYS_BACKEND_CACHE_H
@@ -57,27 +57,28 @@ class BackendCache
 {
   public:
     /**
-     * The backend implementing @p engine over @p cfg and @p map,
-     * built on first use and reused afterwards.  @p map must
-     * outlive the cache.
+     * The per-cycle simulator over @p cfg and @p map, built on
+     * first use and reused afterwards.  @p map must outlive the
+     * cache.
      */
-    MemoryBackend &backendFor(EngineKind engine, const MemConfig &cfg,
+    MemoryBackend &backendFor(const MemConfig &cfg,
                               const ModuleMapping &map);
 
     /**
-     * The analytic tier over the same shape: a TheoryBackend whose
-     * simulation fallback implements @p engine.  Cached separately
-     * from the plain simulation backend (the key carries a tier
-     * bit) so TierPolicy::AuditBoth can hold both at once.
+     * The analytic tier over the same shape: a TheoryBackend with
+     * its own per-cycle fallback.  Cached separately from the plain
+     * simulator (the key carries a tier bit) so
+     * TierPolicy::AuditBoth can hold both at once.  The unnamed
+     * EngineKind parameter is ignored: kept while sweepbench names
+     * it; drop at the next benchmark PR.
      */
-    TheoryBackend &theoryBackendFor(EngineKind engine,
-                                    const MemConfig &cfg,
+    TheoryBackend &theoryBackendFor(EngineKind, const MemConfig &cfg,
                                     const ModuleMapping &map);
 
     const BackendCacheStats &stats() const { return stats_; }
 
     /** Summed collapse/memo counters of every cached theory
-     *  backend's solver (the plain engines have no fast path). */
+     *  backend's solver (the plain simulator has no fast path). */
     FastPathStats fastPathStats() const;
 
     /** Distinct backends currently cached. */
@@ -89,13 +90,12 @@ class BackendCache
   private:
     struct Key
     {
-        EngineKind engine = EngineKind::PerCycle;
         unsigned m = 0;
         unsigned t = 0;
         unsigned inputBuffers = 0;
         unsigned outputBuffers = 0;
         const ModuleMapping *map = nullptr;
-        bool theory = false; //!< analytic tier wrapping the engine
+        bool theory = false; //!< analytic tier, not the simulator
 
         bool operator==(const Key &o) const = default;
     };
@@ -111,7 +111,7 @@ class BackendCache
     MemoryBackend *lookup(const Key &key);
 
     // Linear scan with move-to-front: a worker touches a handful
-    // of (engine, mapping) pairs per sweep, and the hot lookups
+    // of (tier, mapping) pairs per sweep, and the hot lookups
     // repeat the front entry, so a hash map would only add cost.
     std::vector<Entry> entries_;
     BackendCacheStats stats_;

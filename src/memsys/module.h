@@ -29,7 +29,7 @@ namespace cfva {
  * Both buffers are fixed-capacity rings over flat storage sized at
  * construction; the per-cycle methods are header-inline and the
  * state-changing ones (retire, tryStart) report whether they acted,
- * so engines can maintain aggregate occupancy counters and skip
+ * so the simulator can maintain aggregate occupancy counters and skip
  * whole-array scans on quiet cycles.
  */
 class MemoryModule
@@ -136,8 +136,8 @@ class MemoryModule
     /**
      * Restores the freshly constructed state (empty buffers, no
      * service in flight, peak statistics cleared) so one module
-     * instance can serve many simulated accesses — engines that
-     * cache their module arrays call this instead of reallocating.
+     * instance can serve many simulated accesses — a backend that
+     * caches its module array calls this instead of reallocating.
      */
     void
     reset()

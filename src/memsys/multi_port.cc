@@ -7,12 +7,111 @@
 
 namespace cfva {
 
+namespace {
+
 using detail::PortState;
+using detail::PortView;
+
+/**
+ * Re-sorts @p order, a permutation of the port indices, into the
+ * issue priority: least-issued port first, lowest port on ties.  The
+ * order is total, so re-sorting the previous cycle's order equals
+ * sorting the identity; one cycle's issues move a port only a few
+ * places, hence insertion sort.
+ */
+void
+rankPorts(std::vector<unsigned> &order,
+          const std::vector<PortState> &ports)
+{
+    const auto before = [&ports](unsigned a, unsigned b) {
+        return ports[a].next != ports[b].next
+                   ? ports[a].next < ports[b].next
+                   : a < b;
+    };
+    for (std::size_t k = 1; k < order.size(); ++k) {
+        const unsigned p = order[k];
+        std::size_t j = k;
+        for (; j > 0 && before(p, order[j - 1]); --j)
+            order[j] = order[j - 1];
+        order[j] = p;
+    }
+}
+
+/**
+ * Folds per-port issue state into the MultiPortResult: latency,
+ * conflict-free criterion, and makespan.  The delivered buffers are
+ * moved out of @p ports, but the vector itself is left intact so the
+ * backend keeps it as reusable member scratch.
+ */
+MultiPortResult
+assemblePortResults(const MemConfig &cfg,
+                    std::span<const PortView> views,
+                    std::vector<PortState> &ports, Cycle lastDelivery)
+{
+    MultiPortResult result;
+    bool any = false;
+    for (const auto &p : ports)
+        any |= !p.delivered.empty();
+    result.makespan = any ? lastDelivery + 1 : 0;
+    result.ports.resize(ports.size());
+    for (std::size_t p = 0; p < ports.size(); ++p) {
+        AccessResult &r = result.ports[p];
+        r.deliveries = std::move(ports[p].delivered);
+        r.firstIssue = ports[p].firstIssue;
+        r.lastDelivery =
+            r.deliveries.empty() ? 0 : r.deliveries.back().delivered;
+        r.latency = r.deliveries.empty()
+            ? 0 : r.lastDelivery - r.firstIssue + 1;
+        r.stallCycles = ports[p].stalls;
+        if (views[p].requests.empty()) {
+            // A port with nothing to issue vacuously ran at its
+            // minimum.
+            r.conflictFree = true;
+            continue;
+        }
+        const Cycle min_latency =
+            static_cast<Cycle>(views[p].requests.size())
+            + cfg.serviceCycles() + 1;
+        r.conflictFree =
+            r.stallCycles == 0 && r.latency == min_latency;
+    }
+    return result;
+}
+
+/** Wedge guard for P serialized streams of @p total requests. */
+Cycle
+wedgeLimit(const MemConfig &cfg, std::size_t total, unsigned n_ports)
+{
+    return (static_cast<Cycle>(total) + 4 * n_ports)
+               * (cfg.serviceCycles() + 2)
+           + 64;
+}
+
+/** Points one view per port at @p streams and @p mods (one premapped
+ *  sequence per stream, as detail::premapPorts() produces). */
+void
+viewPorts(const std::vector<std::vector<Request>> &streams,
+          const std::vector<std::vector<ModuleId>> &mods,
+          std::vector<PortView> &views)
+{
+    cfva_assert(!streams.empty(), "need at least one port");
+    cfva_assert(mods.size() >= streams.size(),
+                "need one module sequence per port");
+    views.resize(streams.size());
+    for (std::size_t p = 0; p < streams.size(); ++p) {
+        cfva_assert(mods[p].size() == streams[p].size(),
+                    "port ", p, " module sequence length mismatch");
+        views[p] = {streams[p], mods[p].data()};
+    }
+}
+
+} // namespace
 
 PerCycleMultiPort::PerCycleMultiPort(const MemConfig &cfg,
                                      const ModuleMapping &map)
     : cfg_(cfg), map_(map), slicer_(map)
 {
+    cfg.validate();
     cfva_assert(map.moduleBits() == cfg.m,
                 "mapping has 2^", map.moduleBits(),
                 " modules but config expects 2^", cfg.m);
@@ -55,7 +154,7 @@ PerCycleMultiPort::runMapped(
     const std::vector<std::vector<ModuleId>> &mods,
     DeliveryArena *arena)
 {
-    detail::viewPorts(streams, mods, views_);
+    viewPorts(streams, mods, views_);
     return simulate(views_, arena);
 }
 
@@ -89,7 +188,7 @@ PerCycleMultiPort::simulate(std::span<const detail::PortView> views,
     }
     std::size_t delivered_total = 0;
 
-    const Cycle limit = detail::wedgeLimit(cfg_, total, n_ports);
+    const Cycle limit = wedgeLimit(cfg_, total, n_ports);
 
     // Aggregate occupancy, maintained from the modules' returns, so
     // the whole-array scans below can be skipped on quiet cycles.
@@ -149,7 +248,7 @@ PerCycleMultiPort::simulate(std::span<const detail::PortView> views,
         }
 
         // 4. Issue: least-issued port first.
-        detail::rankPorts(order, ports);
+        rankPorts(order, ports);
         for (unsigned k = 0; k < n_ports; ++k) {
             const unsigned p = order[k];
             PortState &ps = ports[p];
@@ -183,7 +282,7 @@ PerCycleMultiPort::simulate(std::span<const detail::PortView> views,
         }
     }
 
-    return detail::assemblePortResults(cfg_, views, ports, makespan);
+    return assemblePortResults(cfg_, views, ports, makespan);
 }
 
 MultiPortResult

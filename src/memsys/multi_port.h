@@ -16,11 +16,11 @@
  * The paper's own single-port memory (Figure 2) is the P = 1 case
  * of the same loop.
  *
- * This engine is the oracle: every cycle is stepped, so its
- * semantics are auditable line by line, and the event-driven
- * backend (memsys/event_multi_port.h) is held bit-identical to it
- * by tests/test_engine_differential.cc (P = 1) and
- * tests/test_multi_port_differential.cc.
+ * This is the only simulator, and the oracle: every cycle is
+ * stepped, so its semantics are auditable line by line.  The
+ * analytic tier (theory/theory_backend.h) falls back to it, and
+ * --tier audit and the differential suites hold the tier
+ * bit-identical to it.
  */
 
 #ifndef CFVA_MEMSYS_MULTI_PORT_H
@@ -35,6 +35,32 @@
 
 namespace cfva {
 
+namespace detail {
+
+/**
+ * One port's input to the simulation loop: the request stream and
+ * its premapped module sequence (modules[i] is the mapping of
+ * requests[i].addr), both borrowed from the caller, so runSingle()
+ * hands the caller's stream to the loop uncopied.
+ */
+struct PortView
+{
+    std::span<const Request> requests;
+    const ModuleId *modules = nullptr;
+};
+
+/** Per-port issue bookkeeping of the simulation loop. */
+struct PortState
+{
+    std::size_t next = 0; //!< next request index (= requests issued)
+    bool started = false;
+    Cycle firstIssue = 0;
+    std::uint64_t stalls = 0;
+    std::vector<Delivery> delivered;
+};
+
+} // namespace detail
+
 /**
  * The cycle-stepped reference backend.  Each cycle: retire finished
  * services, drive every port's return bus (oldest ready head of
@@ -48,7 +74,8 @@ class PerCycleMultiPort final : public MemoryBackend
 {
   public:
     /**
-     * @param cfg   memory shape (modules, T, buffers)
+     * @param cfg   memory shape (modules, T, buffers); rejected
+     *              through MemConfig::validate()
      * @param map   shared address mapping; must produce module
      *              numbers < cfg.modules()
      */
@@ -62,19 +89,28 @@ class PerCycleMultiPort final : public MemoryBackend
     runSingle(const std::vector<Request> &stream,
               DeliveryArena *arena = nullptr) override;
 
-    /** runSingle() with caller-supplied module assignments. */
+    /**
+     * runSingle() over a stream whose module assignments were
+     * already computed (modules[i] = mapping of stream[i].addr,
+     * typically by a BitSlicedMapper), skipping the internal premap
+     * pass: the theory tier hands over the premap its analysis
+     * already built instead of mapping every element twice.
+     */
     AccessResult
     runSingleMapped(const std::vector<Request> &stream,
                     const ModuleId *modules,
-                    DeliveryArena *arena = nullptr) override;
+                    DeliveryArena *arena = nullptr);
 
-    /** run() with caller-supplied module assignments. */
+    /**
+     * run() over streams whose module assignments were already
+     * computed: @p modules holds at least streams.size() sequences
+     * and modules[p][i] is the mapping of streams[p][i].addr.  The
+     * multi-port counterpart of runSingleMapped().
+     */
     MultiPortResult
     runMapped(const std::vector<std::vector<Request>> &streams,
               const std::vector<std::vector<ModuleId>> &modules,
-              DeliveryArena *arena = nullptr) override;
-
-    const char *name() const override { return "per-cycle"; }
+              DeliveryArena *arena = nullptr);
 
   private:
     /** The simulation loop every entry point runs, for any P. */

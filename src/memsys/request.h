@@ -42,6 +42,16 @@ struct MemConfig
 
     /** True for the matched case M = T the paper starts from. */
     bool matched() const { return m == t; }
+
+    /**
+     * Rejects shapes the simulator cannot represent, with a
+     * cfva_fatal diagnostic: m >= 32 (modules() would overflow the
+     * 32-bit ModuleId), t >= 64 (serviceCycles() would overflow a
+     * Cycle), and zero input or output buffers (no request could
+     * ever be accepted or retired).  Every memory backend
+     * constructor calls it.
+     */
+    void validate() const;
 };
 
 /** One element request as produced by an access ordering. */
@@ -107,8 +117,8 @@ struct AccessResult
 
     /**
      * Full bitwise equality, including every per-element timing
-     * record — the contract the event-driven engine is held to
-     * against the per-cycle reference.
+     * record — the contract the analytic tier is held to against
+     * the per-cycle simulator.
      */
     bool operator==(const AccessResult &o) const = default;
 };

@@ -148,8 +148,9 @@ SteadyStateCollapser::tryRun(const MemConfig &cfg, std::size_t length,
     std::size_t nextSnapPos = p;
     bool jumped = false;
     Cycle stepped = 0;
-    // Same wedge cap as the stepped engines; jumps assign true cycle
-    // numbers, so the bound stays meaningful after extrapolation.
+    // Same wedge cap as the stepped simulator; jumps assign true
+    // cycle numbers, so the bound stays meaningful after
+    // extrapolation.
     const Cycle limit =
         (static_cast<Cycle>(length) + 4) * (t_cycles + 2) + 64;
 

@@ -5,7 +5,7 @@
  *
  * The paper's whole analysis rests on constant-stride conflict
  * patterns being *periodic* (Theorems 1 and 3 compute the period in
- * closed form); the simulation engines step every cycle of every
+ * closed form); the per-cycle simulator steps every cycle of every
  * conflicted access.  Two mechanisms exploit the periodicity while
  * staying bit-identical to the full simulation:
  *
@@ -20,7 +20,7 @@
  *   position) is exact, so the extrapolated trace equals the
  *   stepped trace cycle for cycle.
  * - OutcomeMemo: two streams whose premapped module sequences are
- *   equal up to an order-preserving relabeling drive the engine
+ *   equal up to an order-preserving relabeling drive the simulator
  *   through identical timing decisions — every tie-break compares
  *   module numbers, and a strictly increasing relabeling preserves
  *   every comparison.  The memo keys collapsed outcomes on the
@@ -36,9 +36,8 @@
  * holds a second, separate OutcomeMemo in front of its simulation
  * fallback, keyed on the same canonical form over all P ports, so a
  * repeated rejected access replays instead of re-simulating.  The
- * stepped engines (multi_port.h, event_multi_port.h) have no fast
- * path of their own — they are the plain oracles both are
- * differentially tested against (tests/test_collapse.cc,
+ * per-cycle simulator (multi_port.h) has no fast path of its own —
+ * it is the plain oracle both are differentially tested against (tests/test_collapse.cc,
  * tests/test_conflict_solver.cc, tests/test_theory_backend.cc,
  * --tier audit).
  */
@@ -75,7 +74,7 @@ struct FastPathStats
     std::uint64_t memoMisses = 0;
 
     /** Rejected accesses the theory tier's fallback memo replayed
-     *  instead of simulating, and those it sent to the engine. */
+     *  instead of simulating, and those it sent to the simulator. */
     std::uint64_t fallbackMemoHits = 0;
     std::uint64_t fallbackMemoMisses = 0;
 
@@ -96,7 +95,7 @@ struct FastPathStats
 
 /**
  * One delivered element in stream-position form: the timing the
- * engine decided, with the element named by its issue position
+ * simulator decided, with the element named by its issue position
  * instead of its address.  Position form is what makes an outcome
  * replayable against a different stream with the same module
  * sequence.
@@ -163,13 +162,13 @@ class SteadyStateCollapser
      * Attempts to answer an access of @p length requests premapped
      * to @p mods on the shape @p cfg.  On success returns true with
      * emits()/summary() holding the full position-form trace —
-     * bit-identical to what a stepped engine's runSingle() would
+     * bit-identical to what the simulator's runSingle() would
      * record — and
      * writes the stepped-cycle count to @p steppedOut.  Returns
      * false (scratch clobbered, no other effect) when the module
      * sequence is aperiodic, too short, or the state never recurs
-     * within the snapshot budget; the caller then runs its normal
-     * engine loop.
+     * within the snapshot budget; the caller then falls back to the
+     * simulator.
      */
     bool tryRun(const MemConfig &cfg, std::size_t length,
                 const ModuleId *mods, Cycle *steppedOut);
@@ -268,7 +267,7 @@ struct MemoOutcome
  * 0..k-1, each port's rank sequence prefixed by its length.  One
  * relabeling shared by every port keeps both the per-port tie-breaks
  * and the cross-port module sharing intact, so equal keys have
- * bit-identical position-form outcomes on either stepped engine.
+ * bit-identical position-form outcomes on the stepped simulator.
  * Not thread-safe; each owner holds its own instance, exactly like
  * its other scratch.
  */

@@ -109,7 +109,7 @@ struct ScenarioGrid
      * (start 2^64 - 1 with stride 1 touches 2^64 - 1, 0, 1, ...).
      * Every mapping is a function of the 64-bit address, so a
      * wrapped access is as well defined as any other, and the
-     * analytic tier answers it exactly as the engines do.
+     * analytic tier answers it exactly as the simulator does.
      */
     std::vector<Addr> starts = {0};
 

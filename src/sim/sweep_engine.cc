@@ -355,8 +355,7 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
     // Multi-port: one access per port issued simultaneously at
     // staggered base addresses — the "several vectors accessed
     // simultaneously" extension — with per-port strides drawn from
-    // the scenario's port mix.  Dispatches to the backend selected
-    // by the unit's engine knob.
+    // the scenario's port mix.
     std::vector<std::vector<Request>> streams;
     streams.reserve(sc.ports);
     // Port disjointness reads every port's module sequence, so
@@ -693,8 +692,8 @@ struct WorkerArena
     // reason as `units`.
     WorkloadUnits workloads;
 
-    // Reuses one MemoryBackend (modules, event heaps, scratch) per
-    // (engine, mapping) across all of this worker's scenarios
+    // Reuses one MemoryBackend (modules, scratch) per (tier,
+    // mapping) across all of this worker's scenarios
     // instead of rebuilding it per access.  Declared after the unit
     // holders: the cached backends reference their mappings and
     // must be destroyed first.
@@ -715,17 +714,14 @@ struct WorkerArena
     std::uint64_t fallbackDynamic = 0;
 
     const VectorAccessUnit &
-    unitFor(const ScenarioGrid &grid, std::size_t mappingIndex,
-            const std::optional<EngineKind> &engine)
+    unitFor(const ScenarioGrid &grid, std::size_t mappingIndex)
     {
         if (units.empty())
             units.resize(grid.mappings.size());
         auto &slot = units[mappingIndex];
         if (!slot) {
-            VectorUnitConfig cfg = grid.mappings[mappingIndex];
-            if (engine)
-                cfg.engine = *engine;
-            slot = std::make_unique<VectorAccessUnit>(cfg);
+            slot = std::make_unique<VectorAccessUnit>(
+                grid.mappings[mappingIndex]);
         }
         return *slot;
     }
@@ -936,8 +932,7 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
                 const Scenario &sc = jobs[i];
                 buf.push_back(runScenario(
                     grid, sc,
-                    mine.unitFor(grid, sc.mappingIndex,
-                                 opts_.engine),
+                    mine.unitFor(grid, sc.mappingIndex),
                     &mine.deliveries, &mine.backends,
                     &mine.workloads, opts_.tier));
                 const ScenarioOutcome &o = buf.back();

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,8 +111,8 @@ struct ScenarioOutcome
      *  without simulating (0 under TierPolicy::SimulateAlways). */
     std::uint64_t theoryClaimed = 0;
 
-    /** Accesses that fell back to the simulation engine while the
-     *  theory tier was active (0 under SimulateAlways). */
+    /** Accesses that fell back to the simulator while the theory
+     *  tier was active (0 under SimulateAlways). */
     std::uint64_t theoryFallback = 0;
 
     /** TierPolicy::AuditBoth found the tiers disagreeing on this
@@ -335,7 +334,7 @@ struct SweepRunStats
      *  collapse, the cycles those accesses still stepped, and
      *  outcome-memo replay hits/misses — one memo lookup per solver
      *  attempt.  All 0 under TierPolicy::SimulateAlways, whose
-     *  engines step every access. */
+     *  simulator steps every access. */
     std::uint64_t collapseHits = 0;
     std::uint64_t collapsePrefixCycles = 0;
     std::uint64_t memoHits = 0;
@@ -343,7 +342,7 @@ struct SweepRunStats
 
     /** Which path answered each rejected access of the theory tier,
      *  summed over all workers: replayed from the fallback memo
-     *  (theory/theory_backend.h) or simulated by the engine.  Empty
+     *  (theory/theory_backend.h) or simulated.  Empty
      *  and oversize accesses count neither way; all 0 under
      *  TierPolicy::SimulateAlways. */
     std::uint64_t fallbackMemoHits = 0;
@@ -381,28 +380,17 @@ struct SweepOptions
     ShardSpec shard;
 
     /**
-     * When set, overrides the simulation engine of every mapping
-     * configuration in the grid — the sweep's engine axis.  Both
-     * engines produce bit-identical reports (the cfva_sweep
-     * cross-check mode runs the same grid under each and compares).
-     * Honored for every port count: multi-port scenarios dispatch
-     * to the matching port-aware backend.
-     */
-    std::optional<EngineKind> engine;
-
-    /**
-     * Evaluation tier for every scenario: simulate (the default —
-     * the pure stepped oracle, every cycle of every access), the
-     * analytic theory fast path (conflict-free claims plus the
-     * steady-state solver's collapse and memo, and the fallback
-     * memo in front of the engine) with simulation fallback, or
-     * both with a bit-for-bit cross-check (SweepRunStats counts the
+     * Evaluation tier for every scenario, the run's one execution
+     * knob: the analytic theory fast path (the default —
+     * conflict-free claims plus the steady-state solver's collapse
+     * and memo, and the fallback memo in front of the simulator)
+     * with per-cycle simulation fallback, the pure stepped oracle
+     * (every cycle of every access simulated), or both with a
+     * bit-for-bit cross-check (SweepRunStats counts the
      * divergences).  Reports are identical across tiers by
      * construction except for the tier-attribution columns.
-     * Together with engine this is one of the run's two execution
-     * knobs.
      */
-    TierPolicy tier = TierPolicy::SimulateAlways;
+    TierPolicy tier = TierPolicy::TheoryFirst;
 
     /** Panics on an impossible shard spec.  Any grain (including
      *  0 = adaptive) and any thread count are valid. */

@@ -29,9 +29,9 @@
  *
  * Every access of a workload dispatches through the unified
  * MemoryBackend (single- or multi-port), so program-level results
- * are bit-identical across the per-cycle and event engines by the
- * same differential argument as raw accesses; the retune relayout
- * charge is analytic and engine-independent by construction.
+ * are bit-identical across the evaluation tiers by the same
+ * differential argument as raw accesses; the retune relayout charge
+ * is analytic and tier-independent by construction.
  */
 
 #ifndef CFVA_SIM_WORKLOAD_H
@@ -80,7 +80,7 @@ struct Workload
      * report fits a 64-bit Cycle at access length @p length on
      * @p ports ports of a memory with @p serviceCycles-cycle
      * service: the sum of the access latencies (each bounded by
-     * the engines' wedge guard), the retune relayout charge, and
+     * the simulator's wedge guard), the retune relayout charge, and
      * the EXECUTE step's operand and drain cycles (length +
      * execLatency).  Evaluated with checked arithmetic, so an input
      * whose totals would wrap is reported instead of run.
@@ -97,7 +97,7 @@ struct Workload
  * @p footprint elements: the displaced fraction of the footprint
  * (DynamicFieldMapping::displacedBy) must be read and rewritten
  * through 2^m modules of 2^t-cycle service time, i.e.
- * ceil(2 * T * displaced / M) cycles.  Engine-independent by
+ * ceil(2 * T * displaced / M) cycles.  Tier-independent by
  * construction.
  */
 Cycle retuneRelayoutCycles(unsigned m, unsigned pOld, unsigned pNew,
@@ -117,10 +117,9 @@ class WorkloadUnits
 {
   public:
     /**
-     * The variant of @p cfg re-tuned to field position @p tune,
-     * built on first use and reused afterwards.  @p cfg must
-     * already carry the engine override the worker runs under (the
-     * variant clones it).
+     * The variant of @p cfg (grid mapping @p mappingIndex) re-tuned
+     * to field position @p tune, built on first use and reused
+     * afterwards.
      */
     const VectorAccessUnit &retuned(const VectorUnitConfig &cfg,
                                     std::size_t mappingIndex,
@@ -140,7 +139,6 @@ class WorkloadUnits
     {
         std::size_t mapping = 0;
         unsigned tune = 0;
-        EngineKind engine = EngineKind::PerCycle;
 
         bool operator==(const UnitKey &o) const = default;
     };

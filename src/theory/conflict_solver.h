@@ -20,8 +20,8 @@
  * This class packages that closed form as a *claiming* tier rather
  * than a simulation accelerator:
  *
- *  - solve() answers a single premapped stream without invoking any
- *    engine: memo replay when the rank-canonicalized module
+ *  - solve() answers a single premapped stream without invoking the
+ *    simulator: memo replay when the rank-canonicalized module
  *    sequence was solved before, otherwise one collapser pass
  *    (establish the O(period) transient, extrapolate the rest).
  *    Success/failure is a deterministic function of (config, module
@@ -36,12 +36,12 @@
  *    (theory/theory_backend.cc synthesizes the MultiPortResult).
  *
  * The solver is the only owner of the collapse and the memo: the
- * stepped engines carry no fast path, so every access they see is
- * simulated cycle by cycle.  Bit-identity with them is by
+ * per-cycle simulator carries no fast path, so every access it sees
+ * is simulated cycle by cycle.  Bit-identity with it is by
  * construction — the transient is established by the same
- * per-cycle model the engines run (memsys/steady_state.cc) — and
+ * per-cycle model the simulator runs (memsys/steady_state.cc) — and
  * by test: tests/test_collapse.cc and tests/test_conflict_solver.cc
- * diff solve() against both engines, and --tier audit cross-checks
+ * diff solve() against the simulator, and --tier audit cross-checks
  * every claimed answer against the stepped oracle end to end.
  */
 
@@ -65,7 +65,7 @@ class DeliveryArena;
  * every access; the per-worker BackendCache keeps the backend — and
  * with it this memo — alive across a whole sweep, which is what
  * stops retune/stencil workloads re-proving the same claim per
- * access.  Not thread-safe (per-worker, like all engine scratch).
+ * access.  Not thread-safe (per-worker, like all simulator scratch).
  */
 class ConflictSolver
 {
@@ -74,7 +74,7 @@ class ConflictSolver
      * Attempts to answer @p stream (premapped to @p mods) on
      * @p cfg without simulating: memo replay, else steady-state
      * solve + memo insert.  On success fills @p result —
-     * bit-identical to the engine's stepped loop — and returns
+     * bit-identical to the simulator's stepped loop — and returns
      * true; on failure returns false with @p result untouched.
      * Every call counts one memo hit or miss (streams longer than
      * OutcomeMemo::kMaxLen bypass the memo and count neither), and

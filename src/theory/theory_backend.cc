@@ -54,13 +54,10 @@ appendEmits(const AccessResult &result, std::vector<Emit> &out)
 } // namespace
 
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
-                             const ModuleMapping &map,
-                             std::unique_ptr<MemoryBackend> fallback)
-    : cfg_(cfg), map_(map), slicer_(map),
-      fallback_(std::move(fallback))
+                             const ModuleMapping &map)
+    : cfg_(cfg), map_(map), slicer_(map), fallback_(cfg, map)
 {
-    cfva_assert(fallback_ != nullptr,
-                "TheoryBackend needs a simulation fallback");
+    cfg.validate();
 }
 
 void
@@ -125,7 +122,7 @@ TheoryBackend::tryClaim(const std::vector<Request> &stream,
     // is still busy (nextFree > i+1) the element queues, the
     // one-request-per-cycle cadence is broken, and the closed-form
     // schedule no longer holds — reject and let the solver (or the
-    // engine) take over.  If every request finds its module free on
+    // simulator) take over.  If every request finds its module free on
     // arrival, service starts the same cycle it arrives, the module
     // is busy for T cycles, and ready times i+1+T are strictly
     // increasing, so the return bus delivers each element the cycle
@@ -205,7 +202,7 @@ TheoryBackend::runSingleHinted(bool claimHint,
         return out;
     }
     // Empty streams were claimed above, so this one delivers.
-    out = fallback_->runSingleMapped(stream, mods_.data(), arena);
+    out = fallback_.runSingleMapped(stream, mods_.data(), arena);
     fallbackStore(&out, 1, out.lastDelivery + 1, detail);
     return out;
 }
@@ -313,7 +310,7 @@ TheoryBackend::runPorts(
     }
 
     // Premap every port once: the disjointness proof, the fallback
-    // memo key, and the engine all read these sequences.
+    // memo key, and the simulator all read these sequences.
     detail::premapPorts(slicer_, streams, portMods_);
     const std::size_t P = streams.size();
 
@@ -340,7 +337,7 @@ TheoryBackend::runPorts(
         out.makespan = fallbackMemo_.cached().makespan;
         return out;
     }
-    out = fallback_->runMapped(streams, portMods_, arena);
+    out = fallback_.runMapped(streams, portMods_, arena);
     fallbackStore(out.ports.data(), P, out.makespan, detail);
     return out;
 }

@@ -15,7 +15,7 @@
  *    the uniform schedule is claimed directly, O(1) per access under
  *    ResultDetail::Summary; for uncertified streams a one-pass O(L)
  *    proof over per-module next-free times re-establishes it.
- *    Either way the exact AccessResult the simulation engines would
+ *    Either way the exact AccessResult the per-cycle simulator would
  *    produce is synthesized from the timing contract (request issued
  *    at cycle i arrives at i+1, starts service immediately, retires
  *    and crosses the return bus at i+1+T).
@@ -29,10 +29,10 @@
  *    disjoint across modules, the ports never interact and the
  *    MultiPortResult is synthesized from P independent single-port
  *    answers; ports that share modules (or defeat the solver) fall
- *    back to the port-aware engine.
+ *    back to the simulator.
  *
- * Streams no tier can answer are delegated to a wrapped simulation
- * engine, so callers always get an answer and claimed answers are
+ * Streams no tier can answer are delegated to the backend's own
+ * PerCycleMultiPort (memsys/multi_port.h), so callers always get an answer and claimed answers are
  * bit-identical to simulation by construction
  * (tests/test_theory_backend.cc and tests/test_conflict_solver.cc
  * audit this across randomized grids; TierPolicy::AuditBoth audits
@@ -43,10 +43,10 @@
  *
  * The fallback memo.  A rejected access is keyed on its premapped
  * per-port module sequences, jointly rank-canonicalized (the
- * OutcomeMemo soundness argument: the engines compare module
+ * OutcomeMemo soundness argument: the simulator compares module
  * numbers only for order, so an order-preserving relabeling of the
- * modules used cannot change one timing decision), and the engine's
- * outcome is kept in position form in a bounded FIFO, separate from
+ * modules used cannot change one timing decision), and the
+ * simulator's outcome is kept in position form in a bounded FIFO, separate from
  * the solver's memo.  A repeated access — a stencil's store after
  * its first load, the random starts of a sweep that land on an
  * order-isomorphic module sequence — replays instead of
@@ -74,10 +74,10 @@
 #define CFVA_THEORY_THEORY_BACKEND_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "memsys/backend.h"
+#include "memsys/multi_port.h"
 #include "theory/conflict_solver.h"
 
 namespace cfva {
@@ -85,21 +85,19 @@ namespace cfva {
 /**
  * MemoryBackend that answers provably conflict-free, periodic
  * conflicted, and module-disjoint multi-port streams analytically
- * and delegates everything else to a wrapped simulation engine.
- * Like the engines it wraps, it is reusable across run() calls and
- * cacheable per (engine, config, mapping); the mapping must outlive
- * the backend.
+ * and delegates everything else to its per-cycle simulator.  Like
+ * the simulator, it is reusable across run() calls and cacheable per
+ * (config, mapping); the mapping must outlive the backend.
  */
 class TheoryBackend final : public MemoryBackend
 {
   public:
     /**
-     * @param cfg       memory shape the claims are proved against
-     * @param map       address mapping (must outlive the backend)
-     * @param fallback  simulation backend for rejected streams
+     * @param cfg  memory shape the claims are proved against;
+     *             rejected through MemConfig::validate()
+     * @param map  address mapping (must outlive the backend)
      */
-    TheoryBackend(const MemConfig &cfg, const ModuleMapping &map,
-                  std::unique_ptr<MemoryBackend> fallback);
+    TheoryBackend(const MemConfig &cfg, const ModuleMapping &map);
 
     MultiPortResult
     run(const std::vector<std::vector<Request>> &streams,
@@ -108,8 +106,6 @@ class TheoryBackend final : public MemoryBackend
     AccessResult
     runSingle(const std::vector<Request> &stream,
               DeliveryArena *arena = nullptr) override;
-
-    const char *name() const override { return "theory"; }
 
     /**
      * runSingle with the planner's window classification: when
@@ -176,16 +172,16 @@ class TheoryBackend final : public MemoryBackend
     const TierCounters &stats() const { return stats_; }
 
     /** Collapse/memo attribution of the steady-state solver — the
-     *  only owner of the periodic fast path (the fallback engines
-     *  simulate every access they receive) — plus the fallback
+     *  only owner of the periodic fast path (the fallback
+     *  simulator steps every access it receives) — plus the fallback
      *  memo's hits and misses. */
     FastPathStats fastPathStats() const;
 
     /** Entries the fallback memo keeps (oldest evicted first). */
     static constexpr std::size_t kFallbackMemoEntries = 64;
 
-    /** The wrapped simulation engine (for diagnostics). */
-    MemoryBackend &fallback() { return *fallback_; }
+    /** The per-cycle simulator rejected streams fall back to. */
+    PerCycleMultiPort &fallback() { return fallback_; }
 
   private:
     /** Premaps @p stream into @p mods (bit-sliced for linear
@@ -232,7 +228,7 @@ class TheoryBackend final : public MemoryBackend
      * proves pairwise module-disjointness and — since disjoint
      * ports never interact — synthesizes the MultiPortResult from P
      * independent single-port answers (port ids patched, makespan
-     * assembled exactly as detail::assemblePortResults would).
+     * assembled exactly as the simulator assembles it).
      * False when any two ports share a module or any port defeats
      * both analytic paths.
      */
@@ -250,7 +246,7 @@ class TheoryBackend final : public MemoryBackend
     bool fallbackHit(const PortSeq *seqs, std::size_t count,
                      ResultDetail detail);
 
-    /** Records the engine's answer for the key of the last
+    /** Records the simulator's answer for the key of the last
      *  fallbackHit(): scalars only under ResultDetail::Summary,
      *  deliveries in position form otherwise. */
     void fallbackStore(const AccessResult *ports, std::size_t count,
@@ -266,7 +262,7 @@ class TheoryBackend final : public MemoryBackend
     MemConfig cfg_;
     const ModuleMapping &map_;
     BitSlicedMapper slicer_;
-    std::unique_ptr<MemoryBackend> fallback_;
+    PerCycleMultiPort fallback_;
     ConflictSolver solver_;
     std::vector<Cycle> nextFree_; // per-module scratch
     std::vector<ModuleId> mods_;  // premap scratch, reused per run

@@ -12,10 +12,10 @@
  * 4. The dynamic (retunable) mapping falls back to scalar and stays
  *    correct across retunes.
  * 5. DeliveryArena request-pool accounting (acquires/reuses/peak).
- * 6. Over a randomized grid of every mapping kind, both engines
- *    produce identical AccessResults whether they premap a stream
- *    themselves (bit-sliced) or are handed a moduleOf() premap
- *    through their premapped argument; a full SweepEngine run of
+ * 6. Over a randomized grid of every mapping kind, the simulator
+ *    produces identical AccessResults whether it premaps a stream
+ *    itself (bit-sliced) or is handed a moduleOf() premap through
+ *    its premapped argument; a full SweepEngine run of
  *    the grid reports a warm worker arena (reuses > 0).
  * 7. Worker counts are clamped to the hardware, and on multi-core
  *    hosts threads=N must not regress below 0.95x threads=1.
@@ -39,7 +39,7 @@
 #include "mapping/xor_matched.h"
 #include "mapping/xor_sectioned.h"
 #include "core/access_unit.h"
-#include "memsys/backend.h"
+#include "memsys/multi_port.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 
@@ -275,42 +275,36 @@ differentialGrid(std::uint64_t seed)
     return grid;
 }
 
-TEST(BitSlice, EnginesOnBitSlicedPremapMatchModuleOfPremap)
+TEST(BitSlice, SimulatorOnBitSlicedPremapMatchesModuleOfPremap)
 {
     const sim::ScenarioGrid grid = differentialGrid(0xB175EEDull);
     std::size_t compared = 0;
     for (const VectorUnitConfig &cfg : grid.mappings) {
         const VectorAccessUnit unit(cfg);
-        for (EngineKind engine :
-             {EngineKind::PerCycle, EngineKind::EventDriven}) {
-            const auto backend = makeMemoryBackend(
-                engine, unit.memConfig(), unit.mapping());
-            for (std::uint64_t stride : grid.strides) {
-                for (std::uint64_t len : grid.lengths) {
-                    const std::uint64_t n =
-                        len ? len : cfg.registerLength();
-                    const AccessPlan plan =
-                        unit.plan(0x1234, Stride(stride), n);
-                    // The scalar oracle: one moduleOf() per element.
-                    std::vector<ModuleId> scalar(plan.stream.size());
-                    for (std::size_t i = 0; i < scalar.size(); ++i)
-                        scalar[i] =
-                            unit.mapping().moduleOf(plan.stream[i].addr);
-                    const AccessResult sliced =
-                        backend->runSingle(plan.stream);
-                    const AccessResult viaScalar =
-                        backend->runSingleMapped(plan.stream,
-                                                 scalar.data());
-                    ASSERT_EQ(sliced, viaScalar)
-                        << cfg.describe() << " " << to_string(engine)
-                        << " stride " << stride << " length " << n;
-                    ++compared;
-                }
+        PerCycleMultiPort backend(unit.memConfig(), unit.mapping());
+        for (std::uint64_t stride : grid.strides) {
+            for (std::uint64_t len : grid.lengths) {
+                const std::uint64_t n =
+                    len ? len : cfg.registerLength();
+                const AccessPlan plan =
+                    unit.plan(0x1234, Stride(stride), n);
+                // The scalar oracle: one moduleOf() per element.
+                std::vector<ModuleId> scalar(plan.stream.size());
+                for (std::size_t i = 0; i < scalar.size(); ++i)
+                    scalar[i] =
+                        unit.mapping().moduleOf(plan.stream[i].addr);
+                const AccessResult sliced =
+                    backend.runSingle(plan.stream);
+                const AccessResult viaScalar =
+                    backend.runSingleMapped(plan.stream, scalar.data());
+                ASSERT_EQ(sliced, viaScalar)
+                    << cfg.describe() << " stride " << stride
+                    << " length " << n;
+                ++compared;
             }
         }
     }
-    EXPECT_EQ(compared, grid.mappings.size() * 2
-                            * grid.strides.size()
+    EXPECT_EQ(compared, grid.mappings.size() * grid.strides.size()
                             * grid.lengths.size());
 }
 

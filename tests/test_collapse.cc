@@ -2,19 +2,19 @@
  * @file
  * Tests for the periodic steady-state fast path, whose one home is
  * the analytic tier's ConflictSolver (theory/conflict_solver.h):
- * differential bit-identity of ConflictSolver::solve against both
- * stepped engines, outcome-memo rank canonicalization through the
- * solver, and the arity-templated module event heap.
+ * differential bit-identity of ConflictSolver::solve against the
+ * stepped per-cycle simulator, and outcome-memo rank
+ * canonicalization through the solver.
  *
  * The contract under test is absolute: every stream the solver
- * claims must carry exactly the AccessResult both stepped engines
- * produce — every delivery record with all five timestamps, every
- * stall, every aggregate — on every mapping kind, with the engines
- * premapping the stream themselves (bit-sliced where the mapping is
- * linear) and handed a plain moduleOf() premap, and at lengths on
- * both sides of the module sequence's period (including L < one
- * period and L = k * period exactly).  The engines have no fast
- * path of their own, so every oracle answer is stepped cycle by
+ * claims must carry exactly the AccessResult the simulator
+ * produces — every delivery record with all five timestamps, every
+ * stall, every aggregate — on every mapping kind, with the
+ * simulator premapping the stream itself (bit-sliced where the
+ * mapping is linear) and handed a plain moduleOf() premap, and at
+ * lengths on both sides of the module sequence's period (including
+ * L < one period and L = k * period exactly).  The simulator has no
+ * fast path of its own, so every oracle answer is stepped cycle by
  * cycle.
  */
 
@@ -30,8 +30,6 @@
 #include "mapping/prand.h"
 #include "mapping/xor_matched.h"
 #include "mapping/xor_sectioned.h"
-#include "memsys/event_multi_port.h"
-#include "memsys/event_queue.h"
 #include "memsys/multi_port.h"
 #include "memsys/steady_state.h"
 #include "test_util.h"
@@ -62,8 +60,8 @@ scalarPremap(const ModuleMapping &map,
     return mods;
 }
 
-/** Runs @p stream through both stepped engines — premapping it
- *  themselves and handed the scalar premap — and through
+/** Runs @p stream through the stepped simulator — premapping it
+ *  itself and handed the scalar premap — and through
  *  ConflictSolver::solve, and asserts every answer bit-identical to
  *  the per-cycle oracle.  Returns whether the solver claimed the
  *  stream. */
@@ -76,12 +74,7 @@ expectSolverIdentical(const MemConfig &cfg, const ModuleMapping &map,
     PerCycleMultiPort oracle(cfg, map);
     const AccessResult expect = oracle.runSingle(stream);
     EXPECT_EQ(oracle.runSingleMapped(stream, mods.data()), expect)
-        << what << " (per-cycle engine, scalar premap)";
-    EventDrivenMultiPort event(cfg, map);
-    EXPECT_EQ(event.runSingle(stream), expect)
-        << what << " (event-driven engine)";
-    EXPECT_EQ(event.runSingleMapped(stream, mods.data()), expect)
-        << what << " (event-driven engine, scalar premap)";
+        << what << " (scalar premap)";
 
     ConflictSolver solver;
     AccessResult got;
@@ -315,47 +308,6 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
     EXPECT_EQ(solver.stats().memoHits, 0u);
     EXPECT_EQ(solver.stats().memoMisses, 0u);
     EXPECT_EQ(again, result);
-}
-
-TEST(EventHeap, QuaternaryMatchesBinaryPopOrder)
-{
-    // The pop sequence of a d-ary heap over the strict total order
-    // (time, module) is arity-invariant.  Drive a binary and the
-    // production 4-ary heap through identical randomized
-    // push/pop interleavings and require identical pop streams.
-    std::mt19937_64 rng(0x4EA9u);
-    for (int round = 0; round < 40; ++round) {
-        const ModuleId modules =
-            static_cast<ModuleId>(1 + rng() % 64);
-        BasicModuleEventHeap<2> h2(modules);
-        BasicModuleEventHeap<4> h4(modules);
-        for (int op = 0; op < 400; ++op) {
-            const bool doPop = !h2.empty() && (rng() % 2 == 0);
-            if (doPop) {
-                const ModuleEvent a = h2.pop();
-                const ModuleEvent b = h4.pop();
-                ASSERT_EQ(a.time, b.time);
-                ASSERT_EQ(a.module, b.module);
-                continue;
-            }
-            const ModuleId m =
-                static_cast<ModuleId>(rng() % modules);
-            if (h2.contains(m))
-                continue; // one live event per module
-            // Few distinct times so module-id tie-breaks are hot.
-            const Cycle time = rng() % 8;
-            h2.push(m, time);
-            h4.push(m, time);
-        }
-        ASSERT_EQ(h2.size(), h4.size());
-        while (!h2.empty()) {
-            const ModuleEvent a = h2.pop();
-            const ModuleEvent b = h4.pop();
-            ASSERT_EQ(a.time, b.time);
-            ASSERT_EQ(a.module, b.module);
-        }
-        EXPECT_TRUE(h4.empty());
-    }
 }
 
 } // namespace

@@ -10,7 +10,7 @@
  * length) — never of memo state.  The randomized grid here spans
  * all five mapping kinds, strides inside and outside each paper
  * window, input/output buffer depths, and 1-3 ports, checking the
- * closed form bit for bit against the stepped per-cycle engine —
+ * closed form bit for bit against the stepped per-cycle simulator —
  * which has no fast path of its own, so every oracle answer here is
  * simulated cycle by cycle.
  * Labeled slow: the oracle steps every cycle of every scenario.
@@ -70,8 +70,7 @@ solverConfigs(unsigned q, unsigned qOut)
 std::unique_ptr<MemoryBackend>
 steppedOracle(const VectorAccessUnit &unit)
 {
-    return makeMemoryBackend(EngineKind::PerCycle, unit.memConfig(),
-                             unit.mapping());
+    return makeMemoryBackend(unit.memConfig(), unit.mapping());
 }
 
 std::vector<ModuleId>
@@ -270,8 +269,7 @@ TEST(ConflictSolverProperty, MultiPortClaimsMatchTheSteppedOracle)
 
     for (const VectorUnitConfig &cfg : solverConfigs(2, 1)) {
         const VectorAccessUnit unit(cfg);
-        TheoryBackend tb(unit.memConfig(), unit.mapping(),
-                         steppedOracle(unit));
+        TheoryBackend tb(unit.memConfig(), unit.mapping());
         for (unsigned ports = 1; ports <= 3; ++ports) {
             for (unsigned trial = 0; trial < 8; ++trial) {
                 // High families confine each port to few modules;
@@ -324,8 +322,7 @@ TEST(ConflictSolverProperty, CertifiedPlansMatchTheSteppedOracle)
         for (const VectorUnitConfig &cfg : solverConfigs(q, 1)) {
             const VectorAccessUnit unit(cfg);
             const auto oracle = steppedOracle(unit);
-            TheoryBackend tb(unit.memConfig(), unit.mapping(),
-                             steppedOracle(unit));
+            TheoryBackend tb(unit.memConfig(), unit.mapping());
             for (unsigned trial = 0; trial < 48; ++trial) {
                 const unsigned family =
                     static_cast<unsigned>(rng.below(9));
@@ -388,8 +385,7 @@ TEST(ConflictSolverProperty, SummaryDetailKeepsTheExactAggregates)
 
     for (const VectorUnitConfig &cfg : solverConfigs(2, 1)) {
         const VectorAccessUnit unit(cfg);
-        TheoryBackend tb(unit.memConfig(), unit.mapping(),
-                         steppedOracle(unit));
+        TheoryBackend tb(unit.memConfig(), unit.mapping());
         for (unsigned trial = 0; trial < 24; ++trial) {
             const AccessPlan plan = unit.plan(
                 rng.below(Addr{1} << 18),

@@ -1,24 +1,25 @@
 /**
  * @file
- * Differential testing of the event-driven engine against the
- * cycle-accurate per-cycle oracle at P = 1, the paper's single-port
- * memory.
+ * Differential testing of the per-cycle simulator at P = 1, the
+ * paper's single-port memory: its single-port entry points against
+ * each other, and the analytic tier against it.
  *
- * The contract (memsys/event_multi_port.h): for every request stream
- * on every memory shape, EventDrivenMultiPort returns an
- * AccessResult bit-identical to PerCycleMultiPort — every delivery
- * record with all five timestamps, every stall, every aggregate —
- * through each single-port entry point (runSingle, runSingleMapped,
- * run({stream})), with or without a DeliveryArena.  Two layers of
- * evidence:
+ * The contract (memsys/multi_port.h): for every request stream on
+ * every memory shape, each single-port entry point of
+ * PerCycleMultiPort (runSingle, runSingleMapped, run({stream}))
+ * returns a bit-identical AccessResult — every delivery record with
+ * all five timestamps, every stall, every aggregate — with or
+ * without a DeliveryArena, and every record obeys the timing
+ * contract of memsys/request.h.  Two layers of evidence:
  *
  * 1. Raw-stream properties: randomized and adversarial request
  *    streams (single-module pileups, clustered addresses, permuted
- *    orders, tiny buffers) driven through both engines directly.
+ *    orders, tiny buffers) driven through every entry point.
  * 2. A randomized ScenarioGrid of > 1000 planned accesses across
- *    every mapping kind, swept once per engine; the merged
- *    SweepReports must compare equal, and each scenario's direct
- *    AccessResults must compare equal.
+ *    every mapping kind, swept under the audit tier (theory tier
+ *    vs the per-cycle oracle on every scenario), and planned
+ *    accesses whose full theory-tier AccessResults must equal the
+ *    simulated ones.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +32,7 @@
 #include "core/access_unit.h"
 #include "mapping/interleave.h"
 #include "mapping/xor_matched.h"
-#include "memsys/backend.h"
+#include "memsys/multi_port.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 #include "test_util.h"
@@ -56,52 +57,47 @@ expectSameResult(const AccessResult &got, const AccessResult &oracle,
 }
 
 /**
- * Runs @p stream through both engines at P = 1 — runSingle(),
- * runSingleMapped() over a scalar premap, and run({stream}), each
- * without and with a DeliveryArena — and asserts every answer
- * bit-identical to the per-cycle engine's runSingle().
+ * Runs @p stream through every single-port entry point of the
+ * per-cycle simulator — runSingle(), runSingleMapped() over a
+ * scalar premap, and run({stream}), each without and with a
+ * DeliveryArena — and asserts every answer bit-identical to a fresh
+ * runSingle() and true to the timing contract.
  */
 void
-expectEnginesAgree(const MemConfig &cfg, const ModuleMapping &map,
-                   const std::vector<Request> &stream,
-                   const char *what)
+expectEntryPointsAgree(const MemConfig &cfg, const ModuleMapping &map,
+                       const std::vector<Request> &stream,
+                       const char *what)
 {
     std::vector<ModuleId> mods(stream.size());
     for (std::size_t i = 0; i < stream.size(); ++i)
         mods[i] = map.moduleOf(stream[i].addr);
 
-    const auto per_cycle =
-        makeMemoryBackend(EngineKind::PerCycle, cfg, map);
-    const auto event =
-        makeMemoryBackend(EngineKind::EventDriven, cfg, map);
-    const AccessResult oracle = per_cycle->runSingle(stream);
+    PerCycleMultiPort backend(cfg, map);
+    const AccessResult oracle = simulateAccess(cfg, map, stream);
+    test::expectTimingContract(cfg, oracle, stream, 0, what);
     const Cycle makespan =
         oracle.deliveries.empty() ? 0 : oracle.lastDelivery + 1;
 
     DeliveryArena arena;
-    for (MemoryBackend *engine : {per_cycle.get(), event.get()}) {
-        for (DeliveryArena *a : {static_cast<DeliveryArena *>(nullptr),
-                                 &arena}) {
-            const std::string where = std::string(what) + " ("
-                                      + engine->name()
-                                      + (a ? ", arena" : "") + ")";
-            AccessResult single = engine->runSingle(stream, a);
-            expectSameResult(single, oracle, where + " runSingle");
-            AccessResult mapped =
-                engine->runSingleMapped(stream, mods.data(), a);
-            expectSameResult(mapped, oracle,
-                             where + " runSingleMapped");
-            MultiPortResult wrapped = engine->run({stream}, a);
-            ASSERT_EQ(wrapped.ports.size(), 1u) << where;
-            expectSameResult(wrapped.ports[0], oracle,
-                             where + " run({stream})");
-            EXPECT_EQ(wrapped.makespan, makespan) << where;
-            if (a) {
-                // Recycle the buffers so later runs draw stale ones.
-                a->release(std::move(single.deliveries));
-                a->release(std::move(mapped.deliveries));
-                a->release(std::move(wrapped.ports[0].deliveries));
-            }
+    for (DeliveryArena *a :
+         {static_cast<DeliveryArena *>(nullptr), &arena}) {
+        const std::string where =
+            std::string(what) + (a ? " (arena)" : "");
+        AccessResult single = backend.runSingle(stream, a);
+        expectSameResult(single, oracle, where + " runSingle");
+        AccessResult mapped =
+            backend.runSingleMapped(stream, mods.data(), a);
+        expectSameResult(mapped, oracle, where + " runSingleMapped");
+        MultiPortResult wrapped = backend.run({stream}, a);
+        ASSERT_EQ(wrapped.ports.size(), 1u) << where;
+        expectSameResult(wrapped.ports[0], oracle,
+                         where + " run({stream})");
+        EXPECT_EQ(wrapped.makespan, makespan) << where;
+        if (a) {
+            // Recycle the buffers so later runs draw stale ones.
+            a->release(std::move(single.deliveries));
+            a->release(std::move(mapped.deliveries));
+            a->release(std::move(wrapped.ports[0].deliveries));
         }
     }
 }
@@ -120,22 +116,22 @@ TEST(EngineDifferential, EmptyStream)
 {
     const MemConfig cfg;
     const XorMatchedMapping map(3, 4);
-    expectEnginesAgree(cfg, map, {}, "empty stream");
+    expectEntryPointsAgree(cfg, map, {}, "empty stream");
 }
 
 TEST(EngineDifferential, SingleElement)
 {
     const MemConfig cfg;
     const XorMatchedMapping map(3, 4);
-    expectEnginesAgree(cfg, map, sequentialStream({13}),
+    expectEntryPointsAgree(cfg, map, sequentialStream({13}),
                        "one element");
 }
 
 TEST(EngineDifferential, SingleModulePileup)
 {
     // Every request lands on module 0: the maximally conflicting
-    // stream, where the event engine must batch ~T stall cycles per
-    // element and the blocked-retire path is hit constantly.
+    // stream, where every element stalls ~T cycles and the
+    // blocked-retire path is hit constantly.
     for (unsigned q : {1u, 2u, 4u}) {
         for (unsigned qp : {1u, 2u}) {
             MemConfig cfg;
@@ -147,7 +143,7 @@ TEST(EngineDifferential, SingleModulePileup)
             std::vector<Addr> addrs(64);
             for (std::size_t i = 0; i < addrs.size(); ++i)
                 addrs[i] = i * 8; // always module 0
-            expectEnginesAgree(cfg, map, sequentialStream(addrs),
+            expectEntryPointsAgree(cfg, map, sequentialStream(addrs),
                                "single-module pileup");
         }
     }
@@ -162,7 +158,7 @@ TEST(EngineDifferential, TwoModulePingPong)
     std::vector<Addr> addrs;
     for (std::size_t i = 0; i < 48; ++i)
         addrs.push_back((i % 2) * 1 + (i / 2) * 4);
-    expectEnginesAgree(cfg, map, sequentialStream(addrs),
+    expectEntryPointsAgree(cfg, map, sequentialStream(addrs),
                        "two-module ping-pong");
 }
 
@@ -188,7 +184,7 @@ TEST(EngineDifferential, RandomStreamsAllShapes)
                     std::vector<Addr> addrs(len);
                     for (auto &a : addrs)
                         a = rng.below(range);
-                    expectEnginesAgree(
+                    expectEntryPointsAgree(
                         cfg, map, sequentialStream(addrs),
                         "random stream");
                     ++checked;
@@ -216,13 +212,13 @@ TEST(EngineDifferential, PermutedElementOrder)
             const std::size_t j = rng.below(i + 1);
             std::swap(stream[i], stream[j]);
         }
-        expectEnginesAgree(cfg, map, stream, "permuted order");
+        expectEntryPointsAgree(cfg, map, stream, "permuted order");
     }
 }
 
 /**
  * The randomized grid: every mapping kind x strides x lengths x
- * starts, > 1000 scenarios, swept under both engines.
+ * starts, > 1000 scenarios.
  */
 sim::ScenarioGrid
 randomizedGrid(std::uint64_t seed)
@@ -286,42 +282,35 @@ TEST(EngineDifferential, RandomizedGridOver1000Scenarios)
     ASSERT_GE(grid.jobCount(), 1000u)
         << "property budget: the grid must cover >= 1000 scenarios";
 
-    sim::SweepOptions per_cycle;
-    per_cycle.engine = EngineKind::PerCycle;
-    sim::SweepOptions event;
-    event.engine = EngineKind::EventDriven;
+    // The audit tier runs every scenario on the theory tier and on
+    // the per-cycle oracle and flags any field that differs.
+    sim::SweepOptions opts;
+    opts.tier = TierPolicy::AuditBoth;
+    sim::SweepRunStats stats;
+    const sim::SweepReport audited =
+        sim::SweepEngine(opts).run(grid, &stats);
 
-    const sim::SweepReport oracle =
-        sim::SweepEngine(per_cycle).run(grid);
-    const sim::SweepReport tested = sim::SweepEngine(event).run(grid);
-
-    ASSERT_EQ(oracle.jobs(), grid.jobCount());
-    ASSERT_EQ(tested.jobs(), oracle.jobs());
-    for (std::size_t i = 0; i < oracle.jobs(); ++i) {
-        EXPECT_EQ(tested.outcomes[i], oracle.outcomes[i])
-            << "scenario " << i << " ("
-            << oracle.mappingLabels[oracle.outcomes[i].mappingIndex]
-            << " stride " << oracle.outcomes[i].stride << " length "
-            << oracle.outcomes[i].length << " a1 "
-            << oracle.outcomes[i].a1 << ") diverges";
+    ASSERT_EQ(audited.jobs(), grid.jobCount());
+    for (const sim::ScenarioOutcome &o : audited.outcomes) {
+        EXPECT_FALSE(o.tierAuditDiverged)
+            << "scenario " << o.index << " ("
+            << audited.mappingLabels[o.mappingIndex] << " stride "
+            << o.stride << " length " << o.length << " a1 " << o.a1
+            << ") diverges";
     }
-    EXPECT_EQ(tested, oracle);
+    EXPECT_EQ(stats.tierAuditDivergences, 0u);
 }
 
 TEST(EngineDifferential, PlannedAccessesFullResultEquality)
 {
     // Beyond the report fields: the complete AccessResult — every
-    // delivery timestamp — for planned accesses of each kind.
+    // delivery timestamp — for planned accesses of each kind, the
+    // theory tier's full-detail answer against the simulator's.
     Rng rng(0xACCE55ull);
     const sim::ScenarioGrid grid = randomizedGrid(0xF00D5EEDull);
     unsigned checked = 0;
     for (const auto &mapping : grid.mappings) {
-        VectorUnitConfig pc_cfg = mapping;
-        pc_cfg.engine = EngineKind::PerCycle;
-        VectorUnitConfig ev_cfg = mapping;
-        ev_cfg.engine = EngineKind::EventDriven;
-        const VectorAccessUnit pc(pc_cfg);
-        const VectorAccessUnit ev(ev_cfg);
+        const VectorAccessUnit unit(mapping);
         for (unsigned rep = 0; rep < 6; ++rep) {
             const Stride stride = Stride::fromFamily(
                 rng.oddBelow(32),
@@ -330,26 +319,17 @@ TEST(EngineDifferential, PlannedAccessesFullResultEquality)
                 rep < 3 ? mapping.registerLength()
                         : 1 + rng.below(2 * mapping.registerLength());
             const Addr a1 = rng.below(Addr{1} << 20);
-            const AccessResult a = pc.access(a1, stride, length);
-            const AccessResult b = ev.access(a1, stride, length);
+            const AccessResult a = unit.access(a1, stride, length);
+            const AccessResult b =
+                unit.access(a1, stride, length, nullptr, nullptr,
+                            TierPolicy::TheoryFirst);
             EXPECT_EQ(b, a)
-                << pc_cfg.describe() << " stride " << stride.value()
+                << mapping.describe() << " stride " << stride.value()
                 << " length " << length << " a1 " << a1;
             ++checked;
         }
     }
     EXPECT_GE(checked, 60u);
-}
-
-TEST(EngineDifferential, EngineKnobDoesNotLeakIntoLabels)
-{
-    // Reports are keyed by describe(); the engine must not appear,
-    // or cross-engine report comparison would trivially fail.
-    VectorUnitConfig a = paperMatchedExample();
-    a.engine = EngineKind::PerCycle;
-    VectorUnitConfig b = paperMatchedExample();
-    b.engine = EngineKind::EventDriven;
-    EXPECT_EQ(a.describe(), b.describe());
 }
 
 } // namespace

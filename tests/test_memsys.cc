@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "access/ordering.h"
 #include "mapping/interleave.h"
 #include "mapping/xor_matched.h"
-#include "memsys/event_multi_port.h"
 #include "memsys/multi_port.h"
 #include "test_util.h"
+#include "theory/theory_backend.h"
 
 namespace cfva {
 namespace {
@@ -185,7 +187,56 @@ TEST(SinglePortMemory, MismatchedMappingRejected)
     const MemConfig cfg{3, 3, 1, 1};
     const LowOrderInterleave map(2);
     EXPECT_THROW(PerCycleMultiPort(cfg, map), std::runtime_error);
-    EXPECT_THROW(EventDrivenMultiPort(cfg, map), std::runtime_error);
+    EXPECT_THROW(TheoryBackend(cfg, map), std::runtime_error);
+}
+
+/** The message MemConfig::validate() rejects @p cfg with ("" when
+ *  it accepts the shape). */
+std::string
+rejection(const MemConfig &cfg)
+{
+    test::ScopedPanicThrow guard;
+    try {
+        cfg.validate();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(MemConfig, RejectsUnrepresentableShapesWithAMessage)
+{
+    // A service time of 2^64 cycles would shift a Cycle out of range.
+    EXPECT_NE(rejection(MemConfig{3, 64, 1, 1}).find("t must be < 64"),
+              std::string::npos);
+    // 2^32 modules would shift a 32-bit ModuleId out of range.
+    EXPECT_NE(rejection(MemConfig{32, 3, 1, 1}).find("m must be < 32"),
+              std::string::npos);
+    // No buffer slot: nothing could ever be accepted or retired.
+    EXPECT_NE(rejection(MemConfig{3, 3, 0, 1}).find("buffers must be"),
+              std::string::npos);
+    EXPECT_NE(rejection(MemConfig{3, 3, 1, 0}).find("buffers must be"),
+              std::string::npos);
+
+    // Every backend constructor runs the check before it sizes
+    // anything from the shape.
+    test::ScopedPanicThrow guard;
+    const LowOrderInterleave map(3);
+    for (const MemConfig &bad :
+         {MemConfig{3, 64, 1, 1}, MemConfig{3, 3, 0, 1}}) {
+        EXPECT_THROW(PerCycleMultiPort(bad, map), std::runtime_error);
+        EXPECT_THROW(TheoryBackend(bad, map), std::runtime_error);
+        EXPECT_THROW(makeMemoryBackend(bad, map), std::runtime_error);
+    }
+}
+
+TEST(MemConfig, AcceptsEveryShapeTheUnitConfigAdmits)
+{
+    // VectorUnitConfig::validate() admits t in [1, 8] and
+    // t <= m <= lambda <= 24; the memory check must not be stricter.
+    EXPECT_EQ(rejection(MemConfig{24, 8, 1, 1}), "");
+    EXPECT_EQ(rejection(MemConfig{1, 1, 1, 1}), "");
+    EXPECT_EQ(rejection(MemConfig{31, 63, 7, 9}), "");
 }
 
 TEST(SinglePortMemory, UnmatchedMemoryMoreModulesNoSlower)

@@ -1,32 +1,35 @@
 /**
  * @file
- * Differential testing of the event-driven multi-port backend
- * against the per-cycle multi-port oracle.
+ * Differential and property testing of the per-cycle multi-port
+ * simulator: its multi-port entry points against each other, the
+ * analytic tier against it, and physical invariants of its answers.
  *
- * The contract (memsys/event_multi_port.h): for every set of
- * request streams on every memory shape, EventDrivenMultiPort::run
- * returns a MultiPortResult bit-identical to PerCycleMultiPort::run
- * — every per-port delivery record with all five timestamps and the
- * port tag, every per-port stall count, every aggregate.  Three
- * layers of evidence:
+ * The contract (memsys/multi_port.h): for every set of request
+ * streams on every memory shape, PerCycleMultiPort::run and
+ * ::runMapped return bit-identical MultiPortResults — every
+ * per-port delivery record with all five timestamps and the port
+ * tag, every per-port stall count, every aggregate — with or
+ * without a DeliveryArena, and every port's records obey the timing
+ * contract of memsys/request.h.  Three layers of evidence:
  *
  * 1. Raw-stream properties: adversarial stream sets (all ports on
  *    one module, uneven and empty streams, permuted orders, tiny
- *    buffers) driven through both backends directly.
+ *    buffers) driven through every entry point.
  * 2. A randomized ScenarioGrid of > 1000 planned multi-port
  *    accesses across every mapping kind, ports in {2, 3, 4}, and
- *    mixed per-port traffic, swept once per engine; the merged
- *    SweepReports must compare equal, and sampled scenarios'
- *    direct MultiPortResults must compare equal.
- * 3. Physical invariants on the event backend alone: per-port
- *    delivery counts are conserved (every issued element delivered
- *    exactly once to its own port), and the makespan is monotone
- *    in added streams.
+ *    mixed per-port traffic, swept under the audit tier (theory
+ *    tier vs the per-cycle oracle on every scenario), and sampled
+ *    planned accesses whose full theory-tier MultiPortResults must
+ *    equal the simulated ones.
+ * 3. Physical invariants: per-port delivery counts are conserved
+ *    (every issued element delivered exactly once to its own port),
+ *    and the makespan is monotone in added streams.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -34,7 +37,6 @@
 #include "core/access_unit.h"
 #include "mapping/interleave.h"
 #include "mapping/xor_matched.h"
-#include "memsys/event_multi_port.h"
 #include "memsys/multi_port.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
@@ -43,32 +45,72 @@
 namespace cfva {
 namespace {
 
-/** Runs @p streams through both backends and asserts equality. */
+/** Asserts @p got bit-identical to @p oracle, naming the first
+ *  diverging delivery. */
+void
+expectSameResult(const MultiPortResult &got,
+                 const MultiPortResult &oracle, const std::string &what)
+{
+    ASSERT_EQ(got.ports.size(), oracle.ports.size()) << what;
+    for (std::size_t p = 0; p < oracle.ports.size(); ++p) {
+        ASSERT_EQ(got.ports[p].deliveries.size(),
+                  oracle.ports[p].deliveries.size())
+            << what << ": port " << p;
+        for (std::size_t i = 0; i < oracle.ports[p].deliveries.size();
+             ++i) {
+            ASSERT_EQ(got.ports[p].deliveries[i],
+                      oracle.ports[p].deliveries[i])
+                << what << ": port " << p << " delivery " << i
+                << " diverges (element "
+                << oracle.ports[p].deliveries[i].element << ")";
+        }
+        ASSERT_EQ(got.ports[p], oracle.ports[p])
+            << what << ": port " << p << " aggregates diverge";
+    }
+    EXPECT_EQ(got, oracle) << what;
+}
+
+/**
+ * Runs @p streams through the per-cycle simulator's multi-port
+ * entry points — run() and runMapped() over a scalar premap, each
+ * without and with a DeliveryArena, on one reused backend — and
+ * asserts every answer bit-identical to a fresh simulateMultiPort()
+ * and every port true to the timing contract.
+ */
 void
 expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
                     const std::vector<std::vector<Request>> &streams,
                     const char *what)
 {
     const MultiPortResult oracle = simulateMultiPort(cfg, map, streams);
-    const MultiPortResult event =
-        simulateMultiPortEventDriven(cfg, map, streams);
-    ASSERT_EQ(event.ports.size(), oracle.ports.size()) << what;
-    for (std::size_t p = 0; p < oracle.ports.size(); ++p) {
-        ASSERT_EQ(event.ports[p].deliveries.size(),
-                  oracle.ports[p].deliveries.size())
-            << what << ": port " << p;
-        for (std::size_t i = 0; i < oracle.ports[p].deliveries.size();
-             ++i) {
-            ASSERT_EQ(event.ports[p].deliveries[i],
-                      oracle.ports[p].deliveries[i])
-                << what << ": port " << p << " delivery " << i
-                << " diverges (element "
-                << oracle.ports[p].deliveries[i].element << ")";
-        }
-        ASSERT_EQ(event.ports[p], oracle.ports[p])
-            << what << ": port " << p << " aggregates diverge";
+    for (unsigned p = 0; p < streams.size(); ++p) {
+        test::expectTimingContract(cfg, oracle.ports[p], streams[p], p,
+                                   std::string(what) + " port "
+                                       + std::to_string(p));
     }
-    EXPECT_EQ(event, oracle) << what;
+
+    std::vector<std::vector<ModuleId>> mods(streams.size());
+    for (std::size_t p = 0; p < streams.size(); ++p) {
+        for (const Request &r : streams[p])
+            mods[p].push_back(map.moduleOf(r.addr));
+    }
+    PerCycleMultiPort backend(cfg, map);
+    DeliveryArena arena;
+    for (DeliveryArena *a :
+         {static_cast<DeliveryArena *>(nullptr), &arena}) {
+        const std::string where =
+            std::string(what) + (a ? " (arena)" : "");
+        MultiPortResult plain = backend.run(streams, a);
+        expectSameResult(plain, oracle, where + " run");
+        MultiPortResult mapped = backend.runMapped(streams, mods, a);
+        expectSameResult(mapped, oracle, where + " runMapped");
+        if (a) {
+            // Recycle the buffers so later runs draw stale ones.
+            for (auto *r : {&plain, &mapped})
+                for (AccessResult &port : r->ports)
+                    a->release(std::move(port.deliveries));
+        }
+    }
 }
 
 std::vector<Request>
@@ -94,7 +136,7 @@ TEST(MultiPortDifferential, TwoSingleElementStreams)
 TEST(MultiPortDifferential, EmptyAndShortStreams)
 {
     // A port with nothing to issue next to active ports: the empty
-    // port must stay vacuously conflict free in both backends.
+    // port must stay vacuously conflict free.
     const MemConfig cfg;
     const XorMatchedMapping map(3, 4);
     expectBackendsAgree(cfg, map,
@@ -200,7 +242,7 @@ TEST(MultiPortDifferential, RandomStreamsAllShapes)
 /**
  * The randomized grid: every mapping kind x strides x lengths x
  * starts x ports {2, 3, 4} x mixed per-port traffic, > 1000
- * scenarios, swept under both engines.
+ * scenarios.
  */
 sim::ScenarioGrid
 randomizedMultiPortGrid(std::uint64_t seed)
@@ -266,46 +308,39 @@ TEST(MultiPortDifferential, RandomizedGridOver1000Scenarios)
     ASSERT_GE(grid.jobCount(), 1000u)
         << "property budget: the grid must cover >= 1000 scenarios";
 
-    sim::SweepOptions per_cycle;
-    per_cycle.engine = EngineKind::PerCycle;
-    sim::SweepOptions event;
-    event.engine = EngineKind::EventDriven;
+    // The audit tier runs every scenario on the theory tier and on
+    // the per-cycle oracle and flags any field that differs.
+    sim::SweepOptions opts;
+    opts.tier = TierPolicy::AuditBoth;
+    sim::SweepRunStats stats;
+    const sim::SweepReport audited =
+        sim::SweepEngine(opts).run(grid, &stats);
 
-    const sim::SweepReport oracle =
-        sim::SweepEngine(per_cycle).run(grid);
-    const sim::SweepReport tested = sim::SweepEngine(event).run(grid);
-
-    ASSERT_EQ(oracle.jobs(), grid.jobCount());
-    ASSERT_EQ(tested.jobs(), oracle.jobs());
-    for (std::size_t i = 0; i < oracle.jobs(); ++i) {
-        EXPECT_EQ(tested.outcomes[i], oracle.outcomes[i])
-            << "scenario " << i << " ("
-            << oracle.mappingLabels[oracle.outcomes[i].mappingIndex]
-            << " stride " << oracle.outcomes[i].stride << " mix "
-            << oracle.portMixLabels[oracle.outcomes[i].portMixIndex]
-            << " ports " << oracle.outcomes[i].ports << " length "
-            << oracle.outcomes[i].length << " a1 "
-            << oracle.outcomes[i].a1 << ") diverges";
+    ASSERT_EQ(audited.jobs(), grid.jobCount());
+    for (const sim::ScenarioOutcome &o : audited.outcomes) {
+        EXPECT_FALSE(o.tierAuditDiverged)
+            << "scenario " << o.index << " ("
+            << audited.mappingLabels[o.mappingIndex] << " stride "
+            << o.stride << " mix "
+            << audited.portMixLabels[o.portMixIndex] << " ports "
+            << o.ports << " length " << o.length << " a1 " << o.a1
+            << ") diverges";
     }
-    EXPECT_EQ(tested, oracle);
+    EXPECT_EQ(stats.tierAuditDivergences, 0u);
 }
 
 TEST(MultiPortDifferential, PlannedAccessesFullResultEquality)
 {
     // Beyond the report fields: the complete MultiPortResult —
     // every per-port delivery timestamp — for planned multi-port
-    // accesses of each kind under both backends.
+    // accesses of each kind, the theory tier's full-detail answer
+    // against the simulator's.
     Rng rng(0xACCE551ull);
     const sim::ScenarioGrid grid =
         randomizedMultiPortGrid(0xF00D1234ull);
     unsigned checked = 0;
     for (const auto &mapping : grid.mappings) {
-        VectorUnitConfig pc_cfg = mapping;
-        pc_cfg.engine = EngineKind::PerCycle;
-        VectorUnitConfig ev_cfg = mapping;
-        ev_cfg.engine = EngineKind::EventDriven;
-        const VectorAccessUnit pc(pc_cfg);
-        const VectorAccessUnit ev(ev_cfg);
+        const VectorAccessUnit unit(mapping);
         for (unsigned rep = 0; rep < 6; ++rep) {
             const unsigned n_ports = 2 + rng.below(3);
             std::vector<std::vector<Request>> streams;
@@ -319,12 +354,13 @@ TEST(MultiPortDifferential, PlannedAccessesFullResultEquality)
                 const Addr a1 =
                     rng.below(Addr{1} << 18) + (Addr{p} << 20);
                 streams.push_back(
-                    pc.plan(a1, stride, length).stream);
+                    unit.plan(a1, stride, length).stream);
             }
-            const MultiPortResult a = pc.executePorts(streams);
-            const MultiPortResult b = ev.executePorts(streams);
+            const MultiPortResult a = unit.executePorts(streams);
+            const MultiPortResult b = unit.executePorts(
+                streams, nullptr, nullptr, TierPolicy::TheoryFirst);
             EXPECT_EQ(b, a)
-                << pc_cfg.describe() << " ports " << n_ports;
+                << mapping.describe() << " ports " << n_ports;
             ++checked;
         }
     }
@@ -350,8 +386,7 @@ TEST(MultiPortProperty, DeliveryCountsConserved)
                 a = rng.below(1 << 10);
             streams.push_back(sequentialStream(addrs));
         }
-        const MultiPortResult r =
-            simulateMultiPortEventDriven(cfg, map, streams);
+        const MultiPortResult r = simulateMultiPort(cfg, map, streams);
         ASSERT_EQ(r.ports.size(), n_ports);
         for (unsigned p = 0; p < n_ports; ++p) {
             ASSERT_EQ(r.ports[p].deliveries.size(),
@@ -390,7 +425,7 @@ TEST(MultiPortProperty, MakespanMonotoneInAddedStreams)
                 a = rng.below(1 << 8);
             streams.push_back(sequentialStream(addrs));
             const MultiPortResult r =
-                simulateMultiPortEventDriven(cfg, map, streams);
+                simulateMultiPort(cfg, map, streams);
             EXPECT_GE(r.makespan, prev)
                 << "adding stream " << p << " shrank the makespan";
             prev = r.makespan;
@@ -413,7 +448,7 @@ TEST(MultiPortDifferential, ArenaDoesNotChangeResults)
     }
 
     DeliveryArena arena;
-    EventDrivenMultiPort backend(cfg, map);
+    PerCycleMultiPort backend(cfg, map);
     const MultiPortResult plain = backend.run(streams);
     MultiPortResult pooled = backend.run(streams, &arena);
     EXPECT_EQ(pooled, plain);
@@ -424,16 +459,15 @@ TEST(MultiPortDifferential, ArenaDoesNotChangeResults)
     EXPECT_EQ(reused, plain);
     EXPECT_EQ(arena.pooled(), 0u); // buffers handed back out
 
-    // The per-cycle P = 1 path recycles too: a released buffer is
-    // handed back out on the next runSingle, so the sweep's
-    // release-after-consume loop cannot grow the pool unboundedly.
-    PerCycleMultiPort oracle(cfg, map);
-    AccessResult first = oracle.runSingle(streams[0], &arena);
-    const AccessResult bare = oracle.runSingle(streams[0]);
+    // The P = 1 path recycles too: a released buffer is handed back
+    // out on the next runSingle, so the sweep's release-after-consume
+    // loop cannot grow the pool unboundedly.
+    AccessResult first = backend.runSingle(streams[0], &arena);
+    const AccessResult bare = backend.runSingle(streams[0]);
     EXPECT_EQ(first, bare);
     arena.release(std::move(first.deliveries));
     EXPECT_EQ(arena.pooled(), 1u);
-    const AccessResult second = oracle.runSingle(streams[0], &arena);
+    const AccessResult second = backend.runSingle(streams[0], &arena);
     EXPECT_EQ(second, bare);
     EXPECT_EQ(arena.pooled(), 0u);
 }
@@ -488,8 +522,7 @@ TEST(MultiPortDifferential, RejectsEmptyPortList)
     test::ScopedPanicThrow guard;
     const MemConfig cfg{2, 2, 1, 1};
     const LowOrderInterleave map(2);
-    EXPECT_THROW(simulateMultiPortEventDriven(cfg, map, {}),
-                 std::runtime_error);
+    EXPECT_THROW(simulateMultiPort(cfg, map, {}), std::runtime_error);
 }
 
 } // namespace

@@ -3,8 +3,7 @@
  * Sweep-grid coverage for the prior-art mappings (ROADMAP "new
  * workloads" axis): the dynamic field scheme of [11]
  * (MemoryKind::DynamicTuned) and pseudo-random interleaving of [12]
- * (MemoryKind::PseudoRandom) as first-class grid configurations,
- * cross-checked under both simulation engines.
+ * (MemoryKind::PseudoRandom) as first-class grid configurations.
  */
 
 #include <gtest/gtest.h>
@@ -123,19 +122,6 @@ TEST(SweepDynamic, PseudoRandomAvoidsPathologicalSerialization)
         EXPECT_LT(o.latency, serialized / 2)
             << "prand stride " << o.stride << " serialized";
     }
-}
-
-TEST(SweepDynamic, EnginesAgreeOnPriorArtMappings)
-{
-    // The differential contract extends to the new workload kinds.
-    const ScenarioGrid grid = priorArtGrid();
-    SweepOptions per_cycle;
-    per_cycle.engine = EngineKind::PerCycle;
-    SweepOptions event;
-    event.engine = EngineKind::EventDriven;
-    const SweepReport a = SweepEngine(per_cycle).run(grid);
-    const SweepReport b = SweepEngine(event).run(grid);
-    EXPECT_EQ(a, b);
 }
 
 TEST(SweepDynamic, ReportIdenticalAcrossThreadCounts)

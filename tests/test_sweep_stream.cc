@@ -6,7 +6,7 @@
  *
  *  - Streamed CSV/JSON output is byte-identical to the
  *    materialized SweepReport::writeCsv/writeJson at any thread
- *    count, grain, engine, and shard split.
+ *    count, grain, tier, and shard split.
  *  - ShardSpec slices partition the job list into disjoint,
  *    contiguous, covering ranges, and the merged output of N
  *    shards (via sim/merge.h — the exact code cfva_merge runs) is
@@ -106,10 +106,10 @@ streamRun(const ScenarioGrid &grid, SweepOptions opts)
 TEST(SweepStream, ByteIdenticalToMaterializedAtAnyConfig)
 {
     const ScenarioGrid grid = pipelineGrid();
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
+    for (TierPolicy tier :
+         {TierPolicy::SimulateAlways, TierPolicy::TheoryFirst}) {
         SweepOptions base;
-        base.engine = engine;
+        base.tier = tier;
         const SweepReport report = SweepEngine(base).run(grid);
         const std::string wantCsv = csvOf(report);
         const std::string wantJson = jsonOf(report);
@@ -118,15 +118,15 @@ TEST(SweepStream, ByteIdenticalToMaterializedAtAnyConfig)
             for (std::size_t grain : {std::size_t{0}, std::size_t{3},
                                       std::size_t{1000}}) {
                 SweepOptions opts;
-                opts.engine = engine;
+                opts.tier = tier;
                 opts.threads = threads;
                 opts.grain = grain;
                 const Streamed got = streamRun(grid, opts);
                 EXPECT_EQ(got.csv, wantCsv)
-                    << "engine " << to_string(engine) << " threads "
+                    << "tier " << to_string(tier) << " threads "
                     << threads << " grain " << grain;
                 EXPECT_EQ(got.json, wantJson)
-                    << "engine " << to_string(engine) << " threads "
+                    << "tier " << to_string(tier) << " threads "
                     << threads << " grain " << grain;
             }
         }
@@ -156,10 +156,10 @@ TEST(SweepStream, ShardSlicesPartitionTheJobs)
 TEST(SweepStream, MergedShardsBitIdenticalToUnsharded)
 {
     const ScenarioGrid grid = pipelineGrid();
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
+    for (TierPolicy tier :
+         {TierPolicy::SimulateAlways, TierPolicy::TheoryFirst}) {
         SweepOptions base;
-        base.engine = engine;
+        base.tier = tier;
         const SweepReport full = SweepEngine(base).run(grid);
         const std::string wantCsv = csvOf(full);
         const std::string wantJson = jsonOf(full);
@@ -169,7 +169,7 @@ TEST(SweepStream, MergedShardsBitIdenticalToUnsharded)
             std::size_t jobsSeen = 0;
             for (std::size_t i = 0; i < count; ++i) {
                 SweepOptions opts;
-                opts.engine = engine;
+                opts.tier = tier;
                 opts.threads = 2;
                 opts.shard = {i, count};
                 const Streamed s = streamRun(grid, opts);
@@ -193,9 +193,9 @@ TEST(SweepStream, MergedShardsBitIdenticalToUnsharded)
             mergeCsv(mergedCsv, csvPtrs);
             mergeJson(mergedJson, jsonPtrs);
             EXPECT_EQ(mergedCsv.str(), wantCsv)
-                << "engine " << to_string(engine) << " N=" << count;
+                << "tier " << to_string(tier) << " N=" << count;
             EXPECT_EQ(mergedJson.str(), wantJson)
-                << "engine " << to_string(engine) << " N=" << count;
+                << "tier " << to_string(tier) << " N=" << count;
         }
     }
 }
@@ -278,7 +278,7 @@ TEST(SweepStream, BackendCacheMatchesFreshBackends)
             grid, sc, unit, nullptr, &cache);
         EXPECT_EQ(fresh, cached) << "job " << sc.index;
     }
-    // One backend per mapping (single engine), everything else hits.
+    // One backend per mapping (single tier), everything else hits.
     EXPECT_EQ(cache.stats().misses, grid.mappings.size());
     EXPECT_EQ(cache.stats().hits + cache.stats().misses,
               jobs.size());

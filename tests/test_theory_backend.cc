@@ -3,8 +3,8 @@
  * Tests for the tiered evaluator (src/theory/theory_backend.{h,cc}).
  *
  * The theory tier's whole contract is bit-identity: an access it
- * claims must produce exactly the AccessResult the simulation
- * engines would — latency, stalls, and every delivery timestamp.
+ * claims must produce exactly the AccessResult the per-cycle
+ * simulator would — latency, stalls, and every delivery timestamp.
  * The randomized audit grid here drives all mapping kinds across
  * strides inside and outside the paper's windows, lengths around
  * the register size, and both port counts, comparing the TheoryFirst
@@ -43,13 +43,11 @@ matchedConfig()
     return cfg;
 }
 
-/** TheoryBackend over @p unit's mapping, wrapping a fresh engine. */
+/** A fresh TheoryBackend over @p unit's shape and mapping. */
 TheoryBackend
-theoryOver(const VectorAccessUnit &unit, EngineKind engine)
+theoryOver(const VectorAccessUnit &unit)
 {
-    return TheoryBackend(
-        unit.memConfig(), unit.mapping(),
-        makeMemoryBackend(engine, unit.memConfig(), unit.mapping()));
+    return TheoryBackend(unit.memConfig(), unit.mapping());
 }
 
 TEST(TheoryBackend, ClaimedStreamIsBitIdenticalToSimulation)
@@ -60,23 +58,18 @@ TEST(TheoryBackend, ClaimedStreamIsBitIdenticalToSimulation)
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
     ASSERT_TRUE(plan.expectConflictFree);
 
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
-        TheoryBackend tb = theoryOver(unit, engine);
-        const AccessResult claimed = tb.runSingle(plan.stream);
-        EXPECT_TRUE(tb.lastClaimed());
-        EXPECT_EQ(tb.stats().claimed, 1u);
-        EXPECT_EQ(tb.stats().fallback, 0u);
+    TheoryBackend tb = theoryOver(unit);
+    const AccessResult claimed = tb.runSingle(plan.stream);
+    EXPECT_TRUE(tb.lastClaimed());
+    EXPECT_EQ(tb.stats().claimed, 1u);
+    EXPECT_EQ(tb.stats().fallback, 0u);
 
-        const AccessResult simulated =
-            tb.fallback().runSingle(plan.stream);
-        EXPECT_EQ(claimed, simulated)
-            << "claimed result diverges from " << to_string(engine);
-        EXPECT_TRUE(claimed.conflictFree);
-        EXPECT_EQ(claimed.latency,
-                  theory::minimumLatency(
-                      64, unit.memConfig().serviceCycles()));
-    }
+    const AccessResult simulated = tb.fallback().runSingle(plan.stream);
+    EXPECT_EQ(claimed, simulated);
+    EXPECT_TRUE(claimed.conflictFree);
+    EXPECT_EQ(claimed.latency,
+              theory::minimumLatency(64,
+                                     unit.memConfig().serviceCycles()));
 }
 
 TEST(TheoryBackend, ConflictedStreamIsSolvedAnalytically)
@@ -89,7 +82,7 @@ TEST(TheoryBackend, ConflictedStreamIsSolvedAnalytically)
     const AccessPlan plan = unit.plan(0, Stride(64), 64);
     ASSERT_FALSE(plan.expectConflictFree);
 
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb = theoryOver(unit);
     const AccessResult viaTier = tb.runSingle(plan.stream);
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(tb.lastReason(), FallbackReason::None);
@@ -107,7 +100,7 @@ TEST(TheoryBackend, HintFalseSkipsTheProofButNotTheSolver)
 {
     const VectorAccessUnit unit(matchedConfig());
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb = theoryOver(unit);
 
     // The hint gates only the O(L) conflict-free proof; the
     // steady-state solver still runs, and a periodic stream —
@@ -131,7 +124,7 @@ TEST(TheoryBackend, AperiodicConflictedStreamFallsBack)
     // conflicted stream's form: it must simulate, and the taxonomy
     // must say why.
     const AccessPlan plan = unit.plan(0, Stride(3), 64);
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb = theoryOver(unit);
     const AccessResult viaTier =
         tb.runSingleHinted(false, plan.stream);
     if (!tb.lastClaimed()) {
@@ -144,7 +137,7 @@ TEST(TheoryBackend, AperiodicConflictedStreamFallsBack)
 TEST(TheoryBackend, EmptyStreamIsClaimedTrivially)
 {
     const VectorAccessUnit unit(matchedConfig());
-    TheoryBackend tb = theoryOver(unit, EngineKind::PerCycle);
+    TheoryBackend tb = theoryOver(unit);
     const AccessResult empty = tb.runSingle({});
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(empty, tb.fallback().runSingle({}));
@@ -153,11 +146,11 @@ TEST(TheoryBackend, EmptyStreamIsClaimedTrivially)
     EXPECT_TRUE(empty.deliveries.empty());
 }
 
-TEST(TheoryBackend, SinglePortRunLiftsLikeTheEngines)
+TEST(TheoryBackend, SinglePortRunLiftsLikeTheSimulator)
 {
     const VectorAccessUnit unit(matchedConfig());
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb = theoryOver(unit);
 
     const MultiPortResult lifted = tb.run({plan.stream});
     EXPECT_TRUE(tb.lastClaimed());
@@ -170,7 +163,7 @@ TEST(TheoryBackend, MultiPortSharedModulesFallBack)
 {
     const VectorAccessUnit unit(matchedConfig());
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb = theoryOver(unit);
 
     // Two ports issuing the same stream contend for every module:
     // the schedule is not single-port-decomposable and simulates.
@@ -206,7 +199,7 @@ TEST(TheoryBackend, MultiPortDisjointPortsAreClaimed)
     }
     ASSERT_TRUE(found) << "no disjoint base below 4096";
 
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb = theoryOver(unit);
     const std::vector<std::vector<Request>> streams = {p0.stream,
                                                        p1.stream};
     const MultiPortResult viaTier = tb.run(streams);
@@ -225,20 +218,19 @@ TEST(TheoryBackend, CacheKeepsTiersSeparate)
 {
     const VectorAccessUnit unit(matchedConfig());
     BackendCache cache;
-    MemoryBackend &sim = cache.backendFor(
-        EngineKind::EventDriven, unit.memConfig(), unit.mapping());
+    MemoryBackend &sim =
+        cache.backendFor(unit.memConfig(), unit.mapping());
     TheoryBackend &tb = cache.theoryBackendFor(
-        EngineKind::EventDriven, unit.memConfig(), unit.mapping());
+        EngineKind::PerCycle, unit.memConfig(), unit.mapping());
     EXPECT_NE(&sim, static_cast<MemoryBackend *>(&tb));
     EXPECT_EQ(cache.size(), 2u);
 
     // Repeat lookups hit their own entries.
-    EXPECT_EQ(&cache.theoryBackendFor(EngineKind::EventDriven,
+    EXPECT_EQ(&cache.theoryBackendFor(EngineKind::PerCycle,
                                       unit.memConfig(),
                                       unit.mapping()),
               &tb);
-    EXPECT_EQ(&cache.backendFor(EngineKind::EventDriven,
-                                unit.memConfig(), unit.mapping()),
+    EXPECT_EQ(&cache.backendFor(unit.memConfig(), unit.mapping()),
               &sim);
     EXPECT_EQ(cache.size(), 2u);
 }
@@ -294,7 +286,7 @@ TEST(TheoryBackend, AccessClaimsCertifiedAccessesWithoutAStream)
                 EXPECT_EQ(viaAccessTiers, viaPlanTiers);
                 const auto theory = [&](BackendCache &cache) {
                     return cache
-                        .theoryBackendFor(unit.config().engine,
+                        .theoryBackendFor(EngineKind::PerCycle,
                                           unit.memConfig(),
                                           unit.mapping())
                         .stats();
@@ -363,66 +355,59 @@ auditConfigs()
 // The acceptance audit: every mapping kind x strides spanning
 // in- and out-of-window families x lengths around the register
 // size x randomized starts x both port counts.  Every access the
-// theory tier claims must be bit-identical to the simulation
-// engines, and the tier must claim a nonzero share of the grid.
+// theory tier claims must be bit-identical to the per-cycle
+// simulator, and the tier must claim a nonzero share of the grid.
 TEST(TheoryBackendAudit, RandomizedGridIsBitIdenticalOnClaims)
 {
     Rng rng(0xA0D17ull);
     std::uint64_t claimed = 0;
     std::uint64_t fallback = 0;
 
-    for (const VectorUnitConfig &baseCfg : auditConfigs()) {
-        for (EngineKind engine :
-             {EngineKind::PerCycle, EngineKind::EventDriven}) {
-            VectorUnitConfig cfg = baseCfg;
-            cfg.engine = engine;
-            const VectorAccessUnit unit(cfg);
-            const std::uint64_t reg = cfg.registerLength();
+    for (const VectorUnitConfig &cfg : auditConfigs()) {
+        const VectorAccessUnit unit(cfg);
+        const std::uint64_t reg = cfg.registerLength();
 
-            BackendCache theoryCache;
-            BackendCache simCache;
+        BackendCache theoryCache;
+        BackendCache simCache;
 
-            for (unsigned family = 0; family <= 7; ++family) {
-                for (std::uint64_t sigma : {1ull, 3ull}) {
-                    const std::uint64_t stride = sigma << family;
-                    for (std::uint64_t length :
-                         {reg, reg / 2, reg * 2, std::uint64_t{5}}) {
-                        const Addr a1 =
-                            rng.below(2) ? 0 : rng.below(1u << 16);
+        for (unsigned family = 0; family <= 7; ++family) {
+            for (std::uint64_t sigma : {1ull, 3ull}) {
+                const std::uint64_t stride = sigma << family;
+                for (std::uint64_t length :
+                     {reg, reg / 2, reg * 2, std::uint64_t{5}}) {
+                    const Addr a1 =
+                        rng.below(2) ? 0 : rng.below(1u << 16);
 
-                        // Single port: plan once, execute under
-                        // each tier, compare bit for bit.
-                        const AccessPlan plan =
-                            unit.plan(a1, Stride(stride), length);
-                        TierCounters tc;
-                        const AccessResult viaTier = unit.execute(
-                            plan, nullptr, &theoryCache,
+                    // Single port: plan once, execute under
+                    // each tier, compare bit for bit.
+                    const AccessPlan plan =
+                        unit.plan(a1, Stride(stride), length);
+                    TierCounters tc;
+                    const AccessResult viaTier = unit.execute(
+                        plan, nullptr, &theoryCache,
+                        TierPolicy::TheoryFirst, &tc);
+                    const AccessResult simulated = unit.execute(
+                        plan, nullptr, &simCache);
+                    EXPECT_EQ(viaTier, simulated)
+                        << cfg.describe() << " stride=" << stride
+                        << " length=" << length << " a1=" << a1;
+                    claimed += tc.claimed;
+                    fallback += tc.fallback;
+
+                    // Two ports: the tier must fall back, and
+                    // falling back must not disturb results.
+                    const std::vector<std::vector<Request>>
+                        streams = {plan.stream, plan.stream};
+                    const MultiPortResult tierPorts =
+                        unit.executePorts(
+                            streams, nullptr, &theoryCache,
                             TierPolicy::TheoryFirst, &tc);
-                        const AccessResult simulated = unit.execute(
-                            plan, nullptr, &simCache);
-                        EXPECT_EQ(viaTier, simulated)
-                            << cfg.describe() << " engine="
-                            << to_string(engine) << " stride="
-                            << stride << " length=" << length
-                            << " a1=" << a1;
-                        claimed += tc.claimed;
-                        fallback += tc.fallback;
-
-                        // Two ports: the tier must fall back, and
-                        // falling back must not disturb results.
-                        const std::vector<std::vector<Request>>
-                            streams = {plan.stream, plan.stream};
-                        const MultiPortResult tierPorts =
-                            unit.executePorts(
-                                streams, nullptr, &theoryCache,
-                                TierPolicy::TheoryFirst, &tc);
-                        const MultiPortResult simPorts =
-                            unit.executePorts(streams, nullptr,
-                                              &simCache);
-                        EXPECT_EQ(tierPorts, simPorts)
-                            << cfg.describe() << " ports=2 stride="
-                            << stride << " length=" << length;
-                    }
+                    const MultiPortResult simPorts =
+                        unit.executePorts(streams, nullptr,
+                                          &simCache);
+                    EXPECT_EQ(tierPorts, simPorts)
+                        << cfg.describe() << " ports=2 stride="
+                        << stride << " length=" << length;
                 }
             }
         }
@@ -476,6 +461,7 @@ TEST(TheoryBackendAudit, TierChangesOnlyAttributionColumns)
 {
     const sim::ScenarioGrid grid = mixedGrid();
     sim::SweepOptions simOpts;
+    simOpts.tier = TierPolicy::SimulateAlways;
     const sim::SweepReport simulated =
         sim::SweepEngine(simOpts).run(grid);
 
@@ -501,7 +487,7 @@ TEST(TheoryBackendAudit, TierChangesOnlyAttributionColumns)
 // The solver's memo and the fallback memo count apart: a
 // single-port access the tier cannot answer costs exactly one
 // solver memo lookup and one fallback memo lookup, never a lookup
-// inside the fallback engine.  On a pseudo-random grid every module
+// inside the fallback simulator.  On a pseudo-random grid every module
 // sequence is aperiodic, so every solver attempt misses its memo,
 // fails to collapse, and falls back.
 TEST(TheoryBackendAudit, SolverCountsOneMemoLookupPerAttempt)
@@ -595,43 +581,33 @@ stripAttribution(sim::ScenarioOutcome o)
     return o;
 }
 
-TEST(FallbackMemo, SweepMatchesSimulateAlwaysOnBothEngines)
+TEST(FallbackMemo, SweepMatchesSimulateAlways)
 {
     const sim::ScenarioGrid grid = fallbackGrid();
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
-        sim::SweepOptions simOpts;
-        simOpts.engine = engine;
-        simOpts.threads = 1;
-        const sim::SweepReport oracle =
-            sim::SweepEngine(simOpts).run(grid);
+    sim::SweepOptions simOpts;
+    simOpts.threads = 1;
+    simOpts.tier = TierPolicy::SimulateAlways;
+    const sim::SweepReport oracle = sim::SweepEngine(simOpts).run(grid);
 
-        sim::SweepOptions theoryOpts = simOpts;
-        theoryOpts.tier = TierPolicy::TheoryFirst;
-        sim::SweepRunStats stats;
-        const sim::SweepReport theory =
-            sim::SweepEngine(theoryOpts).run(grid, &stats);
-        EXPECT_GT(stats.fallbackMemoHits, 0u) << to_string(engine);
-        EXPECT_GT(stats.fallbackMemoMisses, 0u) << to_string(engine);
-        EXPECT_EQ(stats.fallbackMemoHits + stats.fallbackMemoMisses,
-                  stats.theoryFallbacks)
-            << to_string(engine);
+    sim::SweepOptions theoryOpts = simOpts;
+    theoryOpts.tier = TierPolicy::TheoryFirst;
+    sim::SweepRunStats stats;
+    const sim::SweepReport theory =
+        sim::SweepEngine(theoryOpts).run(grid, &stats);
+    EXPECT_GT(stats.fallbackMemoHits, 0u);
+    EXPECT_GT(stats.fallbackMemoMisses, 0u);
+    EXPECT_EQ(stats.fallbackMemoHits + stats.fallbackMemoMisses,
+              stats.theoryFallbacks);
 
-        ASSERT_EQ(theory.jobs(), oracle.jobs());
-        for (std::size_t i = 0; i < theory.jobs(); ++i) {
-            EXPECT_EQ(stripAttribution(theory.outcomes[i]),
-                      oracle.outcomes[i])
-                << to_string(engine) << " job " << i << " ("
-                << theory.mappingLabels[theory.outcomes[i]
-                                            .mappingIndex]
-                << ", "
-                << theory.workloadLabels[theory.outcomes[i]
-                                             .workloadIndex]
-                << ", ports " << theory.outcomes[i].ports << ", mix "
-                << theory.portMixLabels[theory.outcomes[i]
-                                            .portMixIndex]
-                << ")";
-        }
+    ASSERT_EQ(theory.jobs(), oracle.jobs());
+    for (std::size_t i = 0; i < theory.jobs(); ++i) {
+        const sim::ScenarioOutcome &o = theory.outcomes[i];
+        EXPECT_EQ(stripAttribution(o), oracle.outcomes[i])
+            << "job " << i << " ("
+            << theory.mappingLabels[o.mappingIndex] << ", "
+            << theory.workloadLabels[o.workloadIndex] << ", ports "
+            << o.ports << ", mix "
+            << theory.portMixLabels[o.portMixIndex] << ")";
     }
 }
 
@@ -656,63 +632,58 @@ portStreams(const VectorAccessUnit &unit, Addr a1,
 }
 
 // Access-level differential at every detail: cold (simulated) and
-// warm (replayed) answers must equal the engine's, deliveries
+// warm (replayed) answers must equal the simulator's, deliveries
 // included at Full detail and aggregates at Summary detail.
-TEST(FallbackMemo, ReplaysMatchTheEngineAtEveryDetail)
+TEST(FallbackMemo, ReplaysMatchTheSimulatorAtEveryDetail)
 {
     Rng rng(0xFA11ull);
     for (const VectorUnitConfig &cfg : fallbackConfigs()) {
-        for (EngineKind engine :
-             {EngineKind::PerCycle, EngineKind::EventDriven}) {
-            const VectorAccessUnit unit(cfg);
-            TheoryBackend tb = theoryOver(unit, engine);
-            auto oracle = makeMemoryBackend(engine, unit.memConfig(),
-                                            unit.mapping());
-            for (unsigned family = 0; family <= 5; ++family) {
-                for (const std::vector<std::int64_t> &mix :
-                     {std::vector<std::int64_t>{1},
-                      std::vector<std::int64_t>{1, 3},
-                      std::vector<std::int64_t>{-1}}) {
-                    for (unsigned ports : {1u, 2u}) {
-                        const Addr a1 = rng.below(1u << 16);
-                        const auto streams = portStreams(
-                            unit, a1, std::uint64_t{3} << family, 32,
-                            mix, ports);
-                        const MultiPortResult ref =
-                            oracle->run(streams);
-                        // Summary first (a scalars-only entry), then
-                        // Full (the upgrade), then both as hits.
-                        for (ResultDetail detail :
-                             {ResultDetail::Summary,
-                              ResultDetail::Full, ResultDetail::Full,
-                              ResultDetail::Summary}) {
-                            const MultiPortResult got =
-                                tb.runPorts(streams, nullptr, detail);
-                            if (detail == ResultDetail::Full) {
-                                EXPECT_EQ(got, ref)
-                                    << cfg.describe() << " family "
-                                    << family << " ports " << ports;
-                                continue;
-                            }
-                            EXPECT_EQ(got.makespan, ref.makespan);
-                            ASSERT_EQ(got.ports.size(), ports);
-                            for (unsigned p = 0; p < ports; ++p) {
-                                AccessResult agg = ref.ports[p];
-                                agg.deliveries.clear();
-                                AccessResult sum = got.ports[p];
-                                sum.deliveries.clear();
-                                EXPECT_EQ(sum, agg)
-                                    << cfg.describe() << " family "
-                                    << family << " port " << p;
-                            }
+        const VectorAccessUnit unit(cfg);
+        TheoryBackend tb = theoryOver(unit);
+        PerCycleMultiPort oracle(unit.memConfig(), unit.mapping());
+        for (unsigned family = 0; family <= 5; ++family) {
+            for (const std::vector<std::int64_t> &mix :
+                 {std::vector<std::int64_t>{1},
+                  std::vector<std::int64_t>{1, 3},
+                  std::vector<std::int64_t>{-1}}) {
+                for (unsigned ports : {1u, 2u}) {
+                    const Addr a1 = rng.below(1u << 16);
+                    const auto streams = portStreams(
+                        unit, a1, std::uint64_t{3} << family, 32,
+                        mix, ports);
+                    const MultiPortResult ref = oracle.run(streams);
+                    // Summary first (a scalars-only entry), then
+                    // Full (the upgrade), then both as hits.
+                    for (ResultDetail detail :
+                         {ResultDetail::Summary,
+                          ResultDetail::Full, ResultDetail::Full,
+                          ResultDetail::Summary}) {
+                        const MultiPortResult got =
+                            tb.runPorts(streams, nullptr, detail);
+                        if (detail == ResultDetail::Full) {
+                            EXPECT_EQ(got, ref)
+                                << cfg.describe() << " family "
+                                << family << " ports " << ports;
+                            continue;
+                        }
+                        EXPECT_EQ(got.makespan, ref.makespan);
+                        ASSERT_EQ(got.ports.size(), ports);
+                        for (unsigned p = 0; p < ports; ++p) {
+                            AccessResult agg = ref.ports[p];
+                            agg.deliveries.clear();
+                            AccessResult sum = got.ports[p];
+                            sum.deliveries.clear();
+                            EXPECT_EQ(sum, agg)
+                                << cfg.describe() << " family "
+                                << family << " port " << p;
                         }
                     }
                 }
             }
-            EXPECT_GT(tb.stats().fallback, 0u) << cfg.describe();
-            EXPECT_GT(tb.fastPathStats().fallbackMemoHits, 0u)
-                << cfg.describe();
         }
+        EXPECT_GT(tb.stats().fallback, 0u) << cfg.describe();
+        EXPECT_GT(tb.fastPathStats().fallbackMemoHits, 0u)
+            << cfg.describe();
     }
 }
 
@@ -747,7 +718,7 @@ TEST(FallbackMemo, ColdAndWarmMemoAgreeOnAttribution)
 bool
 rejected(const VectorAccessUnit &unit, const AccessPlan &plan)
 {
-    TheoryBackend probe = theoryOver(unit, EngineKind::PerCycle);
+    TheoryBackend probe = theoryOver(unit);
     probe.runSingleHinted(false, plan.stream);
     return !probe.lastClaimed();
 }
@@ -774,7 +745,7 @@ TEST(FallbackMemo, SummaryOnlyEntryStillDeliversToChainedLoads)
     VectorUnitConfig cfg = fallbackConfigs().front();
     const VectorAccessUnit unit(cfg);
     const AccessPlan plan = rejectedPrandPlan(unit, 0);
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb = theoryOver(unit);
     const AccessResult ref = tb.fallback().runSingle(plan.stream);
     ASSERT_FALSE(ref.deliveries.empty());
     const auto memo = [&tb] { return tb.fastPathStats(); };
@@ -854,7 +825,7 @@ TEST(FallbackMemo, PrandShiftThatReordersModulesMisses)
     }
     ASSERT_TRUE(found) << "no rejected reordering shift below 256";
 
-    TheoryBackend tb = theoryOver(unit, EngineKind::PerCycle);
+    TheoryBackend tb = theoryOver(unit);
     EXPECT_EQ(tb.runSingleHinted(false, first.stream),
               tb.fallback().runSingle(first.stream));
     EXPECT_EQ(tb.runSingleHinted(false, shifted.stream),

@@ -4,10 +4,11 @@
  *
  * Three unification contracts, each enforced bit for bit:
  *
- *  1. Engine identity: chained/decoupled totals, retune relayout
+ *  1. Tier identity: chained/decoupled totals, retune relayout
  *     cycles, and every other workload outcome are identical under
- *     the per-cycle and event-driven engines over a randomized grid
- *     of every mapping kind x every workload x 1-2 ports.
+ *     the analytic tier and the per-cycle oracle (the audit tier)
+ *     over a randomized grid of every mapping kind x every workload
+ *     x 1-2 ports.
  *  2. vproc identity: the VectorProcessor — now running on the same
  *     MemoryBackend/BackendCache path — produces program timings
  *     that match the sweep's `single` and `chain` workload outcomes
@@ -92,29 +93,22 @@ differentialGrid()
     return grid;
 }
 
-TEST(WorkloadDifferential, EnginesBitIdenticalOnRandomizedGrid)
+TEST(WorkloadDifferential, TiersBitIdenticalOnRandomizedGrid)
 {
     const ScenarioGrid grid = differentialGrid();
-    SweepOptions per_cycle;
-    per_cycle.engine = EngineKind::PerCycle;
-    SweepOptions event;
-    event.engine = EngineKind::EventDriven;
+    SweepOptions opts;
+    opts.tier = TierPolicy::AuditBoth;
+    SweepRunStats stats;
+    const SweepReport audited = SweepEngine(opts).run(grid, &stats);
 
-    const SweepReport oracle = SweepEngine(per_cycle).run(grid);
-    const SweepReport fast = SweepEngine(event).run(grid);
-
-    ASSERT_EQ(oracle.jobs(), grid.jobCount());
-    ASSERT_EQ(oracle.outcomes.size(), fast.outcomes.size());
-    for (std::size_t i = 0; i < oracle.outcomes.size(); ++i) {
-        EXPECT_EQ(oracle.outcomes[i], fast.outcomes[i])
-            << "job " << i << " ("
-            << oracle.mappingLabels[oracle.outcomes[i].mappingIndex]
-            << ", workload "
-            << oracle
-                   .workloadLabels[oracle.outcomes[i].workloadIndex]
-            << ")";
+    ASSERT_EQ(audited.jobs(), grid.jobCount());
+    for (const ScenarioOutcome &o : audited.outcomes) {
+        EXPECT_FALSE(o.tierAuditDiverged)
+            << "job " << o.index << " ("
+            << audited.mappingLabels[o.mappingIndex] << ", workload "
+            << audited.workloadLabels[o.workloadIndex] << ")";
     }
-    EXPECT_EQ(oracle, fast);
+    EXPECT_EQ(stats.tierAuditDivergences, 0u);
 }
 
 TEST(WorkloadDifferential, TopOfAddressSpaceWrapsAndAuditsClean)
@@ -171,14 +165,16 @@ TEST(WorkloadDifferential, SingleWorkloadFieldsMatchLegacyShape)
     }
 }
 
-/** Runs one scenario through runScenario without worker scratch. */
+/** Runs one scenario through runScenario without worker scratch,
+ *  on the sweep's default tier. */
 ScenarioOutcome
 runDirect(const ScenarioGrid &grid, std::size_t job)
 {
     const std::vector<Scenario> jobs = grid.expand();
     const Scenario &sc = jobs.at(job);
     const VectorAccessUnit unit(grid.mappings[sc.mappingIndex]);
-    return SweepEngine::runScenario(grid, sc, unit);
+    return SweepEngine::runScenario(grid, sc, unit, nullptr, nullptr,
+                                    nullptr, SweepOptions{}.tier);
 }
 
 TEST(WorkloadDifferential, WorkerScratchDoesNotChangeOutcomes)
@@ -233,38 +229,31 @@ TEST(WorkloadDifferential, VprocMatchesChainWorkloadTotals)
 {
     // Program totals: vproc with chaining off = the chain
     // workload's decoupled total; chaining on = the chained total
-    // when the load chains, the decoupled total otherwise.  Both
-    // engines, in- and out-of-window strides.
-    const VectorUnitConfig base = paperMatchedExample();
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
-        VectorUnitConfig cfg = base;
-        cfg.engine = engine;
-        for (std::uint64_t stride : {1ull, 12ull, 32ull}) {
-            ScenarioGrid grid;
-            grid.mappings = {cfg};
-            grid.strides = {stride};
-            grid.randomStarts = 0;
-            grid.workloads = {makeWorkload(WorkloadKind::Chain)};
-            const SweepReport report = SweepEngine().run(grid);
-            ASSERT_EQ(report.jobs(), 1u);
-            const ScenarioOutcome &o = report.outcomes.front();
+    // when the load chains, the decoupled total otherwise.  In- and
+    // out-of-window strides.
+    const VectorUnitConfig cfg = paperMatchedExample();
+    for (std::uint64_t stride : {1ull, 12ull, 32ull}) {
+        ScenarioGrid grid;
+        grid.mappings = {cfg};
+        grid.strides = {stride};
+        grid.randomStarts = 0;
+        grid.workloads = {makeWorkload(WorkloadKind::Chain)};
+        const SweepReport report = SweepEngine().run(grid);
+        ASSERT_EQ(report.jobs(), 1u);
+        const ScenarioOutcome &o = report.outcomes.front();
 
-            VectorProcessor decoupled(cfg);
-            decoupled.run(loadThenMul(stride));
-            EXPECT_EQ(decoupled.stats().cycles, o.decoupledCycles)
-                << "S=" << stride;
+        VectorProcessor decoupled(cfg);
+        decoupled.run(loadThenMul(stride));
+        EXPECT_EQ(decoupled.stats().cycles, o.decoupledCycles)
+            << "S=" << stride;
 
-            VectorProcessor chained(cfg);
-            chained.enableChaining(true);
-            chained.run(loadThenMul(stride));
-            EXPECT_EQ(chained.stats().cycles,
-                      o.chainable ? o.chainedCycles
-                                  : o.decoupledCycles)
-                << "S=" << stride;
-            EXPECT_EQ(chained.stats().chainedOps,
-                      o.chainable ? 1u : 0u);
-        }
+        VectorProcessor chained(cfg);
+        chained.enableChaining(true);
+        chained.run(loadThenMul(stride));
+        EXPECT_EQ(chained.stats().cycles,
+                  o.chainable ? o.chainedCycles : o.decoupledCycles)
+            << "S=" << stride;
+        EXPECT_EQ(chained.stats().chainedOps, o.chainable ? 1u : 0u);
     }
 }
 

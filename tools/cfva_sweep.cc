@@ -95,21 +95,17 @@ usage(std::ostream &os)
           "  --seed S           seed for random starts\n"
           "\n"
           "Execution and output:\n"
-          "  --engine E         percycle | event | both (default\n"
-          "                     percycle); 'both' runs the grid on\n"
-          "                     each engine, cross-checks the\n"
-          "                     reports bit for bit, and exits\n"
-          "                     non-zero on any mismatch\n"
           "  --tier T           theory | sim | audit (default\n"
           "                     theory): 'theory' answers provably\n"
           "                     conflict-free and periodic accesses\n"
           "                     analytically (steady-state solver\n"
           "                     with an outcome memo) and falls\n"
-          "                     back to the engine otherwise,\n"
-          "                     replaying repeated fallbacks from\n"
-          "                     a bounded memo; 'sim'\n"
-          "                     is the pure stepped oracle (every\n"
-          "                     cycle of every access simulated);\n"
+          "                     back to the per-cycle simulator\n"
+          "                     otherwise, replaying repeated\n"
+          "                     fallbacks from a bounded memo;\n"
+          "                     'sim' is the pure stepped oracle\n"
+          "                     (every cycle of every access\n"
+          "                     simulated);\n"
           "                     'audit' runs both tiers on every\n"
           "                     scenario, cross-checks them bit for\n"
           "                     bit, and exits non-zero on any\n"
@@ -125,13 +121,11 @@ usage(std::ostream &os)
           "                     merge shard outputs with cfva_merge\n"
           "  --stream           stream CSV/JSON while the sweep\n"
           "                     runs (peak memory O(threads x\n"
-          "                     grain), byte-identical output);\n"
-          "                     incompatible with --engine both\n"
+          "                     grain), byte-identical output)\n"
           "  --csv FILE         per-scenario CSV ('-' = stdout)\n"
           "  --json FILE        per-scenario JSON ('-' = stdout)\n"
           "  --no-summary       skip the summary table\n"
           "  --bench T1,T2,...  time the grid at each thread count\n"
-          "                     (x each engine with --engine both)\n"
           "  --bench-reps N     timed repetitions per --bench row\n"
           "                     (default 0 = adaptive: at least 3\n"
           "                     reps and 0.25 s of cumulative wall\n"
@@ -271,19 +265,6 @@ parseTier(const std::string &name)
                " (expected sim|theory|audit)");
 }
 
-std::vector<EngineKind>
-parseEngines(const std::string &name)
-{
-    if (name == "percycle")
-        return {EngineKind::PerCycle};
-    if (name == "event")
-        return {EngineKind::EventDriven};
-    if (name == "both")
-        return {EngineKind::PerCycle, EngineKind::EventDriven};
-    cfva_fatal("unknown engine: ", name,
-               " (expected percycle|event|both)");
-}
-
 std::ostream *
 openSink(const std::string &path, std::ofstream &file)
 {
@@ -338,7 +319,6 @@ struct Options
     std::size_t grain = 0; // 0 = adaptive
     sim::ShardSpec shard;
     bool stream = false;
-    std::vector<EngineKind> engines = {EngineKind::PerCycle};
     TierPolicy tier = TierPolicy::TheoryFirst;
     std::string csvPath;
     std::string jsonPath;
@@ -414,8 +394,6 @@ parseArgs(int argc, char **argv)
                 cfva_fatal("--retune-period must be >= 1");
         } else if (a == "--seed") {
             o.seed = parseU64(need(i, "--seed"), "--seed");
-        } else if (a == "--engine") {
-            o.engines = parseEngines(need(i, "--engine"));
         } else if (a == "--tier") {
             o.tier = parseTier(need(i, "--tier"));
         } else if (a == "--threads") {
@@ -584,7 +562,7 @@ printTierStats(std::ostream &info, TierPolicy tier,
 }
 
 /** Prints the steady-state solver's collapse/memo counters of a
- *  run; silent under the sim tier (the stepped engines have no
+ *  run; silent under the sim tier (the stepped simulator has no
  *  fast path, so every counter is 0 there). */
 void
 printFastPathStats(std::ostream &info, TierPolicy tier,
@@ -673,7 +651,6 @@ timedReps(const sim::SweepOptions &opts,
 /** One timed --bench row, kept for the BENCH_sweep.json emission. */
 struct BenchRun
 {
-    EngineKind engine = EngineKind::PerCycle;
     TierPolicy tier = TierPolicy::SimulateAlways;
     std::uint64_t threads = 0;
     unsigned reps = 0;
@@ -717,8 +694,7 @@ writeBenchJson(const std::string &path, const Options &o,
         << (identical ? "true" : "false") << ",\n  \"runs\": [";
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const BenchRun &r = runs[i];
-        out << (i ? ",\n" : "\n") << "    {\"engine\": \""
-            << to_string(r.engine) << "\", \"tier\": \""
+        out << (i ? ",\n" : "\n") << "    {\"tier\": \""
             << to_string(r.tier) << "\", \"threads\": "
             << r.threads << ", \"reps\": " << r.reps
             << ", \"seconds\": " << fixed(r.seconds, 6)
@@ -801,22 +777,14 @@ main(int argc, char **argv)
              << " covering jobs [" << first << ", " << last
              << ") = " << (last - first) << " scenarios\n";
     }
-    if (o.stream && o.engines.size() > 1)
-        cfva_fatal("--stream cannot cross-check: the comparison "
-                   "needs the materialized reports (drop --stream "
-                   "or pick one engine)");
     if (o.stream && !o.benchThreads.empty())
         cfva_fatal("--bench times materialized runs; it cannot "
                    "honor --stream (drop one of the two)");
 
-    std::string engineNames = to_string(o.engines.front());
-    for (std::size_t e = 1; e < o.engines.size(); ++e)
-        engineNames += std::string(" + ") + to_string(o.engines[e]);
-    info << "engine: " << engineNames << "\n";
     info << "tier: " << to_string(o.tier) << "\n";
 
     if (!o.benchThreads.empty()) {
-        TextTable t({"engine", "tier", "threads", "reps", "seconds",
+        TextTable t({"tier", "threads", "reps", "seconds",
                      "scenarios/s", "speedup"});
         // Under --tier theory the bench times the pure stepped
         // oracle too, so BENCH_sweep.json records what the analytic
@@ -836,7 +804,6 @@ main(int argc, char **argv)
                 static_cast<unsigned>(o.benchThreads.front());
             warm.grain = o.grain;
             warm.shard = o.shard;
-            warm.engine = o.engines.front();
             warm.tier = o.tier;
             sim::SweepReport scratch;
             timedRun(sim::SweepEngine(warm), grid, scratch);
@@ -873,53 +840,45 @@ main(int argc, char **argv)
         };
         sim::SweepReport firstStripped;
         bool haveBase = false;
-        for (EngineKind engine : o.engines) {
-            for (TierPolicy tier : legs) {
-                for (std::uint64_t threads : benchThreads) {
-                    sim::SweepOptions opts;
-                    opts.threads = static_cast<unsigned>(threads);
-                    opts.grain = o.grain;
-                    opts.shard = o.shard;
-                    opts.engine = engine;
-                    opts.tier = tier;
-                    sim::SweepReport report;
-                    sim::SweepRunStats stats;
-                    const RepTiming timing = timedReps(
-                        opts, grid, o.benchReps, report, stats);
-                    const double secs = timing.seconds;
-                    if (!haveBase) {
-                        base = secs;
-                        first = report;
-                        firstStripped = stripTier(report);
-                        haveBase = true;
-                    } else {
-                        allIdentical &=
-                            stripTier(report) == firstStripped;
-                    }
-                    BenchRun row;
-                    row.engine = engine;
-                    row.tier = tier;
-                    row.threads = threads;
-                    row.reps = timing.reps;
-                    row.seconds = secs;
-                    row.scenariosPerSec =
-                        static_cast<double>(report.jobs()) / secs;
-                    row.speedup = base / secs;
-                    row.stats = stats;
-                    runs.push_back(row);
-                    t.row(to_string(engine), to_string(tier), threads,
-                          timing.reps, fixed(secs, 3),
-                          fixed(row.scenariosPerSec, 0),
-                          fixed(row.speedup, 2));
+        for (TierPolicy tier : legs) {
+            for (std::uint64_t threads : benchThreads) {
+                sim::SweepOptions opts;
+                opts.threads = static_cast<unsigned>(threads);
+                opts.grain = o.grain;
+                opts.shard = o.shard;
+                opts.tier = tier;
+                sim::SweepReport report;
+                sim::SweepRunStats stats;
+                const RepTiming timing = timedReps(
+                    opts, grid, o.benchReps, report, stats);
+                const double secs = timing.seconds;
+                if (!haveBase) {
+                    base = secs;
+                    first = report;
+                    firstStripped = stripTier(report);
+                    haveBase = true;
+                } else {
+                    allIdentical &= stripTier(report) == firstStripped;
                 }
+                BenchRun row;
+                row.tier = tier;
+                row.threads = threads;
+                row.reps = timing.reps;
+                row.seconds = secs;
+                row.scenariosPerSec =
+                    static_cast<double>(report.jobs()) / secs;
+                row.speedup = base / secs;
+                row.stats = stats;
+                runs.push_back(row);
+                t.row(to_string(tier), threads, timing.reps,
+                      fixed(secs, 3), fixed(row.scenariosPerSec, 0),
+                      fixed(row.speedup, 2));
             }
         }
-        t.print(info, "SweepEngine scaling [engine: " + engineNames
-                          + "]");
+        t.print(info, "SweepEngine scaling");
 
         // Per-workload timing rows: the same grid narrowed to each
-        // workload program in turn (first engine, first thread
-        // count), one row per evaluation tier the scaling bench
+        // workload program in turn (first thread count), one row per evaluation tier the scaling bench
         // actually ran, so BENCH_sweep.json tracks program-level
         // scenarios — chain/retune/stencil sequences — under every
         // tier instead of recording only the leading run.  A
@@ -961,8 +920,7 @@ main(int argc, char **argv)
                     const BenchRun *reuse = nullptr;
                     if (sameAsGrid) {
                         for (const auto &r : runs) {
-                            if (r.engine == o.engines.front()
-                                && r.tier == tier
+                            if (r.tier == tier
                                 && r.threads
                                        == benchThreads.front()) {
                                 reuse = &r;
@@ -983,7 +941,6 @@ main(int argc, char **argv)
                             benchThreads.front());
                         opts.grain = o.grain;
                         opts.shard = o.shard;
-                        opts.engine = o.engines.front();
                         opts.tier = tier;
                         sim::SweepReport r;
                         sim::SweepRunStats s;
@@ -1003,21 +960,18 @@ main(int argc, char **argv)
                            fixed(row.scenariosPerSec, 0));
                 }
             }
-            wt.print(info, "Per-workload timing [engine: "
-                               + std::string(to_string(
-                                   o.engines.front()))
-                               + ", threads: "
+            wt.print(info, "Per-workload timing [threads: "
                                + std::to_string(benchThreads.front())
                                + "]");
         }
         info << (allIdentical
-                     ? "reports identical across thread counts, "
-                       "engines, and tiers\n"
-                     : "REPORT MISMATCH across thread counts, "
-                       "engines, or tiers\n");
+                     ? "reports identical across thread counts "
+                       "and tiers\n"
+                     : "REPORT MISMATCH across thread counts or "
+                       "tiers\n");
         if (!runs.empty()) {
             // The backend cache turns all but the first touch of
-            // each (engine, mapping) per worker into reuse; the
+            // each (tier, mapping) per worker into reuse; the
             // hit fraction is the setup cost removed at large M.
             const auto &s = runs.front().stats;
             info << "backend cache: " << s.backendCacheHits
@@ -1069,13 +1023,11 @@ main(int argc, char **argv)
     if (o.stream) {
         // Streaming mode: outcomes flow straight through the
         // CSV/JSON sinks (and an O(1)-memory summary accumulator)
-        // in job order; nothing is materialized.  Exactly one
-        // engine runs here (checked above).
+        // in job order; nothing is materialized.
         sim::SweepOptions opts;
         opts.threads = o.threads;
         opts.grain = o.grain;
         opts.shard = o.shard;
-        opts.engine = o.engines.front();
         opts.tier = o.tier;
 
         std::ofstream csvFile, jsonFile;
@@ -1103,8 +1055,7 @@ main(int argc, char **argv)
             std::chrono::duration<double>(stop - start).count();
 
         if (o.summary) {
-            info << to_string(o.engines.front()) << ": "
-                 << stats.jobs << " scenarios streamed in "
+            info << stats.jobs << " scenarios streamed in "
                  << fixed(secs, 3) << " s ("
                  << fixed(static_cast<double>(stats.jobs) / secs, 0)
                  << " scenarios/s, peak "
@@ -1126,47 +1077,21 @@ main(int argc, char **argv)
         return stats.tierAuditDivergences == 0 ? 0 : 1;
     }
 
-    // One timed run per requested engine; with --engine both the
-    // second report is cross-checked bit for bit against the first.
+    sim::SweepOptions opts;
+    opts.threads = o.threads;
+    opts.grain = o.grain;
+    opts.shard = o.shard;
+    opts.tier = o.tier;
     sim::SweepReport report;
-    sim::SweepRunStats firstStats;
-    bool crossChecked = false;
-    bool crossIdentical = true;
-    std::uint64_t auditDivergences = 0;
-    double firstSecs = 0.0;
-    for (std::size_t e = 0; e < o.engines.size(); ++e) {
-        sim::SweepOptions opts;
-        opts.threads = o.threads;
-        opts.grain = o.grain;
-        opts.shard = o.shard;
-        opts.engine = o.engines[e];
-        opts.tier = o.tier;
-        sim::SweepReport r;
-        sim::SweepRunStats stats;
-        const double secs =
-            timedRun(sim::SweepEngine(opts), grid, r, &stats);
-        auditDivergences += stats.tierAuditDivergences;
-        if (o.summary) {
-            info << to_string(o.engines[e]) << ": " << r.jobs()
-                 << " scenarios in " << fixed(secs, 3) << " s ("
-                 << fixed(static_cast<double>(r.jobs()) / secs, 0)
-                 << " scenarios/s)";
-            if (e > 0 && secs > 0.0)
-                info << ", " << fixed(firstSecs / secs, 2)
-                     << "x vs " << to_string(o.engines.front());
-            info << "\n";
-        }
-        if (e == 0) {
-            report = std::move(r);
-            firstSecs = secs;
-            firstStats = stats;
-        } else {
-            crossChecked = true;
-            crossIdentical &= r == report;
-        }
-    }
+    sim::SweepRunStats stats;
+    const double secs =
+        timedRun(sim::SweepEngine(opts), grid, report, &stats);
 
     if (o.summary) {
+        info << report.jobs() << " scenarios in " << fixed(secs, 3)
+             << " s ("
+             << fixed(static_cast<double>(report.jobs()) / secs, 0)
+             << " scenarios/s)\n";
         report.summaryTable().print(info, "Sweep summary");
         if (wantsWorkloadSummary(grid)) {
             sim::workloadSummaryTable(report.perWorkload())
@@ -1174,16 +1099,11 @@ main(int argc, char **argv)
         }
         info << report.conflictFreeJobs() << " of " << report.jobs()
              << " scenarios conflict free\n";
-        info << "backend cache: " << firstStats.backendCacheHits
-             << " hits / " << firstStats.backendCacheMisses
+        info << "backend cache: " << stats.backendCacheHits
+             << " hits / " << stats.backendCacheMisses
              << " misses\n";
-        printFastPathStats(info, o.tier, firstStats);
-        printTierStats(info, o.tier, firstStats);
-    }
-    if (crossChecked) {
-        info << (crossIdentical
-                     ? "cross-engine reports identical\n"
-                     : "CROSS-ENGINE REPORT MISMATCH\n");
+        printFastPathStats(info, o.tier, stats);
+        printTierStats(info, o.tier, stats);
     }
     if (!o.csvPath.empty()) {
         std::ofstream file;
@@ -1193,5 +1113,5 @@ main(int argc, char **argv)
         std::ofstream file;
         report.writeJson(*openSink(o.jsonPath, file));
     }
-    return (crossIdentical && auditDivergences == 0) ? 0 : 1;
+    return stats.tierAuditDivergences == 0 ? 0 : 1;
 }
