@@ -128,7 +128,9 @@ VectorUnitConfig::validate() const
         break;
       }
       case MemoryKind::DynamicTuned:
-        if (dynamicTune + mm > 63)
+        // 63 - mm cannot wrap (mm <= lambda <= 24 by now); the sum
+        // dynamicTune + mm could.
+        if (dynamicTune > 63 - mm)
             cfva_fatal("dynamic field position p=", dynamicTune,
                        " pushes the module field past bit 63");
         break;

@@ -133,6 +133,42 @@ DeliveryArena::pooledBytes() const
     return bytes;
 }
 
+void
+materializeEmits(const PortTrace &trace,
+                 std::span<const Request> stream,
+                 const ModuleId *mods, DeliveryArena *arena,
+                 AccessResult &result, unsigned port)
+{
+    const std::size_t n = trace.emits.size();
+    result.deliveries =
+        arena ? arena->acquire(n) : std::vector<Delivery>{};
+    result.deliveries.reserve(n);
+    for (const Emit &e : trace.emits) {
+        Delivery d;
+        d.addr = stream[e.pos].addr;
+        d.element = stream[e.pos].element;
+        d.module = mods[e.pos];
+        d.port = port;
+        d.issued = e.issued;
+        d.arrived = e.arrived;
+        d.serviceStart = e.serviceStart;
+        d.ready = e.ready;
+        d.delivered = e.delivered;
+        result.deliveries.push_back(d);
+    }
+    applyEmitSummary(trace.summary, result);
+}
+
+void
+applyEmitSummary(const EmitSummary &summary, AccessResult &result)
+{
+    result.firstIssue = summary.firstIssue;
+    result.lastDelivery = summary.lastDelivery;
+    result.stallCycles = summary.stallCycles;
+    result.latency = summary.latency;
+    result.conflictFree = summary.conflictFree;
+}
+
 std::vector<std::uint64_t>
 AccessResult::deliveryOrder() const
 {

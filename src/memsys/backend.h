@@ -225,6 +225,25 @@ class DeliveryArena
     std::size_t peakBytes_ = 0;
 };
 
+/**
+ * Fills @p result from a position-form outcome and the concrete
+ * stream it belongs to: addresses, element indices and module
+ * numbers come from (@p stream, @p mods) at the stored positions,
+ * every timing field from @p trace, and each delivery is stamped
+ * with @p port.  The delivery buffer is acquired from @p arena when
+ * one is given.
+ */
+void materializeEmits(const PortTrace &trace,
+                      std::span<const Request> stream,
+                      const ModuleId *mods, DeliveryArena *arena,
+                      AccessResult &result, unsigned port = 0);
+
+/** Copies only the scalar aggregates of a position-form outcome
+ *  into @p result, leaving result.deliveries untouched — the
+ *  summary-only half of materializeEmits(). */
+void applyEmitSummary(const EmitSummary &summary,
+                      AccessResult &result);
+
 /** Outcome of a simultaneous multi-vector access. */
 struct MultiPortResult
 {

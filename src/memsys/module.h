@@ -7,7 +7,6 @@
 #ifndef CFVA_MEMSYS_MODULE_H
 #define CFVA_MEMSYS_MODULE_H
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -15,6 +14,22 @@
 #include "memsys/request.h"
 
 namespace cfva {
+
+/**
+ * One element in flight through a module, in stream-position form:
+ * the request is named by its issue position on its port, so the
+ * record carries exactly what the timing decisions read and the
+ * caller fills addresses in from its own stream afterwards.
+ */
+struct InFlight
+{
+    std::uint32_t pos = 0;  //!< index into the issuing port's stream
+    unsigned port = 0;      //!< issuing port
+    Cycle issued = 0;       //!< put on the request bus
+    Cycle arrived = 0;      //!< reached the input buffer
+    Cycle serviceStart = 0; //!< meaningful once in service
+    Cycle ready = 0;        //!< meaningful once in service
+};
 
 /**
  * Cycle-stepped model of a single memory module.
@@ -31,6 +46,11 @@ namespace cfva {
  * state-changing ones (retire, tryStart) report whether they acted,
  * so the simulator can maintain aggregate occupancy counters and skip
  * whole-array scans on quiet cycles.
+ *
+ * The module is also the one owner of its state's layout for the
+ * steady-state collapser: encodeState() serializes it relative to a
+ * cycle and an issue position, and shift() moves every in-flight
+ * timestamp and position forward by a whole number of periods.
  */
 class MemoryModule
 {
@@ -48,19 +68,16 @@ class MemoryModule
     bool canAccept() const { return inCount_ < inputDepth_; }
 
     /**
-     * Enqueues a request that arrives at cycle @p arrival.
+     * Enqueues a request that arrives at cycle @p f.arrived.
      * canAccept() must be true.
      */
     void
-    accept(const Delivery &d)
+    accept(const InFlight &f)
     {
         cfva_assert(canAccept(), "module ", id_,
                     " input buffer overflow");
-        cfva_assert(d.module == id_, "request for module ", d.module,
-                    " routed to module ", id_);
-        input_[wrap(inHead_ + inCount_, inputDepth_)] = d;
+        input_[wrap(inHead_ + inCount_, inputDepth_)] = f;
         ++inCount_;
-        peakInput_ = std::max(peakInput_, inCount_);
     }
 
     /**
@@ -95,7 +112,7 @@ class MemoryModule
     {
         if (busy_ || inCount_ == 0)
             return false;
-        const Delivery &head = input_[inHead_];
+        const InFlight &head = input_[inHead_];
         if (head.arrived > now)
             return false;
         inService_ = head;
@@ -108,22 +125,22 @@ class MemoryModule
     }
 
     /** Oldest output-buffer entry, if any (for the return bus). */
-    const Delivery *
+    const InFlight *
     outputHead() const
     {
         return outCount_ == 0 ? nullptr : &output_[outHead_];
     }
 
     /** Removes the output-buffer head (the bus delivered it). */
-    Delivery
+    InFlight
     popOutput()
     {
         cfva_assert(outCount_ != 0, "module ", id_,
                     " output pop on empty buffer");
-        Delivery d = output_[outHead_];
+        InFlight f = output_[outHead_];
         outHead_ = wrap(outHead_ + 1, outputDepth_);
         --outCount_;
-        return d;
+        return f;
     }
 
     /** True iff no element is buffered, in service, or undelivered. */
@@ -135,9 +152,9 @@ class MemoryModule
 
     /**
      * Restores the freshly constructed state (empty buffers, no
-     * service in flight, peak statistics cleared) so one module
-     * instance can serve many simulated accesses — a backend that
-     * caches its module array calls this instead of reallocating.
+     * service in flight) so one module instance can serve many
+     * simulated accesses — a backend that caches its module array
+     * calls this instead of reallocating.
      */
     void
     reset()
@@ -145,8 +162,24 @@ class MemoryModule
         inHead_ = inCount_ = 0;
         outHead_ = outCount_ = 0;
         busy_ = false;
-        peakInput_ = 0;
     }
+
+    /**
+     * Appends this module's state to @p sig relative to cycle
+     * @p now and issue position @p next, in logical ring order:
+     * two states with equal encodings evolve identically up to the
+     * (cycle, position) offset between them, because every timing
+     * decision compares times with the current cycle and a position
+     * only names an element.  Dead fields (serviceStart/ready of
+     * entries still in the input buffer) are left out, and so is
+     * the port: the encoding serves the single-port loop.
+     */
+    void encodeState(Cycle now, std::size_t next,
+                     std::vector<std::int64_t> &sig) const;
+
+    /** Moves every in-flight element @p cycles later and
+     *  @p positions further down its stream. */
+    void shift(Cycle cycles, std::uint32_t positions);
 
     /** True iff an element is currently being serviced. */
     bool busy() const { return busy_; }
@@ -160,9 +193,6 @@ class MemoryModule
     ModuleId id() const { return id_; }
     Cycle serviceCycles() const { return serviceCycles_; }
 
-    /** Peak input-buffer occupancy seen so far (for benches). */
-    unsigned peakInputOccupancy() const { return peakInput_; }
-
   private:
     /** Ring advance by compare, not modulo (depths are tiny). */
     static unsigned
@@ -175,13 +205,12 @@ class MemoryModule
     Cycle serviceCycles_;
     unsigned inputDepth_;
     unsigned outputDepth_;
-    unsigned peakInput_ = 0;
 
-    std::vector<Delivery> input_;  //!< ring storage, size inputDepth_
-    std::vector<Delivery> output_; //!< ring storage, size outputDepth_
+    std::vector<InFlight> input_;  //!< ring storage, size inputDepth_
+    std::vector<InFlight> output_; //!< ring storage, size outputDepth_
     unsigned inHead_ = 0, inCount_ = 0;
     unsigned outHead_ = 0, outCount_ = 0;
-    Delivery inService_{};
+    InFlight inService_{};
     bool busy_ = false;
 };
 

@@ -1,16 +1,16 @@
 #include "memsys/multi_port.h"
 
+#include <algorithm>
 #include <limits>
-#include <utility>
 
 #include "common/logging.h"
+#include "memsys/steady_state.h"
 
 namespace cfva {
 
 namespace {
 
 using detail::PortState;
-using detail::PortView;
 
 /**
  * Re-sorts @p order, a permutation of the port indices, into the
@@ -37,47 +37,6 @@ rankPorts(std::vector<unsigned> &order,
     }
 }
 
-/**
- * Folds per-port issue state into the MultiPortResult: latency,
- * conflict-free criterion, and makespan.  The delivered buffers are
- * moved out of @p ports, but the vector itself is left intact so the
- * backend keeps it as reusable member scratch.
- */
-MultiPortResult
-assemblePortResults(const MemConfig &cfg,
-                    std::span<const PortView> views,
-                    std::vector<PortState> &ports, Cycle lastDelivery)
-{
-    MultiPortResult result;
-    bool any = false;
-    for (const auto &p : ports)
-        any |= !p.delivered.empty();
-    result.makespan = any ? lastDelivery + 1 : 0;
-    result.ports.resize(ports.size());
-    for (std::size_t p = 0; p < ports.size(); ++p) {
-        AccessResult &r = result.ports[p];
-        r.deliveries = std::move(ports[p].delivered);
-        r.firstIssue = ports[p].firstIssue;
-        r.lastDelivery =
-            r.deliveries.empty() ? 0 : r.deliveries.back().delivered;
-        r.latency = r.deliveries.empty()
-            ? 0 : r.lastDelivery - r.firstIssue + 1;
-        r.stallCycles = ports[p].stalls;
-        if (views[p].requests.empty()) {
-            // A port with nothing to issue vacuously ran at its
-            // minimum.
-            r.conflictFree = true;
-            continue;
-        }
-        const Cycle min_latency =
-            static_cast<Cycle>(views[p].requests.size())
-            + cfg.serviceCycles() + 1;
-        r.conflictFree =
-            r.stallCycles == 0 && r.latency == min_latency;
-    }
-    return result;
-}
-
 /** Wedge guard for P serialized streams of @p total requests. */
 Cycle
 wedgeLimit(const MemConfig &cfg, std::size_t total, unsigned n_ports)
@@ -87,29 +46,11 @@ wedgeLimit(const MemConfig &cfg, std::size_t total, unsigned n_ports)
            + 64;
 }
 
-/** Points one view per port at @p streams and @p mods (one premapped
- *  sequence per stream, as detail::premapPorts() produces). */
-void
-viewPorts(const std::vector<std::vector<Request>> &streams,
-          const std::vector<std::vector<ModuleId>> &mods,
-          std::vector<PortView> &views)
-{
-    cfva_assert(!streams.empty(), "need at least one port");
-    cfva_assert(mods.size() >= streams.size(),
-                "need one module sequence per port");
-    views.resize(streams.size());
-    for (std::size_t p = 0; p < streams.size(); ++p) {
-        cfva_assert(mods[p].size() == streams[p].size(),
-                    "port ", p, " module sequence length mismatch");
-        views[p] = {streams[p], mods[p].data()};
-    }
-}
-
 } // namespace
 
 PerCycleMultiPort::PerCycleMultiPort(const MemConfig &cfg,
                                      const ModuleMapping &map)
-    : cfg_(cfg), map_(map), slicer_(map)
+    : cfg_(cfg), slicer_(map)
 {
     cfg.validate();
     cfva_assert(map.moduleBits() == cfg.m,
@@ -134,8 +75,11 @@ PerCycleMultiPort::runSingleMapped(const std::vector<Request> &stream,
                                    const ModuleId *modules,
                                    DeliveryArena *arena)
 {
-    const detail::PortView view{stream, modules};
-    return std::move(simulate({&view, 1}, arena).ports[0]);
+    const PortSeq seq{modules, stream.size()};
+    loop<false>({&seq, 1}, nullptr);
+    AccessResult result;
+    materializeEmits(trace(0), stream, modules, arena, result);
+    return result;
 }
 
 MultiPortResult
@@ -154,15 +98,39 @@ PerCycleMultiPort::runMapped(
     const std::vector<std::vector<ModuleId>> &mods,
     DeliveryArena *arena)
 {
-    viewPorts(streams, mods, views_);
-    return simulate(views_, arena);
+    cfva_assert(!streams.empty(), "need at least one port");
+    cfva_assert(mods.size() >= streams.size(),
+                "need one module sequence per port");
+    seqs_.resize(streams.size());
+    for (std::size_t p = 0; p < streams.size(); ++p) {
+        cfva_assert(mods[p].size() == streams[p].size(),
+                    "port ", p, " module sequence length mismatch");
+        seqs_[p] = {mods[p].data(), streams[p].size()};
+    }
+    loop<false>(seqs_, nullptr);
+
+    MultiPortResult result;
+    result.makespan = makespan_;
+    result.ports.resize(streams.size());
+    for (std::size_t p = 0; p < streams.size(); ++p)
+        materializeEmits(trace(p), streams[p], mods[p].data(), arena,
+                         result.ports[p], static_cast<unsigned>(p));
+    return result;
 }
 
-MultiPortResult
-PerCycleMultiPort::simulate(std::span<const detail::PortView> views,
-                            DeliveryArena *arena)
+bool
+PerCycleMultiPort::simulate(const PortSeq &port,
+                            SteadyStateCollapser &collapser)
 {
-    const unsigned n_ports = static_cast<unsigned>(views.size());
+    return loop<true>({&port, 1}, &collapser);
+}
+
+template <bool Collapsing>
+bool
+PerCycleMultiPort::loop(std::span<const PortSeq> seqs,
+                        SteadyStateCollapser *collapser)
+{
+    const unsigned n_ports = static_cast<unsigned>(seqs.size());
     std::vector<MemoryModule> &modules = modules_;
     for (auto &mod : modules)
         mod.reset();
@@ -171,20 +139,20 @@ PerCycleMultiPort::simulate(std::span<const detail::PortView> views,
     for (unsigned p = 0; p < n_ports; ++p)
         order[p] = p;
 
-    // Member scratch: clear() + resize() value-initializes the
-    // PortStates while keeping the vector's own capacity.
-    ports_.clear();
+    // Member scratch: the traces keep their capacity across runs.
     ports_.resize(n_ports);
     std::vector<PortState> &ports = ports_;
-
     std::size_t total = 0;
     for (unsigned p = 0; p < n_ports; ++p) {
-        const std::size_t len = views[p].requests.size();
+        const std::size_t len = seqs[p].length;
+        cfva_assert(len <= std::numeric_limits<std::uint32_t>::max(),
+                    "port ", p, " stream of ", len,
+                    " requests overflows a stream position");
         total += len;
-        if (arena)
-            ports[p].delivered = arena->acquire(len);
-        else
-            ports[p].delivered.reserve(len);
+        ports[p].next = 0;
+        ports[p].trace.summary = {};
+        ports[p].trace.emits.clear();
+        ports[p].trace.emits.reserve(len);
     }
     std::size_t delivered_total = 0;
 
@@ -196,10 +164,17 @@ PerCycleMultiPort::simulate(std::span<const detail::PortView> views,
     unsigned queued = 0;
     unsigned inOutput = 0;
 
-    Cycle makespan = 0;
     for (Cycle now = 0; delivered_total < total; ++now) {
         cfva_assert(now <= limit, "multi-port simulation wedged at "
                     "cycle ", now);
+
+        if constexpr (Collapsing) {
+            // The collapser may jump `now`, the port and the modules
+            // forward together; occupancy is shift-invariant.
+            if (!collapser->atCycleTop(now, ports[0], modules))
+                return false;
+            delivered_total = ports[0].trace.emits.size();
+        }
 
         // 1. Retire finished services.
         if (busy != 0) {
@@ -219,7 +194,7 @@ PerCycleMultiPort::simulate(std::span<const detail::PortView> views,
                 MemoryModule *best = nullptr;
                 Cycle best_ready = std::numeric_limits<Cycle>::max();
                 for (auto &mod : modules) {
-                    const Delivery *head = mod.outputHead();
+                    const InFlight *head = mod.outputHead();
                     if (head && head->port == p
                         && head->ready < best_ready) {
                         best = &mod;
@@ -227,12 +202,12 @@ PerCycleMultiPort::simulate(std::span<const detail::PortView> views,
                     }
                 }
                 if (best) {
-                    Delivery d = best->popOutput();
+                    const InFlight f = best->popOutput();
                     --inOutput;
-                    d.delivered = now;
-                    ports[p].delivered.push_back(d);
+                    ports[p].trace.emits.push_back(
+                        {f.pos, f.issued, f.arrived, f.serviceStart,
+                         f.ready, now});
                     ++delivered_total;
-                    makespan = now;
                 }
             }
         }
@@ -252,37 +227,52 @@ PerCycleMultiPort::simulate(std::span<const detail::PortView> views,
         for (unsigned k = 0; k < n_ports; ++k) {
             const unsigned p = order[k];
             PortState &ps = ports[p];
-            const detail::PortView &view = views[p];
-            if (ps.next >= view.requests.size())
+            if (ps.next >= seqs[p].length)
                 continue;
-            const Request &req = view.requests[ps.next];
-            const ModuleId target = view.modules[ps.next];
+            const ModuleId target = seqs[p].mods[ps.next];
             cfva_assert(target < cfg_.modules(),
                         "mapping produced module ", target,
                         " outside 2^", cfg_.m);
             MemoryModule &mod = modules[target];
             if (mod.canAccept()) {
-                Delivery d;
-                d.addr = req.addr;
-                d.element = req.element;
-                d.module = target;
-                d.port = p;
-                d.issued = now;
-                d.arrived = now + 1;
-                mod.accept(d);
+                InFlight f;
+                f.pos = static_cast<std::uint32_t>(ps.next);
+                f.port = p;
+                f.issued = now;
+                f.arrived = now + 1;
+                mod.accept(f);
                 ++queued;
-                if (!ps.started) {
-                    ps.started = true;
-                    ps.firstIssue = now;
-                }
+                if (ps.next == 0)
+                    ps.trace.summary.firstIssue = now;
                 ++ps.next;
             } else {
-                ++ps.stalls;
+                ++ps.trace.summary.stallCycles;
             }
         }
     }
 
-    return assemblePortResults(cfg_, views, ports, makespan);
+    // Fold each port's aggregates: latency, the conflict-free
+    // criterion, and the makespan over all ports.
+    const Cycle T = cfg_.serviceCycles();
+    makespan_ = 0;
+    for (unsigned p = 0; p < n_ports; ++p) {
+        PortTrace &t = ports[p].trace;
+        const std::size_t len = seqs[p].length;
+        if (len == 0) {
+            // A port with nothing to issue vacuously ran at its
+            // minimum.
+            t.summary.conflictFree = true;
+            continue;
+        }
+        EmitSummary &s = t.summary;
+        s.lastDelivery = t.emits.back().delivered;
+        s.latency = s.lastDelivery - s.firstIssue + 1;
+        s.conflictFree =
+            s.stallCycles == 0
+            && s.latency == static_cast<Cycle>(len) + T + 1;
+        makespan_ = std::max(makespan_, s.lastDelivery + 1);
+    }
+    return true;
 }
 
 MultiPortResult

@@ -16,11 +16,15 @@
  * The paper's own single-port memory (Figure 2) is the P = 1 case
  * of the same loop.
  *
- * This is the only simulator, and the oracle: every cycle is
- * stepped, so its semantics are auditable line by line.  The
- * analytic tier (theory/theory_backend.h) falls back to it, and
- * --tier audit and the differential suites hold the tier
- * bit-identical to it.
+ * This loop is the only per-cycle model in the program, and the
+ * oracle: every cycle is stepped, so its semantics are auditable
+ * line by line.  The analytic tier (theory/theory_backend.h) falls
+ * back to it, and its steady-state solver runs the same loop at
+ * P = 1, with the collapser (memsys/steady_state.h) called at each
+ * cycle top to snapshot the state and jump over the periodic
+ * middle — so a solver claim is this loop's own answer, not a
+ * second model's.  --tier audit and the differential suites hold
+ * the tier bit-identical to the plain loop.
  */
 
 #ifndef CFVA_MEMSYS_MULTI_PORT_H
@@ -35,28 +39,17 @@
 
 namespace cfva {
 
+class SteadyStateCollapser;
+
 namespace detail {
 
-/**
- * One port's input to the simulation loop: the request stream and
- * its premapped module sequence (modules[i] is the mapping of
- * requests[i].addr), both borrowed from the caller, so runSingle()
- * hands the caller's stream to the loop uncopied.
- */
-struct PortView
-{
-    std::span<const Request> requests;
-    const ModuleId *modules = nullptr;
-};
-
-/** Per-port issue bookkeeping of the simulation loop. */
+/** Per-port state of the simulation loop: the issue cursor and
+ *  the port's trace so far (stalls and first issue accumulate in
+ *  trace.summary; the rest of the summary is filled at the end). */
 struct PortState
 {
     std::size_t next = 0; //!< next request index (= requests issued)
-    bool started = false;
-    Cycle firstIssue = 0;
-    std::uint64_t stalls = 0;
-    std::vector<Delivery> delivered;
+    PortTrace trace;
 };
 
 } // namespace detail
@@ -69,6 +62,14 @@ struct PortState
  * contention for an input-buffer slot alternates among the
  * contenders (a cycle-parity rotation would alias with the service
  * period and starve one port).
+ *
+ * The loop works in position form: the modules hold InFlight
+ * records that name each request by its stream position, and each
+ * delivery is appended to its port's trace as an Emit.  The entry
+ * points turn the traces into Delivery records at the end
+ * (materializeEmits); callers that keep position form — the theory
+ * tier's fallback memo and the steady-state collapser — read
+ * trace() instead.
  */
 class PerCycleMultiPort final : public MemoryBackend
 {
@@ -112,25 +113,52 @@ class PerCycleMultiPort final : public MemoryBackend
               const std::vector<std::vector<ModuleId>> &modules,
               DeliveryArena *arena = nullptr);
 
+    /**
+     * The loop over one premapped sequence with @p collapser called
+     * at the top of every cycle, before the retire step, with the
+     * loop's cycle counter, the port and the modules — all of which
+     * it may jump forward together.  No request is read: a delivery
+     * is named by its stream position.  False iff the collapser gave
+     * up (the traces are then meaningless).
+     */
+    bool simulate(const PortSeq &port,
+                  SteadyStateCollapser &collapser);
+
+    /** Port @p port's position-form outcome of the last run. */
+    const PortTrace &
+    trace(std::size_t port) const
+    {
+        return ports_[port].trace;
+    }
+
+    /** The makespan of the last run (as in
+     *  MultiPortResult::makespan). */
+    Cycle makespan() const { return makespan_; }
+
+    const MemConfig &config() const { return cfg_; }
+
   private:
-    /** The simulation loop every entry point runs, for any P. */
-    MultiPortResult simulate(std::span<const detail::PortView> views,
-                             DeliveryArena *arena);
+    /** The loop every entry point runs, over P = ports.size()
+     *  premapped sequences; the collapser's call is compiled in
+     *  only when @p Collapsing. */
+    template <bool Collapsing>
+    bool loop(std::span<const PortSeq> ports,
+              SteadyStateCollapser *collapser);
 
     MemConfig cfg_;
-    const ModuleMapping &map_;
     BitSlicedMapper slicer_;
 
     // Persistent across run() calls so a cached backend stops
     // paying the per-access construction cost (module array with
-    // its buffers, issue and premap scratch).  Every run() resets
-    // what it uses; results are bit-identical to a freshly
+    // its buffers, issue, trace and premap scratch).  Every run()
+    // resets what it uses; results are bit-identical to a freshly
     // constructed backend.
     std::vector<MemoryModule> modules_;
     std::vector<unsigned> order_; //!< issue-priority scratch
     std::vector<detail::PortState> ports_; //!< per-port scratch
     std::vector<std::vector<ModuleId>> portMods_; //!< premap scratch
-    std::vector<detail::PortView> views_; //!< runMapped() scratch
+    std::vector<PortSeq> seqs_; //!< runMapped() scratch
+    Cycle makespan_ = 0;
 };
 
 /**

@@ -22,6 +22,7 @@
 #ifndef CFVA_MEMSYS_REQUEST_H
 #define CFVA_MEMSYS_REQUEST_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -121,6 +122,54 @@ struct AccessResult
      * the per-cycle simulator.
      */
     bool operator==(const AccessResult &o) const = default;
+};
+
+/** One port's premapped module sequence: what the simulation loop
+ *  runs, and the unit an OutcomeMemo key is built from. */
+struct PortSeq
+{
+    const ModuleId *mods = nullptr;
+    std::size_t length = 0;
+};
+
+/**
+ * One delivered element in stream-position form: the timing the
+ * simulator decided, with the element named by its issue position
+ * on its port instead of its address.  Position form is what the
+ * simulation loop records and what makes an outcome replayable
+ * against a different stream with the same module sequence.
+ */
+struct Emit
+{
+    std::uint32_t pos = 0; //!< index into the port's request stream
+    Cycle issued = 0;
+    Cycle arrived = 0;
+    Cycle serviceStart = 0;
+    Cycle ready = 0;
+    Cycle delivered = 0;
+
+    bool operator==(const Emit &o) const = default;
+};
+
+/** Scalar aggregates of a position-form outcome. */
+struct EmitSummary
+{
+    Cycle firstIssue = 0;
+    Cycle lastDelivery = 0;
+    std::uint64_t stallCycles = 0;
+    Cycle latency = 0;
+    bool conflictFree = false;
+
+    bool operator==(const EmitSummary &o) const = default;
+};
+
+/** One port's outcome in position form: its aggregates and (unless
+ *  only the aggregates were kept) its deliveries in delivery
+ *  order. */
+struct PortTrace
+{
+    EmitSummary summary;
+    std::vector<Emit> emits;
 };
 
 } // namespace cfva

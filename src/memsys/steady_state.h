@@ -9,21 +9,25 @@
  * conflicted access.  Two mechanisms exploit the periodicity while
  * staying bit-identical to the full simulation:
  *
- * - SteadyStateCollapser: simulates the per-cycle model only until
- *   the machine state recurs at two issue positions one stream
- *   period apart, then closes the form — every Delivery timestamp
- *   and the stall count of the remaining floor((L-prefix)/period)
- *   repetitions are affine extrapolations of the captured segment,
- *   and a short simulated tail finishes the remainder.  Recurrence
- *   of the *relative* state (buffer occupancy and in-flight
- *   timestamps as offsets from the current cycle and issue
- *   position) is exact, so the extrapolated trace equals the
- *   stepped trace cycle for cycle.
+ * - SteadyStateCollapser: a pass of the simulator's own loop
+ *   (memsys/multi_port.h) at P = 1 that the loop calls at the top
+ *   of every cycle.  It snapshots the machine state at two issue
+ *   positions one stream period apart and, once the state recurs,
+ *   closes the form — every Delivery timestamp and the stall count
+ *   of the remaining floor((L-prefix)/period) repetitions are
+ *   affine extrapolations of the captured segment, the modules are
+ *   shifted by the same offset, and the loop steps the short tail.
+ *   Recurrence of the *relative* state (MemoryModule::encodeState:
+ *   buffer occupancy and in-flight timestamps as offsets from the
+ *   current cycle and issue position) is exact, so the extrapolated
+ *   trace equals the stepped trace cycle for cycle.  The collapser
+ *   holds no model of its own: every cycle it does not skip is
+ *   stepped by the loop.
  * - OutcomeMemo: two streams whose premapped module sequences are
  *   equal up to an order-preserving relabeling drive the simulator
  *   through identical timing decisions — every tie-break compares
  *   module numbers, and a strictly increasing relabeling preserves
- *   every comparison.  The memo keys collapsed outcomes on the
+ *   every comparison.  The memo keys position-form outcomes on the
  *   rank-canonicalized module sequence and replays them against
  *   new streams, filling addresses/elements/modules from the new
  *   stream and timing fields from the cache.  This is the sound
@@ -34,12 +38,14 @@
  * Both live in the analytic tier.  theory/conflict_solver.h runs
  * the collapse and memoizes its proofs; theory/theory_backend.h
  * holds a second, separate OutcomeMemo in front of its simulation
- * fallback, keyed on the same canonical form over all P ports, so a
+ * fallback, keyed on the same canonical form over all P ports and
+ * filled straight from the loop's position-form traces, so a
  * repeated rejected access replays instead of re-simulating.  The
- * per-cycle simulator (multi_port.h) has no fast path of its own —
- * it is the plain oracle both are differentially tested against (tests/test_collapse.cc,
- * tests/test_conflict_solver.cc, tests/test_theory_backend.cc,
- * --tier audit).
+ * plain simulation path pays nothing for the collapser's call (a
+ * template parameter of the loop compiles it out), and --tier audit
+ * and the differential suites (tests/test_collapse.cc,
+ * tests/test_conflict_solver.cc, tests/test_theory_backend.cc) hold
+ * the collapsed answers to the plain stepped loop.
  */
 
 #ifndef CFVA_MEMSYS_STEADY_STATE_H
@@ -47,14 +53,14 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "common/bits.h"
+#include "memsys/multi_port.h"
 #include "memsys/request.h"
 
 namespace cfva {
-
-struct MemConfig;
 
 /** Fast-path attribution counters, mergeable across instances. */
 struct FastPathStats
@@ -94,60 +100,8 @@ struct FastPathStats
 };
 
 /**
- * One delivered element in stream-position form: the timing the
- * simulator decided, with the element named by its issue position
- * instead of its address.  Position form is what makes an outcome
- * replayable against a different stream with the same module
- * sequence.
- */
-struct Emit
-{
-    std::uint32_t pos = 0; //!< index into the request stream
-    Cycle issued = 0;
-    Cycle arrived = 0;
-    Cycle serviceStart = 0;
-    Cycle ready = 0;
-    Cycle delivered = 0;
-
-    bool operator==(const Emit &o) const = default;
-};
-
-/** Scalar aggregates of a position-form outcome. */
-struct EmitSummary
-{
-    Cycle firstIssue = 0;
-    Cycle lastDelivery = 0;
-    std::uint64_t stallCycles = 0;
-    Cycle latency = 0;
-    bool conflictFree = false;
-
-    bool operator==(const EmitSummary &o) const = default;
-};
-
-/**
- * Fills @p result from a position-form outcome and the concrete
- * stream it is being replayed against: addresses, element indices,
- * and module numbers come from (@p stream, @p mods) at the stored
- * positions, every timing field from the cached trace, and each
- * delivery is stamped with @p port.  result.deliveries must be
- * empty (capacity may be reserved).
- */
-void materializeEmits(const EmitSummary &summary,
-                      const std::vector<Emit> &emits,
-                      const std::vector<Request> &stream,
-                      const ModuleId *mods, AccessResult &result,
-                      unsigned port = 0);
-
-/** Copies only the scalar aggregates of a position-form outcome
- *  into @p result, leaving result.deliveries untouched — the
- *  summary-only half of materializeEmits(). */
-void applyEmitSummary(const EmitSummary &summary,
-                      AccessResult &result);
-
-/**
- * The steady-state collapse engine.  Holds only scratch state, so
- * one instance per solver serves every access; tryRun() leaves the
- * last successful trace readable until the next call.
+ * The steady-state collapse pass.  Holds only scratch state, so one
+ * instance per solver serves every access.
  */
 class SteadyStateCollapser
 {
@@ -160,47 +114,28 @@ class SteadyStateCollapser
 
     /**
      * Attempts to answer an access of @p length requests premapped
-     * to @p mods on the shape @p cfg.  On success returns true with
-     * emits()/summary() holding the full position-form trace —
-     * bit-identical to what the simulator's runSingle() would
-     * record — and
-     * writes the stepped-cycle count to @p steppedOut.  Returns
-     * false (scratch clobbered, no other effect) when the module
-     * sequence is aperiodic, too short, or the state never recurs
-     * within the snapshot budget; the caller then falls back to the
-     * simulator.
+     * to @p mods by running @p sim's loop with this collapser.  On
+     * success returns true with sim.trace(0) holding the full
+     * position-form trace — bit-identical to the plain loop's —
+     * and writes the stepped-cycle count to @p steppedOut.  Returns
+     * false (the simulator's scratch clobbered, no other effect)
+     * when the module sequence is aperiodic, too short, or the
+     * state never recurs within the snapshot budget; the caller
+     * then falls back to the plain simulation.
      */
-    bool tryRun(const MemConfig &cfg, std::size_t length,
+    bool tryRun(PerCycleMultiPort &sim, std::size_t length,
                 const ModuleId *mods, Cycle *steppedOut);
 
-    /** Position-form trace of the last successful tryRun(). */
-    const std::vector<Emit> &emits() const { return emits_; }
-
-    /** Scalar aggregates of the last successful tryRun(). */
-    const EmitSummary &summary() const { return summary_; }
+    /**
+     * The loop's call at the top of each cycle of a tryRun():
+     * snapshots the state at each multiple of the period and, once
+     * it recurs, advances @p now, @p port and @p modules past the
+     * remaining whole repetitions.  False gives up the run.
+     */
+    bool atCycleTop(Cycle &now, detail::PortState &port,
+                    std::span<MemoryModule> modules);
 
   private:
-    /** One element in flight, in absolute position/cycle terms. */
-    struct Flight
-    {
-        std::uint32_t pos = 0;
-        Cycle issued = 0;
-        Cycle arrived = 0;
-        Cycle serviceStart = 0; //!< meaningful once in service
-        Cycle ready = 0;        //!< meaningful once in service
-    };
-
-    /** Mirror of one MemoryModule's state, replayable/shiftable. */
-    struct ModState
-    {
-        std::vector<Flight> in;  //!< ring storage, size q
-        unsigned inHead = 0, inCount = 0;
-        Flight svc{};            //!< the service in flight
-        bool busy = false;
-        std::vector<Flight> out; //!< ring storage, size q'
-        unsigned outHead = 0, outCount = 0;
-    };
-
     /** Relative-state snapshot at an issue-position multiple of
      *  the module-sequence period. */
     struct Snapshot
@@ -218,38 +153,28 @@ class SteadyStateCollapser
     std::size_t smallestPeriod(std::size_t length,
                                const ModuleId *mods);
 
-    /** Serializes the live state relative to (@p now, @p next)
-     *  into sig_ and returns its hash. */
-    std::uint64_t encodeState(Cycle now, std::size_t next);
+    /** Extrapolates the segment since @p match over the remaining
+     *  whole repetitions and moves the loop past them. */
+    void jump(const Snapshot &match, Cycle &now,
+              detail::PortState &port,
+              std::span<MemoryModule> modules);
 
-    std::vector<ModState> state_;
     std::vector<std::size_t> fail_;     //!< KMP scratch
     std::vector<std::int64_t> sig_;     //!< snapshot-encoding scratch
     std::vector<Snapshot> snapshots_;
-    std::vector<Emit> emits_;
-    EmitSummary summary_;
-};
 
-/** One port's premapped module sequence: the unit an OutcomeMemo
- *  key is built from. */
-struct PortSeq
-{
-    const ModuleId *mods = nullptr;
-    std::size_t length = 0;
-};
-
-/** One port of a memoized outcome: its aggregates and, unless the
- *  entry is summary-only, its deliveries in position form. */
-struct MemoPort
-{
-    EmitSummary summary;
-    std::vector<Emit> emits;
+    // State of the current tryRun().
+    std::size_t length_ = 0;
+    std::size_t period_ = 0;
+    std::size_t nextSnapPos_ = 0;
+    bool jumped_ = false;
+    Cycle skipped_ = 0; //!< cycles the jump extrapolated
 };
 
 /** A memoized access outcome over P >= 1 ports. */
 struct MemoOutcome
 {
-    std::vector<MemoPort> ports;
+    std::vector<PortTrace> ports;
 
     /** The access makespan (MultiPortResult::makespan). */
     Cycle makespan = 0;
@@ -320,22 +245,16 @@ class OutcomeMemo
     void store(MemoOutcome outcome);
 
     /** Single-port store() of a full position-form outcome. */
-    void store(const std::vector<Emit> &emits,
-               const EmitSummary &summary);
+    void store(const PortTrace &trace);
 
     /** The outcome of the last lookup() hit. */
     const MemoOutcome &cached() const;
 
-    /** Single-port views of cached(). */
-    const std::vector<Emit> &
-    cachedEmits() const
+    /** The single port of cached(). */
+    const PortTrace &
+    cachedTrace() const
     {
-        return cached().ports.front().emits;
-    }
-    const EmitSummary &
-    cachedSummary() const
-    {
-        return cached().ports.front().summary;
+        return cached().ports.front();
     }
 
     /** Entries currently cached (for tests). */

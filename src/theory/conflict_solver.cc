@@ -5,24 +5,18 @@
 namespace cfva {
 
 bool
-ConflictSolver::solve(const MemConfig &cfg,
+ConflictSolver::solve(PerCycleMultiPort &sim,
                       const std::vector<Request> &stream,
                       const ModuleId *mods, DeliveryArena *arena,
                       AccessResult &result, bool materialize)
 {
     // Fills `result` from a position-form outcome at the requested
     // detail; the buffer is acquired only once a claim is certain.
-    const auto answer = [&](const EmitSummary &summary,
-                            const std::vector<Emit> &emits) {
-        if (!materialize) {
-            applyEmitSummary(summary, result);
-            return true;
-        }
-        result.deliveries =
-            arena ? arena->acquire(stream.size())
-                  : std::vector<Delivery>{};
-        result.deliveries.reserve(stream.size());
-        materializeEmits(summary, emits, stream, mods, result);
+    const auto answer = [&](const PortTrace &trace) {
+        if (materialize)
+            materializeEmits(trace, stream, mods, arena, result);
+        else
+            applyEmitSummary(trace.summary, result);
         return true;
     };
 
@@ -30,24 +24,26 @@ ConflictSolver::solve(const MemConfig &cfg,
     // (lookup and store) but may still collapse.
     const bool memoTried = stream.size() <= OutcomeMemo::kMaxLen;
     if (memoTried) {
-        if (memo_.lookup(stream.size(), mods, cfg.modules())) {
+        if (memo_.lookup(stream.size(), mods,
+                         sim.config().modules())) {
             ++stats_.memoHits;
-            return answer(memo_.cachedSummary(), memo_.cachedEmits());
+            return answer(memo_.cachedTrace());
         }
         ++stats_.memoMisses;
     }
 
-    // No cached proof: establish the transient and extrapolate.
-    // Failure (aperiodic sequence, too short for a recurrence, or
-    // the snapshot budget ran out) leaves `result` untouched.
+    // No cached proof: establish the transient on the simulator's
+    // loop and extrapolate.  Failure (aperiodic sequence, too short
+    // for a recurrence, or the snapshot budget ran out) leaves
+    // `result` untouched.
     Cycle steppedCycles = 0;
-    if (!collapser_.tryRun(cfg, stream.size(), mods, &steppedCycles))
+    if (!collapser_.tryRun(sim, stream.size(), mods, &steppedCycles))
         return false;
     ++stats_.collapseHits;
     stats_.collapsePrefixCycles += steppedCycles;
     if (memoTried)
-        memo_.store(collapser_.emits(), collapser_.summary());
-    return answer(collapser_.summary(), collapser_.emits());
+        memo_.store(sim.trace(0));
+    return answer(sim.trace(0));
 }
 
 void

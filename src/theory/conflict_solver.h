@@ -12,18 +12,19 @@
  * issue position) recurs at two issue positions one
  * module-sequence period apart, every Delivery timestamp and the
  * stall count of the remaining repetitions are affine
- * extrapolations of the captured segment.  The module-visit multiset over one stride period plus
- * the buffer depths therefore determines the whole steady-state
- * issue schedule; only the O(period) transient has to be
- * established at all.
+ * extrapolations of the captured segment.  The module-visit
+ * multiset over one stride period plus the buffer depths therefore
+ * determines the whole steady-state issue schedule; only the
+ * O(period) transient has to be established at all.
  *
  * This class packages that closed form as a *claiming* tier rather
  * than a simulation accelerator:
  *
- *  - solve() answers a single premapped stream without invoking the
- *    simulator: memo replay when the rank-canonicalized module
- *    sequence was solved before, otherwise one collapser pass
- *    (establish the O(period) transient, extrapolate the rest).
+ *  - solve() answers a single premapped stream without stepping
+ *    the whole access: memo replay when the rank-canonicalized
+ *    module sequence was solved before, otherwise one collapse pass
+ *    over the simulator's own loop (step the O(period) transient,
+ *    extrapolate the rest, step the tail).
  *    Success/failure is a deterministic function of (config, module
  *    sequence, length) — memo state only changes the speed, never
  *    the answer or the claim attribution, so the claimed/fallback
@@ -36,13 +37,16 @@
  *    (theory/theory_backend.cc synthesizes the MultiPortResult).
  *
  * The solver is the only owner of the collapse and the memo: the
- * per-cycle simulator carries no fast path, so every access it sees
- * is simulated cycle by cycle.  Bit-identity with it is by
- * construction — the transient is established by the same
- * per-cycle model the simulator runs (memsys/steady_state.cc) — and
- * by test: tests/test_collapse.cc and tests/test_conflict_solver.cc
- * diff solve() against the simulator, and --tier audit cross-checks
- * every claimed answer against the stepped oracle end to end.
+ * plain simulation path carries no fast path, so every access sent
+ * to it is stepped cycle by cycle.  There is one per-cycle model,
+ * PerCycleMultiPort's loop (memsys/multi_port.cc); the collapse
+ * runs that loop at P = 1, snapshotting and jumping at cycle tops,
+ * so every cycle it does not extrapolate is the simulator's own
+ * step.  The
+ * extrapolation is checked by test — tests/test_collapse.cc and
+ * tests/test_conflict_solver.cc diff solve() against the plain
+ * loop — and --tier audit cross-checks every claimed answer against
+ * the stepped oracle end to end.
  */
 
 #ifndef CFVA_THEORY_CONFLICT_SOLVER_H
@@ -55,7 +59,6 @@
 
 namespace cfva {
 
-struct MemConfig;
 class DeliveryArena;
 
 /**
@@ -72,10 +75,11 @@ class ConflictSolver
   public:
     /**
      * Attempts to answer @p stream (premapped to @p mods) on
-     * @p cfg without simulating: memo replay, else steady-state
-     * solve + memo insert.  On success fills @p result —
-     * bit-identical to the simulator's stepped loop — and returns
-     * true; on failure returns false with @p result untouched.
+     * @p sim's memory shape without stepping the whole access:
+     * memo replay, else a collapse pass over @p sim's loop + memo
+     * insert.  On success fills @p result — bit-identical to the
+     * plain stepped loop — and returns true; on failure returns
+     * false with @p result untouched (sim's traces clobbered).
      * Every call counts one memo hit or miss (streams longer than
      * OutcomeMemo::kMaxLen bypass the memo and count neither), and
      * a successful collapse counts one collapse hit.  The delivery
@@ -85,7 +89,7 @@ class ConflictSolver
      * the claim decision and every aggregate are identical either
      * way.
      */
-    bool solve(const MemConfig &cfg,
+    bool solve(PerCycleMultiPort &sim,
                const std::vector<Request> &stream,
                const ModuleId *mods, DeliveryArena *arena,
                AccessResult &result, bool materialize = true);

@@ -8,54 +8,9 @@
 
 namespace cfva {
 
-namespace {
-
-/** The aggregates of a simulated port result. */
-EmitSummary
-summarizeResult(const AccessResult &result)
-{
-    EmitSummary s;
-    s.firstIssue = result.firstIssue;
-    s.lastDelivery = result.lastDelivery;
-    s.stallCycles = result.stallCycles;
-    s.latency = result.latency;
-    s.conflictFree = result.conflictFree;
-    return s;
-}
-
-/**
- * Appends a simulated port's deliveries to @p out in position form.
- * A port issues its stream in order, so a delivery's stream
- * position is the rank of its issue cycle among the port's
- * deliveries.
- */
-void
-appendEmits(const AccessResult &result, std::vector<Emit> &out)
-{
-    std::vector<Cycle> issued;
-    issued.reserve(result.deliveries.size());
-    for (const Delivery &d : result.deliveries)
-        issued.push_back(d.issued);
-    std::sort(issued.begin(), issued.end());
-    for (const Delivery &d : result.deliveries) {
-        Emit e;
-        e.pos = static_cast<std::uint32_t>(
-            std::lower_bound(issued.begin(), issued.end(), d.issued)
-            - issued.begin());
-        e.issued = d.issued;
-        e.arrived = d.arrived;
-        e.serviceStart = d.serviceStart;
-        e.ready = d.ready;
-        e.delivered = d.delivered;
-        out.push_back(e);
-    }
-}
-
-} // namespace
-
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
                              const ModuleMapping &map)
-    : cfg_(cfg), map_(map), slicer_(map), fallback_(cfg, map)
+    : cfg_(cfg), slicer_(map), fallback_(cfg, map)
 {
     cfg.validate();
 }
@@ -169,7 +124,7 @@ TheoryBackend::answerMapped(bool attemptProof,
     // A solver (periodic) claim is non-uniform, so SummaryIfUniform
     // materializes it: its chained cost is not closed-form for the
     // caller.
-    return solver_.solve(cfg_, stream, mods, arena, out,
+    return solver_.solve(fallback_, stream, mods, arena, out,
                          detail != ResultDetail::Summary);
 }
 
@@ -203,7 +158,7 @@ TheoryBackend::runSingleHinted(bool claimHint,
     }
     // Empty streams were claimed above, so this one delivers.
     out = fallback_.runSingleMapped(stream, mods_.data(), arena);
-    fallbackStore(&out, 1, out.lastDelivery + 1, detail);
+    fallbackStore(1, detail);
     return out;
 }
 
@@ -338,7 +293,7 @@ TheoryBackend::runPorts(
         return out;
     }
     out = fallback_.runMapped(streams, portMods_, arena);
-    fallbackStore(out.ports.data(), P, out.makespan, detail);
+    fallbackStore(P, detail);
     return out;
 }
 
@@ -358,20 +313,19 @@ TheoryBackend::fallbackHit(const PortSeq *seqs, std::size_t count,
 }
 
 void
-TheoryBackend::fallbackStore(const AccessResult *ports,
-                             std::size_t count, Cycle makespan,
-                             ResultDetail detail)
+TheoryBackend::fallbackStore(std::size_t count, ResultDetail detail)
 {
     if (!fallbackMemo_.keyed())
         return;
     MemoOutcome o;
-    o.makespan = makespan;
+    o.makespan = fallback_.makespan();
     o.summaryOnly = detail == ResultDetail::Summary;
     o.ports.resize(count);
     for (std::size_t p = 0; p < count; ++p) {
-        o.ports[p].summary = summarizeResult(ports[p]);
+        const PortTrace &simulated = fallback_.trace(p);
+        o.ports[p].summary = simulated.summary;
         if (!o.summaryOnly)
-            appendEmits(ports[p], o.ports[p].emits);
+            o.ports[p].emits = simulated.emits;
     }
     fallbackMemo_.store(std::move(o));
 }
@@ -382,16 +336,12 @@ TheoryBackend::replayPort(std::size_t port,
                           const ModuleId *mods, DeliveryArena *arena,
                           ResultDetail detail, AccessResult &out)
 {
-    const MemoPort &hit = fallbackMemo_.cached().ports[port];
-    if (detail == ResultDetail::Summary) {
+    const PortTrace &hit = fallbackMemo_.cached().ports[port];
+    if (detail == ResultDetail::Summary)
         applyEmitSummary(hit.summary, out);
-        return;
-    }
-    out.deliveries =
-        arena ? arena->acquire(stream.size()) : std::vector<Delivery>{};
-    out.deliveries.reserve(stream.size());
-    materializeEmits(hit.summary, hit.emits, stream, mods, out,
-                     static_cast<unsigned>(port));
+    else
+        materializeEmits(hit, stream, mods, arena, out,
+                         static_cast<unsigned>(port));
 }
 
 FastPathStats

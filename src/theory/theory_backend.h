@@ -19,9 +19,10 @@
  *    produce is synthesized from the timing contract (request issued
  *    at cycle i arrives at i+1, starts service immediately, retires
  *    and crosses the return bus at i+1+T).
- *  - Conflicted claims: theory/conflict_solver.h establishes the
- *    O(period) transient, extrapolates the periodic steady state,
- *    and memoizes the proof per rank-canonicalized module sequence —
+ *  - Conflicted claims: theory/conflict_solver.h steps the
+ *    O(period) transient on this backend's own PerCycleMultiPort
+ *    loop, extrapolates the periodic steady state, and memoizes the
+ *    proof per rank-canonicalized module sequence —
  *    the per-worker BackendCache keeps this backend (and the memo)
  *    alive across a sweep, so repeated workload accesses stop
  *    re-proving the same claim.
@@ -31,10 +32,12 @@
  *    answers; ports that share modules (or defeat the solver) fall
  *    back to the simulator.
  *
- * Streams no tier can answer are delegated to the backend's own
- * PerCycleMultiPort (memsys/multi_port.h), so callers always get an answer and claimed answers are
- * bit-identical to simulation by construction
- * (tests/test_theory_backend.cc and tests/test_conflict_solver.cc
+ * Streams no tier can answer are simulated in full on that same
+ * PerCycleMultiPort (memsys/multi_port.h), so callers always get an
+ * answer and there is one per-cycle model behind every answer that
+ * is not closed-form; claimed answers are bit-identical to plain
+ * simulation (tests/test_theory_backend.cc and
+ * tests/test_conflict_solver.cc
  * audit this across randomized grids; TierPolicy::AuditBoth audits
  * it on every sweep scenario it runs).  Every fallback is
  * attributed a FallbackReason; claim/fallback attribution is a
@@ -46,8 +49,9 @@
  * OutcomeMemo soundness argument: the simulator compares module
  * numbers only for order, so an order-preserving relabeling of the
  * modules used cannot change one timing decision), and the
- * simulator's outcome is kept in position form in a bounded FIFO, separate from
- * the solver's memo.  A repeated access — a stencil's store after
+ * simulator's outcome is kept in position form — the form its loop
+ * records, PerCycleMultiPort::trace() — in a bounded FIFO, separate
+ * from the solver's memo.  A repeated access — a stencil's store after
  * its first load, the random starts of a sweep that land on an
  * order-isomorphic module sequence — replays instead of
  * re-simulating.  An entry taken for a ResultDetail::Summary
@@ -172,15 +176,16 @@ class TheoryBackend final : public MemoryBackend
     const TierCounters &stats() const { return stats_; }
 
     /** Collapse/memo attribution of the steady-state solver — the
-     *  only owner of the periodic fast path (the fallback
-     *  simulator steps every access it receives) — plus the fallback
-     *  memo's hits and misses. */
+     *  only owner of the periodic fast path (a fallback simulation
+     *  steps every cycle of its access) — plus the fallback memo's
+     *  hits and misses. */
     FastPathStats fastPathStats() const;
 
     /** Entries the fallback memo keeps (oldest evicted first). */
     static constexpr std::size_t kFallbackMemoEntries = 64;
 
-    /** The per-cycle simulator rejected streams fall back to. */
+    /** The per-cycle simulator: rejected streams fall back to it,
+     *  and the steady-state solver drives its loop. */
     PerCycleMultiPort &fallback() { return fallback_; }
 
   private:
@@ -246,11 +251,11 @@ class TheoryBackend final : public MemoryBackend
     bool fallbackHit(const PortSeq *seqs, std::size_t count,
                      ResultDetail detail);
 
-    /** Records the simulator's answer for the key of the last
-     *  fallbackHit(): scalars only under ResultDetail::Summary,
-     *  deliveries in position form otherwise. */
-    void fallbackStore(const AccessResult *ports, std::size_t count,
-                       Cycle makespan, ResultDetail detail);
+    /** Records the simulator's position-form outcome of its last
+     *  @p count-port run for the key of the last fallbackHit():
+     *  scalars only under ResultDetail::Summary, the whole traces
+     *  otherwise. */
+    void fallbackStore(std::size_t count, ResultDetail detail);
 
     /** Fills @p out from port @p port of the fallback memo's hit,
      *  replayed against (@p stream, @p mods). */
@@ -260,7 +265,6 @@ class TheoryBackend final : public MemoryBackend
                     ResultDetail detail, AccessResult &out);
 
     MemConfig cfg_;
-    const ModuleMapping &map_;
     BitSlicedMapper slicer_;
     PerCycleMultiPort fallback_;
     ConflictSolver solver_;

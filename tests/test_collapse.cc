@@ -77,8 +77,9 @@ expectSolverIdentical(const MemConfig &cfg, const ModuleMapping &map,
         << what << " (scalar premap)";
 
     ConflictSolver solver;
+    PerCycleMultiPort loop(cfg, map);
     AccessResult got;
-    if (!solver.solve(cfg, stream, mods.data(), nullptr, got))
+    if (!solver.solve(loop, stream, mods.data(), nullptr, got))
         return false;
     EXPECT_EQ(got.deliveries.size(), expect.deliveries.size())
         << what;
@@ -204,6 +205,96 @@ TEST(CollapseDifferential, RandomizedShapesAndBuffers)
     EXPECT_GT(claims, 0u);
 }
 
+/** A p-long block cycling through modules 0..3, except that its
+ *  first entry repeats module 1: the repeated block's smallest
+ *  period is exactly p. */
+std::vector<ModuleId>
+markedBlock(std::size_t p)
+{
+    std::vector<ModuleId> block(p);
+    for (std::size_t j = 0; j < p; ++j)
+        block[j] = static_cast<ModuleId>(j % 4);
+    block[0] = 1;
+    return block;
+}
+
+TEST(CollapseBoundaries, GiveUpRulesKeepTheirRecordedDecisions)
+{
+    // Synthetic premapped sequences on both sides of each rule the
+    // collapse gives up by.  The claim decision and the stepped
+    // prefix cycles are the values the stand-alone collapser
+    // produced before it drove the simulator's loop; a moved
+    // snapshot point would change them.
+    constexpr std::size_t kP = SteadyStateCollapser::kMaxPeriod;
+    constexpr std::size_t kLen = OutcomeMemo::kMaxLen;
+    struct Case
+    {
+        const char *name;
+        unsigned m, t, q, qOut;
+        std::vector<ModuleId> block; //!< repeated to `length`
+        std::size_t length;
+        bool claimed;
+        std::uint64_t prefixCycles;
+        std::uint64_t memoMisses;
+    };
+    const Case cases[] = {
+        {"(L-1)/p = 1", 2, 1, 1, 1, {0, 1, 2}, 6, false, 0, 1},
+        {"(L-1)/p = 2", 2, 1, 1, 1, {0, 1, 2}, 7, true, 10, 1},
+        {"p = kMaxPeriod", 2, 2, 1, 1, markedBlock(kP), 2 * kP + 1,
+         true, 4110, 0},
+        {"p = kMaxPeriod + 1", 2, 2, 1, 1, markedBlock(kP + 1),
+         2 * (kP + 1) + 1, false, 0, 0},
+        // Two modules fed faster than T = 4 drains them: a 100-deep
+        // input buffer grows every period, so no snapshot repeats
+        // before the budget runs out; a 20-deep one fills and
+        // recurs within it.
+        {"recurs within the snapshot budget", 1, 2, 20, 1, {0, 1},
+         200, true, 251, 1},
+        {"exhausts the snapshot budget", 1, 2, 100, 1, {0, 1}, 200,
+         false, 0, 1},
+        {"L = kMaxLen", 2, 2, 1, 1, {0, 0, 1}, kLen, true, 30, 1},
+        {"L = kMaxLen + 1", 2, 2, 1, 1, {0, 0, 1}, kLen + 1, true, 34,
+         0},
+    };
+    // The budget case must give up on the budget, not on reaching
+    // the end of the stream first.
+    EXPECT_GE(cases[5].length,
+              (SteadyStateCollapser::kMaxSnapshots + 2)
+                  * cases[5].block.size());
+
+    for (const Case &c : cases) {
+        MemConfig cfg;
+        cfg.m = c.m;
+        cfg.t = c.t;
+        cfg.inputBuffers = c.q;
+        cfg.outputBuffers = c.qOut;
+        const LowOrderInterleave map(c.m);
+        std::vector<ModuleId> mods(c.length);
+        std::vector<Request> stream(c.length);
+        for (std::size_t i = 0; i < c.length; ++i) {
+            mods[i] = c.block[i % c.block.size()];
+            stream[i] = {i * 8, i};
+        }
+
+        ConflictSolver solver;
+        PerCycleMultiPort loop(cfg, map);
+        AccessResult got;
+        EXPECT_EQ(solver.solve(loop, stream, mods.data(), nullptr, got),
+                  c.claimed)
+            << c.name;
+        EXPECT_EQ(solver.stats().collapseHits, c.claimed ? 1u : 0u)
+            << c.name;
+        EXPECT_EQ(solver.stats().collapsePrefixCycles, c.prefixCycles)
+            << c.name;
+        EXPECT_EQ(solver.stats().memoMisses, c.memoMisses) << c.name;
+        if (c.claimed) {
+            PerCycleMultiPort oracle(cfg, map);
+            EXPECT_EQ(got, oracle.runSingleMapped(stream, mods.data()))
+                << c.name;
+        }
+    }
+}
+
 TEST(OutcomeMemo, BaseShiftedOrderIsomorphicStreamHits)
 {
     // DynamicFieldMapping(m=2, p=0) maps addr -> addr & 3.  Stride
@@ -218,12 +309,13 @@ TEST(OutcomeMemo, BaseShiftedOrderIsomorphicStreamHits)
     cfg.m = 2;
     cfg.t = 2;
     ConflictSolver solver;
+    PerCycleMultiPort loop(cfg, map);
     PerCycleMultiPort oracle(cfg, map);
     const auto solve = [&](const std::vector<Request> &stream) {
         const std::vector<ModuleId> mods = scalarPremap(map, stream);
         AccessResult r;
         EXPECT_TRUE(
-            solver.solve(cfg, stream, mods.data(), nullptr, r));
+            solver.solve(loop, stream, mods.data(), nullptr, r));
         return r;
     };
 
@@ -259,6 +351,7 @@ TEST(OutcomeMemo, XorBaseShiftReordersModulesAndMisses)
     const XorMatchedMapping map(3, 4);
     const MemConfig cfg;
     ConflictSolver solver;
+    PerCycleMultiPort loop(cfg, map);
     PerCycleMultiPort oracle(cfg, map);
 
     for (Addr base : {Addr{0}, Addr{3}}) {
@@ -266,7 +359,7 @@ TEST(OutcomeMemo, XorBaseShiftReordersModulesAndMisses)
         const std::vector<ModuleId> mods = scalarPremap(map, stream);
         AccessResult r;
         ASSERT_TRUE(
-            solver.solve(cfg, stream, mods.data(), nullptr, r))
+            solver.solve(loop, stream, mods.data(), nullptr, r))
             << "base " << base;
         EXPECT_EQ(r, oracle.runSingle(stream)) << "base " << base;
         EXPECT_GT(r.stallCycles, 0u) << "stream should conflict";
@@ -290,9 +383,10 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
     const std::vector<ModuleId> mods = scalarPremap(map, stream);
 
     ConflictSolver solver;
+    PerCycleMultiPort loop(cfg, map);
     AccessResult result;
     ASSERT_TRUE(
-        solver.solve(cfg, stream, mods.data(), nullptr, result));
+        solver.solve(loop, stream, mods.data(), nullptr, result));
     EXPECT_EQ(solver.stats().collapseHits, 1u);
     EXPECT_EQ(solver.stats().memoMisses, 0u);
 
@@ -303,7 +397,7 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
     // instead of replaying.
     AccessResult again;
     ASSERT_TRUE(
-        solver.solve(cfg, stream, mods.data(), nullptr, again));
+        solver.solve(loop, stream, mods.data(), nullptr, again));
     EXPECT_EQ(solver.stats().collapseHits, 2u);
     EXPECT_EQ(solver.stats().memoHits, 0u);
     EXPECT_EQ(solver.stats().memoMisses, 0u);

@@ -120,6 +120,26 @@ TEST(Config, RejectsUnmatchedWithoutM)
     EXPECT_THROW(cfg.validate(), std::runtime_error);
 }
 
+TEST(Config, DynamicTuneBoundDoesNotWrap)
+{
+    test::ScopedPanicThrow guard;
+    VectorUnitConfig cfg;
+    cfg.kind = MemoryKind::DynamicTuned;
+    cfg.t = 2;
+    cfg.lambda = 7;
+    const unsigned mm = cfg.m();
+    cfg.dynamicTune = 63 - mm; // module field ends at bit 63
+    EXPECT_NO_THROW(cfg.validate());
+    cfg.dynamicTune = 64 - mm;
+    EXPECT_THROW(cfg.validate(), std::runtime_error);
+    // p + m wraps to a small number in unsigned arithmetic; the
+    // field would still start far past bit 63.
+    for (unsigned wraps : {~0u, ~0u - mm + 1}) {
+        cfg.dynamicTune = wraps;
+        EXPECT_THROW(cfg.validate(), std::runtime_error) << wraps;
+    }
+}
+
 TEST(Config, RejectsZeroBuffers)
 {
     test::ScopedPanicThrow guard;

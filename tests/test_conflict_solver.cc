@@ -116,6 +116,8 @@ TEST(ConflictSolverProperty, ClaimsMatchTheSteppedOracle)
                 const VectorAccessUnit unit(cfg);
                 const auto oracle = steppedOracle(unit);
                 ConflictSolver solver;
+                PerCycleMultiPort loop(unit.memConfig(),
+                                       unit.mapping());
                 for (unsigned trial = 0; trial < 12; ++trial) {
                     const unsigned family =
                         static_cast<unsigned>(rng.below(9));
@@ -130,8 +132,8 @@ TEST(ConflictSolverProperty, ClaimsMatchTheSteppedOracle)
 
                     AccessResult viaSolver;
                     const bool ok = solver.solve(
-                        unit.memConfig(), plan.stream, mods.data(),
-                        nullptr, viaSolver);
+                        loop, plan.stream, mods.data(), nullptr,
+                        viaSolver);
                     const AccessResult simulated =
                         oracle->runSingle(plan.stream);
                     if (!ok) {
@@ -175,6 +177,7 @@ TEST(ConflictSolverProperty, TailGapsArePeriodic)
         const VectorAccessUnit unit(cfg);
         const auto oracle = steppedOracle(unit);
         ConflictSolver solver;
+        PerCycleMultiPort loop(unit.memConfig(), unit.mapping());
         for (unsigned trial = 0; trial < 10; ++trial) {
             const unsigned family =
                 static_cast<unsigned>(rng.below(8));
@@ -189,7 +192,7 @@ TEST(ConflictSolverProperty, TailGapsArePeriodic)
                 continue;
 
             AccessResult viaSolver;
-            if (!solver.solve(unit.memConfig(), plan.stream,
+            if (!solver.solve(loop, plan.stream,
                               mods.data(), nullptr, viaSolver))
                 continue;
             const AccessResult simulated =
@@ -225,6 +228,7 @@ TEST(ConflictSolverProperty, ClaimDecisionIsMemoInvariant)
     for (const VectorUnitConfig &cfg : solverConfigs(2, 1)) {
         const VectorAccessUnit unit(cfg);
         ConflictSolver warm;
+        PerCycleMultiPort loop(unit.memConfig(), unit.mapping());
         for (unsigned trial = 0; trial < 6; ++trial) {
             const AccessPlan plan = unit.plan(
                 rng.below(Addr{1} << 18),
@@ -236,14 +240,14 @@ TEST(ConflictSolverProperty, ClaimDecisionIsMemoInvariant)
 
             AccessResult first, second, cold;
             const bool okFirst =
-                warm.solve(unit.memConfig(), plan.stream,
+                warm.solve(loop, plan.stream,
                            mods.data(), nullptr, first);
             const bool okSecond =
-                warm.solve(unit.memConfig(), plan.stream,
+                warm.solve(loop, plan.stream,
                            mods.data(), nullptr, second);
             ConflictSolver fresh;
             const bool okCold =
-                fresh.solve(unit.memConfig(), plan.stream,
+                fresh.solve(loop, plan.stream,
                             mods.data(), nullptr, cold);
 
             EXPECT_EQ(okFirst, okSecond);

@@ -24,10 +24,9 @@ TEST(MemoryModule, LifecycleTiming)
     EXPECT_TRUE(mod.canAccept());
     EXPECT_TRUE(mod.drained());
 
-    Delivery d;
-    d.module = 0;
-    d.arrived = 1;
-    mod.accept(d);
+    InFlight f;
+    f.arrived = 1;
+    mod.accept(f);
     EXPECT_FALSE(mod.canAccept());
     EXPECT_FALSE(mod.drained());
 
@@ -45,7 +44,7 @@ TEST(MemoryModule, LifecycleTiming)
     EXPECT_EQ(mod.outputHead()->serviceStart, 1u);
     EXPECT_EQ(mod.outputHead()->ready, 5u);
 
-    const Delivery out = mod.popOutput();
+    const InFlight out = mod.popOutput();
     EXPECT_EQ(out.ready, 5u);
     EXPECT_TRUE(mod.drained());
 }
@@ -53,11 +52,9 @@ TEST(MemoryModule, LifecycleTiming)
 TEST(MemoryModule, OutputBackPressureBlocksService)
 {
     MemoryModule mod(0, /*T=*/2, /*q=*/2, /*q'=*/1);
-    Delivery d;
-    d.module = 0;
-    d.arrived = 0;
-    mod.accept(d);
-    mod.accept(d);
+    const InFlight f;
+    mod.accept(f);
+    mod.accept(f);
 
     mod.tryStart(0);       // first service: ready at 2
     mod.retire(2);         // into the single output slot
@@ -70,13 +67,32 @@ TEST(MemoryModule, OutputBackPressureBlocksService)
     EXPECT_EQ(mod.outputHead()->ready, 4u);
 }
 
-TEST(MemoryModule, RejectsMisroutedRequest)
+TEST(MemoryModule, ShiftedStateEncodesIdentically)
 {
-    test::ScopedPanicThrow guard;
-    MemoryModule mod(3, 4, 1, 1);
-    Delivery d;
-    d.module = 2;
-    EXPECT_THROW(mod.accept(d), std::runtime_error);
+    // The collapser's jump moves a module by whole periods; relative
+    // to the moved (cycle, position) the state must read the same,
+    // and it must keep evolving the same.
+    MemoryModule mod(0, /*T=*/4, /*q=*/2, /*q'=*/1);
+    InFlight f;
+    f.arrived = 1;
+    mod.accept(f);
+    f.pos = 1;
+    f.issued = 1;
+    f.arrived = 2;
+    mod.accept(f);
+    ASSERT_TRUE(mod.tryStart(1));
+
+    std::vector<std::int64_t> before, after;
+    mod.encodeState(/*now=*/2, /*next=*/2, before);
+    mod.shift(/*cycles=*/10, /*positions=*/6);
+    mod.encodeState(12, 8, after);
+    EXPECT_EQ(before, after);
+
+    EXPECT_FALSE(mod.retire(14));
+    ASSERT_TRUE(mod.retire(15));
+    EXPECT_EQ(mod.outputHead()->pos, 6u);
+    EXPECT_EQ(mod.outputHead()->serviceStart, 11u);
+    EXPECT_TRUE(mod.tryStart(15));
 }
 
 TEST(SinglePortMemory, ConflictFreeStreamHitsMinimumLatency)
@@ -254,22 +270,6 @@ TEST(SinglePortMemory, UnmatchedMemoryMoreModulesNoSlower)
         EXPECT_LE(r_big.latency, r_small.latency)
             << "stride " << stride;
     }
-}
-
-TEST(MemoryModule, PeakOccupancyTracksBacklog)
-{
-    MemoryModule mod(0, /*T=*/4, /*q=*/3, /*q'=*/1);
-    Delivery d;
-    d.module = 0;
-    d.arrived = 0;
-    mod.accept(d);
-    mod.accept(d);
-    EXPECT_EQ(mod.peakInputOccupancy(), 2u);
-    mod.tryStart(0); // drains one entry
-    mod.accept(d);
-    EXPECT_EQ(mod.peakInputOccupancy(), 2u); // peak, not current
-    mod.accept(d);
-    EXPECT_EQ(mod.peakInputOccupancy(), 3u);
 }
 
 TEST(SinglePortMemory, DeliveryOrderHelper)

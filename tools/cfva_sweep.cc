@@ -187,14 +187,27 @@ parseU64List(const std::string &arg, const char *what)
     return vals;
 }
 
-/** sim::splitFlagList + parseU64 per item: a strict numeric list
- *  (empty items and duplicates are hard errors naming the flag). */
-std::vector<std::uint64_t>
-strictU64List(const char *flag, const std::string &arg)
+/** parseU64List for values that must fit 32 bits: each item goes
+ *  through parseU32's range check instead of being narrowed. */
+std::vector<unsigned>
+parseU32List(const std::string &arg, const char *what)
 {
-    std::vector<std::uint64_t> vals;
+    std::vector<unsigned> vals;
+    for (const auto &p : splitList(arg))
+        vals.push_back(parseU32(p, what));
+    if (vals.empty())
+        cfva_fatal("empty ", what, " list");
+    return vals;
+}
+
+/** sim::splitFlagList + parseU32 per item: a strict numeric list
+ *  (empty items and duplicates are hard errors naming the flag). */
+std::vector<unsigned>
+strictU32List(const char *flag, const std::string &arg)
+{
+    std::vector<unsigned> vals;
     for (const auto &p : sim::splitFlagList(flag, arg))
-        vals.push_back(parseU64(p, flag));
+        vals.push_back(parseU32(p, flag));
     return vals;
 }
 
@@ -297,10 +310,10 @@ parseShard(const std::string &arg)
 struct Options
 {
     std::vector<std::string> kinds = {"matched", "sectioned"};
-    std::vector<std::uint64_t> ts = {2, 3};
-    std::vector<std::uint64_t> lambdas = {7};
-    std::vector<std::uint64_t> ms; // only for kind=simple
-    std::vector<std::uint64_t> tunes = {0}; // only for kind=dynamic
+    std::vector<unsigned> ts = {2, 3};
+    std::vector<unsigned> lambdas = {7};
+    std::vector<unsigned> ms; // only for kind=simple
+    std::vector<unsigned> tunes = {0}; // only for kind=dynamic
     std::pair<unsigned, unsigned> families = {0, 7};
     std::vector<std::uint64_t> sigmas = {1, 3, 5, 7, 9, 11, 13, 15};
     std::vector<std::uint64_t> strides; // explicit override
@@ -323,7 +336,7 @@ struct Options
     std::string csvPath;
     std::string jsonPath;
     bool summary = true;
-    std::vector<std::uint64_t> benchThreads;
+    std::vector<unsigned> benchThreads;
     unsigned benchReps = 0; // 0 = adaptive
     std::string benchJsonPath = "BENCH_sweep.json";
 };
@@ -346,13 +359,13 @@ parseArgs(int argc, char **argv)
             o.kinds = sim::splitFlagList("--kinds",
                                          need(i, "--kinds"));
         } else if (a == "--t") {
-            o.ts = parseU64List(need(i, "--t"), "--t");
+            o.ts = parseU32List(need(i, "--t"), "--t");
         } else if (a == "--lambda") {
-            o.lambdas = parseU64List(need(i, "--lambda"), "--lambda");
+            o.lambdas = parseU32List(need(i, "--lambda"), "--lambda");
         } else if (a == "--m") {
-            o.ms = parseU64List(need(i, "--m"), "--m");
+            o.ms = parseU32List(need(i, "--m"), "--m");
         } else if (a == "--tunes") {
-            o.tunes = strictU64List("--tunes", need(i, "--tunes"));
+            o.tunes = strictU32List("--tunes", need(i, "--tunes"));
         } else if (a == "--families") {
             o.families =
                 parseRange(need(i, "--families"), "--families");
@@ -418,7 +431,7 @@ parseArgs(int argc, char **argv)
             o.summary = false;
         } else if (a == "--bench") {
             o.benchThreads =
-                parseU64List(need(i, "--bench"), "--bench");
+                parseU32List(need(i, "--bench"), "--bench");
         } else {
             usage(std::cerr);
             cfva_fatal("unknown option: ", a);
@@ -436,9 +449,9 @@ buildGrid(const Options &o)
         const bool usesS = kind == MemoryKind::Matched
                            || kind == MemoryKind::SimpleUnmatched
                            || kind == MemoryKind::Sectioned;
-        for (std::uint64_t t : o.ts) {
-            for (std::uint64_t lambda : o.lambdas) {
-                if (usesS && lambda < 2 * t) {
+        for (unsigned t : o.ts) {
+            for (unsigned lambda : o.lambdas) {
+                if (usesS && lambda < 2 * std::uint64_t{t}) {
                     // s = lambda-t >= t (Sec. 3.3) is unsatisfiable.
                     cfva_warn("skipping ", kindName, " t=", t,
                               " lambda=", lambda,
@@ -447,18 +460,18 @@ buildGrid(const Options &o)
                 }
                 VectorUnitConfig cfg;
                 cfg.kind = kind;
-                cfg.t = static_cast<unsigned>(t);
-                cfg.lambda = static_cast<unsigned>(lambda);
+                cfg.t = t;
+                cfg.lambda = lambda;
                 if (kind == MemoryKind::SimpleUnmatched) {
                     if (o.ms.empty())
                         cfva_fatal("kind=simple needs --m");
-                    for (std::uint64_t m : o.ms) {
-                        cfg.mOverride = static_cast<unsigned>(m);
+                    for (unsigned m : o.ms) {
+                        cfg.mOverride = m;
                         grid.mappings.push_back(cfg);
                     }
                 } else if (kind == MemoryKind::DynamicTuned) {
-                    for (std::uint64_t p : o.tunes) {
-                        cfg.dynamicTune = static_cast<unsigned>(p);
+                    for (unsigned p : o.tunes) {
+                        cfg.dynamicTune = p;
                         grid.mappings.push_back(cfg);
                     }
                 } else {
@@ -800,8 +813,7 @@ main(int argc, char **argv)
             // Discarded warm-up run so one-time costs (page
             // faults, allocator growth) don't skew the baseline.
             sim::SweepOptions warm;
-            warm.threads =
-                static_cast<unsigned>(o.benchThreads.front());
+            warm.threads = o.benchThreads.front();
             warm.grain = o.grain;
             warm.shard = o.shard;
             warm.tier = o.tier;
@@ -814,10 +826,10 @@ main(int argc, char **argv)
         // them instead of recording misleading "scaling" numbers.
         const unsigned hw =
             std::max(1u, std::thread::hardware_concurrency());
-        std::vector<std::uint64_t> benchThreads;
-        for (std::uint64_t threads : o.benchThreads) {
-            const std::uint64_t clamped =
-                threads ? std::min<std::uint64_t>(threads, hw) : hw;
+        std::vector<unsigned> benchThreads;
+        for (unsigned threads : o.benchThreads) {
+            const unsigned clamped =
+                threads ? std::min(threads, hw) : hw;
             if (std::find(benchThreads.begin(), benchThreads.end(),
                           clamped)
                 != benchThreads.end()) {
@@ -841,9 +853,9 @@ main(int argc, char **argv)
         sim::SweepReport firstStripped;
         bool haveBase = false;
         for (TierPolicy tier : legs) {
-            for (std::uint64_t threads : benchThreads) {
+            for (unsigned threads : benchThreads) {
                 sim::SweepOptions opts;
-                opts.threads = static_cast<unsigned>(threads);
+                opts.threads = threads;
                 opts.grain = o.grain;
                 opts.shard = o.shard;
                 opts.tier = tier;
@@ -937,8 +949,7 @@ main(int argc, char **argv)
                         sim::ScenarioGrid sub = grid;
                         sub.workloads = {wl};
                         sim::SweepOptions opts;
-                        opts.threads = static_cast<unsigned>(
-                            benchThreads.front());
+                        opts.threads = benchThreads.front();
                         opts.grain = o.grain;
                         opts.shard = o.shard;
                         opts.tier = tier;
