@@ -69,13 +69,16 @@ class MemoryModule
 
     /**
      * Enqueues a request that arrives at cycle @p f.arrived.
-     * canAccept() must be true.
+     * canAccept() must be true, and @p target — the module the
+     * mapping chose for the request — must be this one.
      */
     void
-    accept(const InFlight &f)
+    accept(const InFlight &f, ModuleId target)
     {
         cfva_assert(canAccept(), "module ", id_,
                     " input buffer overflow");
+        cfva_assert(target == id_, "request for module ", target,
+                    " routed to module ", id_);
         input_[wrap(inHead_ + inCount_, inputDepth_)] = f;
         ++inCount_;
     }

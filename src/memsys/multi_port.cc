@@ -67,7 +67,10 @@ PerCycleMultiPort::runSingle(const std::vector<Request> &stream,
                              DeliveryArena *arena)
 {
     detail::premapPorts(slicer_, {&stream, 1}, portMods_);
-    return runSingleMapped(stream, portMods_[0].data(), arena);
+    AccessResult result =
+        runSingleMapped(stream, portMods_[0].data(), arena);
+    releaseTraces();
+    return result;
 }
 
 AccessResult
@@ -89,31 +92,32 @@ PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
     // Premap every stream before the simulation loop (bit-sliced
     // for linear mappings); issue attempts just index the result.
     detail::premapPorts(slicer_, streams, portMods_);
-    return runMapped(streams, portMods_, arena);
+    seqs_.resize(streams.size());
+    for (std::size_t p = 0; p < streams.size(); ++p)
+        seqs_[p] = {portMods_[p].data(), streams[p].size()};
+    MultiPortResult result = runMapped(streams, seqs_, arena);
+    releaseTraces();
+    return result;
 }
 
 MultiPortResult
 PerCycleMultiPort::runMapped(
     const std::vector<std::vector<Request>> &streams,
-    const std::vector<std::vector<ModuleId>> &mods,
-    DeliveryArena *arena)
+    std::span<const PortSeq> seqs, DeliveryArena *arena)
 {
     cfva_assert(!streams.empty(), "need at least one port");
-    cfva_assert(mods.size() >= streams.size(),
+    cfva_assert(seqs.size() == streams.size(),
                 "need one module sequence per port");
-    seqs_.resize(streams.size());
-    for (std::size_t p = 0; p < streams.size(); ++p) {
-        cfva_assert(mods[p].size() == streams[p].size(),
+    for (std::size_t p = 0; p < streams.size(); ++p)
+        cfva_assert(seqs[p].length == streams[p].size(),
                     "port ", p, " module sequence length mismatch");
-        seqs_[p] = {mods[p].data(), streams[p].size()};
-    }
-    loop<false>(seqs_, nullptr);
+    loop<false>(seqs, nullptr);
 
     MultiPortResult result;
     result.makespan = makespan_;
     result.ports.resize(streams.size());
     for (std::size_t p = 0; p < streams.size(); ++p)
-        materializeEmits(trace(p), streams[p], mods[p].data(), arena,
+        materializeEmits(trace(p), streams[p], seqs[p].mods, arena,
                          result.ports[p], static_cast<unsigned>(p));
     return result;
 }
@@ -139,7 +143,6 @@ PerCycleMultiPort::loop(std::span<const PortSeq> seqs,
     for (unsigned p = 0; p < n_ports; ++p)
         order[p] = p;
 
-    // Member scratch: the traces keep their capacity across runs.
     ports_.resize(n_ports);
     std::vector<PortState> &ports = ports_;
     std::size_t total = 0;
@@ -240,7 +243,7 @@ PerCycleMultiPort::loop(std::span<const PortSeq> seqs,
                 f.port = p;
                 f.issued = now;
                 f.arrived = now + 1;
-                mod.accept(f);
+                mod.accept(f, target);
                 ++queued;
                 if (ps.next == 0)
                     ps.trace.summary.firstIssue = now;

@@ -104,13 +104,13 @@ class PerCycleMultiPort final : public MemoryBackend
 
     /**
      * run() over streams whose module assignments were already
-     * computed: @p modules holds at least streams.size() sequences
-     * and modules[p][i] is the mapping of streams[p][i].addr.  The
+     * computed: @p seqs holds one sequence per stream and
+     * seqs[p].mods[i] is the mapping of streams[p][i].addr.  The
      * multi-port counterpart of runSingleMapped().
      */
     MultiPortResult
     runMapped(const std::vector<std::vector<Request>> &streams,
-              const std::vector<std::vector<ModuleId>> &modules,
+              std::span<const PortSeq> seqs,
               DeliveryArena *arena = nullptr);
 
     /**
@@ -135,6 +135,16 @@ class PerCycleMultiPort final : public MemoryBackend
      *  MultiPortResult::makespan). */
     Cycle makespan() const { return makespan_; }
 
+    /**
+     * Frees the traces of the last run; trace() is invalid until
+     * the next one.  A worker caches many simulators, each idle
+     * between its accesses, so a caller done reading the traces
+     * hands their storage back rather than leave every cached
+     * simulator holding its longest run.  run() and runSingle()
+     * call it themselves.
+     */
+    void releaseTraces() { ports_.clear(); }
+
     const MemConfig &config() const { return cfg_; }
 
   private:
@@ -150,14 +160,14 @@ class PerCycleMultiPort final : public MemoryBackend
 
     // Persistent across run() calls so a cached backend stops
     // paying the per-access construction cost (module array with
-    // its buffers, issue, trace and premap scratch).  Every run()
-    // resets what it uses; results are bit-identical to a freshly
-    // constructed backend.
+    // its buffers, issue and premap scratch; the traces live only
+    // until releaseTraces()).  Every run() resets what it uses;
+    // results are bit-identical to a freshly constructed backend.
     std::vector<MemoryModule> modules_;
     std::vector<unsigned> order_; //!< issue-priority scratch
-    std::vector<detail::PortState> ports_; //!< per-port scratch
+    std::vector<detail::PortState> ports_; //!< per-port state
     std::vector<std::vector<ModuleId>> portMods_; //!< premap scratch
-    std::vector<PortSeq> seqs_; //!< runMapped() scratch
+    std::vector<PortSeq> seqs_; //!< run()'s view of portMods_
     Cycle makespan_ = 0;
 };
 

@@ -37,13 +37,17 @@ ConflictSolver::solve(PerCycleMultiPort &sim,
     // for a recurrence, or the snapshot budget ran out) leaves
     // `result` untouched.
     Cycle steppedCycles = 0;
-    if (!collapser_.tryRun(sim, stream.size(), mods, &steppedCycles))
-        return false;
-    ++stats_.collapseHits;
-    stats_.collapsePrefixCycles += steppedCycles;
-    if (memoTried)
-        memo_.store(sim.trace(0));
-    return answer(sim.trace(0));
+    const bool collapsed =
+        collapser_.tryRun(sim, stream.size(), mods, &steppedCycles);
+    if (collapsed) {
+        ++stats_.collapseHits;
+        stats_.collapsePrefixCycles += steppedCycles;
+        if (memoTried)
+            memo_.store(sim.trace(0));
+        answer(sim.trace(0));
+    }
+    sim.releaseTraces();
+    return collapsed;
 }
 
 void

@@ -238,10 +238,10 @@ TheoryBackend::tryClaimPorts(
             lastDelivery = std::max(lastDelivery, r.lastDelivery);
         }
     }
-    // Same assembly detail::assemblePortResults performs: the
-    // makespan is exclusive of the last delivery cycle, 0 when no
-    // element was delivered, and each port's conflict-free flag was
-    // already judged against its own single-stream floor.
+    // The same fold PerCycleMultiPort's loop ends with: the makespan
+    // is exclusive of the last delivery cycle, 0 when no element was
+    // delivered, and each port's conflict-free flag was already
+    // judged against its own single-stream floor.
     out.makespan = any ? lastDelivery + 1 : 0;
     return true;
 }
@@ -292,7 +292,7 @@ TheoryBackend::runPorts(
         out.makespan = fallbackMemo_.cached().makespan;
         return out;
     }
-    out = fallback_.runMapped(streams, portMods_, arena);
+    out = fallback_.runMapped(streams, portSeqs_, arena);
     fallbackStore(P, detail);
     return out;
 }
@@ -315,19 +315,20 @@ TheoryBackend::fallbackHit(const PortSeq *seqs, std::size_t count,
 void
 TheoryBackend::fallbackStore(std::size_t count, ResultDetail detail)
 {
-    if (!fallbackMemo_.keyed())
-        return;
-    MemoOutcome o;
-    o.makespan = fallback_.makespan();
-    o.summaryOnly = detail == ResultDetail::Summary;
-    o.ports.resize(count);
-    for (std::size_t p = 0; p < count; ++p) {
-        const PortTrace &simulated = fallback_.trace(p);
-        o.ports[p].summary = simulated.summary;
-        if (!o.summaryOnly)
-            o.ports[p].emits = simulated.emits;
+    if (fallbackMemo_.keyed()) {
+        MemoOutcome o;
+        o.makespan = fallback_.makespan();
+        o.summaryOnly = detail == ResultDetail::Summary;
+        o.ports.resize(count);
+        for (std::size_t p = 0; p < count; ++p) {
+            const PortTrace &simulated = fallback_.trace(p);
+            o.ports[p].summary = simulated.summary;
+            if (!o.summaryOnly)
+                o.ports[p].emits = simulated.emits;
+        }
+        fallbackMemo_.store(std::move(o));
     }
-    fallbackMemo_.store(std::move(o));
+    fallback_.releaseTraces();
 }
 
 void

@@ -254,7 +254,7 @@ class TheoryBackend final : public MemoryBackend
     /** Records the simulator's position-form outcome of its last
      *  @p count-port run for the key of the last fallbackHit():
      *  scalars only under ResultDetail::Summary, the whole traces
-     *  otherwise. */
+     *  otherwise.  Then releases the simulator's traces. */
     void fallbackStore(std::size_t count, ResultDetail detail);
 
     /** Fills @p out from port @p port of the fallback memo's hit,
@@ -271,7 +271,7 @@ class TheoryBackend final : public MemoryBackend
     std::vector<Cycle> nextFree_; // per-module scratch
     std::vector<ModuleId> mods_;  // premap scratch, reused per run
     std::vector<std::vector<ModuleId>> portMods_; // P > 1 premaps
-    std::vector<PortSeq> portSeqs_; // fallback memo key scratch
+    std::vector<PortSeq> portSeqs_; // memo key + simulator input
     OutcomeMemo fallbackMemo_{kFallbackMemoEntries};
     std::uint64_t fallbackMemoHits_ = 0;
     std::uint64_t fallbackMemoMisses_ = 0;

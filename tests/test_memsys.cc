@@ -26,7 +26,7 @@ TEST(MemoryModule, LifecycleTiming)
 
     InFlight f;
     f.arrived = 1;
-    mod.accept(f);
+    mod.accept(f, 0);
     EXPECT_FALSE(mod.canAccept());
     EXPECT_FALSE(mod.drained());
 
@@ -53,8 +53,8 @@ TEST(MemoryModule, OutputBackPressureBlocksService)
 {
     MemoryModule mod(0, /*T=*/2, /*q=*/2, /*q'=*/1);
     const InFlight f;
-    mod.accept(f);
-    mod.accept(f);
+    mod.accept(f, 0);
+    mod.accept(f, 0);
 
     mod.tryStart(0);       // first service: ready at 2
     mod.retire(2);         // into the single output slot
@@ -67,6 +67,14 @@ TEST(MemoryModule, OutputBackPressureBlocksService)
     EXPECT_EQ(mod.outputHead()->ready, 4u);
 }
 
+TEST(MemoryModule, RejectsMisroutedRequest)
+{
+    test::ScopedPanicThrow guard;
+    MemoryModule mod(3, 4, 1, 1);
+    const InFlight f;
+    EXPECT_THROW(mod.accept(f, 2), std::runtime_error);
+}
+
 TEST(MemoryModule, ShiftedStateEncodesIdentically)
 {
     // The collapser's jump moves a module by whole periods; relative
@@ -75,11 +83,11 @@ TEST(MemoryModule, ShiftedStateEncodesIdentically)
     MemoryModule mod(0, /*T=*/4, /*q=*/2, /*q'=*/1);
     InFlight f;
     f.arrived = 1;
-    mod.accept(f);
+    mod.accept(f, 0);
     f.pos = 1;
     f.issued = 1;
     f.arrived = 2;
-    mod.accept(f);
+    mod.accept(f, 0);
     ASSERT_TRUE(mod.tryStart(1));
 
     std::vector<std::int64_t> before, after;

@@ -90,9 +90,11 @@ expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
     }
 
     std::vector<std::vector<ModuleId>> mods(streams.size());
+    std::vector<PortSeq> seqs(streams.size());
     for (std::size_t p = 0; p < streams.size(); ++p) {
         for (const Request &r : streams[p])
             mods[p].push_back(map.moduleOf(r.addr));
+        seqs[p] = {mods[p].data(), mods[p].size()};
     }
     PerCycleMultiPort backend(cfg, map);
     DeliveryArena arena;
@@ -102,7 +104,7 @@ expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
             std::string(what) + (a ? " (arena)" : "");
         MultiPortResult plain = backend.run(streams, a);
         expectSameResult(plain, oracle, where + " run");
-        MultiPortResult mapped = backend.runMapped(streams, mods, a);
+        MultiPortResult mapped = backend.runMapped(streams, seqs, a);
         expectSameResult(mapped, oracle, where + " runMapped");
         if (a) {
             // Recycle the buffers so later runs draw stale ones.

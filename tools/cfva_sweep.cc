@@ -176,25 +176,16 @@ parseU32(const std::string &arg, const char *what)
     return static_cast<unsigned>(v);
 }
 
-std::vector<std::uint64_t>
-parseU64List(const std::string &arg, const char *what)
+/** Splits @p arg on commas and parses each item with @p parse
+ *  (parseU64, or parseU32 for values that must fit 32 bits); an
+ *  empty list is an error. */
+template <typename Parse>
+auto
+parseList(const std::string &arg, const char *what, Parse parse)
 {
-    std::vector<std::uint64_t> vals;
+    std::vector<decltype(parse(arg, what))> vals;
     for (const auto &p : splitList(arg))
-        vals.push_back(parseU64(p, what));
-    if (vals.empty())
-        cfva_fatal("empty ", what, " list");
-    return vals;
-}
-
-/** parseU64List for values that must fit 32 bits: each item goes
- *  through parseU32's range check instead of being narrowed. */
-std::vector<unsigned>
-parseU32List(const std::string &arg, const char *what)
-{
-    std::vector<unsigned> vals;
-    for (const auto &p : splitList(arg))
-        vals.push_back(parseU32(p, what));
+        vals.push_back(parse(p, what));
     if (vals.empty())
         cfva_fatal("empty ", what, " list");
     return vals;
@@ -359,31 +350,34 @@ parseArgs(int argc, char **argv)
             o.kinds = sim::splitFlagList("--kinds",
                                          need(i, "--kinds"));
         } else if (a == "--t") {
-            o.ts = parseU32List(need(i, "--t"), "--t");
+            o.ts = parseList(need(i, "--t"), "--t", parseU32);
         } else if (a == "--lambda") {
-            o.lambdas = parseU32List(need(i, "--lambda"), "--lambda");
+            o.lambdas =
+                parseList(need(i, "--lambda"), "--lambda", parseU32);
         } else if (a == "--m") {
-            o.ms = parseU32List(need(i, "--m"), "--m");
+            o.ms = parseList(need(i, "--m"), "--m", parseU32);
         } else if (a == "--tunes") {
             o.tunes = strictU32List("--tunes", need(i, "--tunes"));
         } else if (a == "--families") {
             o.families =
                 parseRange(need(i, "--families"), "--families");
         } else if (a == "--sigmas") {
-            o.sigmas = parseU64List(need(i, "--sigmas"), "--sigmas");
+            o.sigmas =
+                parseList(need(i, "--sigmas"), "--sigmas", parseU64);
         } else if (a == "--strides") {
             o.strides =
-                parseU64List(need(i, "--strides"), "--strides");
+                parseList(need(i, "--strides"), "--strides", parseU64);
         } else if (a == "--lengths") {
             o.lengths =
-                parseU64List(need(i, "--lengths"), "--lengths");
+                parseList(need(i, "--lengths"), "--lengths", parseU64);
         } else if (a == "--starts") {
-            o.starts = parseU64List(need(i, "--starts"), "--starts");
+            o.starts =
+                parseList(need(i, "--starts"), "--starts", parseU64);
         } else if (a == "--random-starts") {
             o.randomStarts = parseU32(need(i, "--random-starts"),
                                       "--random-starts");
         } else if (a == "--ports") {
-            o.ports = parseU64List(need(i, "--ports"), "--ports");
+            o.ports = parseList(need(i, "--ports"), "--ports", parseU64);
         } else if (a == "--port-mix") {
             o.portMixes = sim::parsePortMixFlag(
                 "--port-mix", need(i, "--port-mix"));
@@ -431,7 +425,7 @@ parseArgs(int argc, char **argv)
             o.summary = false;
         } else if (a == "--bench") {
             o.benchThreads =
-                parseU32List(need(i, "--bench"), "--bench");
+                parseList(need(i, "--bench"), "--bench", parseU32);
         } else {
             usage(std::cerr);
             cfva_fatal("unknown option: ", a);
