@@ -1,6 +1,7 @@
 #include "common/table.h"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <ostream>
 
@@ -82,9 +83,14 @@ TextTable::printCsv(std::ostream &os) const
 std::string
 fixed(double v, int digits)
 {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(digits) << v;
-    return os.str();
+    // Room for DBL_MAX's 309 integer digits, a sign, the point and
+    // a generous precision.
+    char buf[400];
+    const auto [end, ec] = std::to_chars(
+        buf, buf + sizeof buf, v, std::chars_format::fixed, digits);
+    cfva_assert(ec == std::errc{}, "fixed(", digits,
+                " digits) overflows its buffer");
+    return std::string(buf, end);
 }
 
 std::string

@@ -390,8 +390,13 @@ VectorAccessUnit::execute(const AccessPlan &plan,
     }
     if (tiers)
         tiers->add(false);
+    // The sim tier steps the cached backend's own simulator; its
+    // plain entry points read no solver or memo state.
     if (cache) {
-        return cache->backendFor(cfg_.memConfig(), *mapping_)
+        return cache
+            ->theoryBackendFor(EngineKind::PerCycle, cfg_.memConfig(),
+                               *mapping_)
+            .fallback()
             .runSingle(plan.stream, arena);
     }
     return simulateAccess(cfg_.memConfig(), *mapping_, plan.stream,
@@ -415,7 +420,10 @@ VectorAccessUnit::executePorts(
     if (tiers)
         tiers->add(false);
     if (cache) {
-        return cache->backendFor(cfg_.memConfig(), *mapping_)
+        return cache
+            ->theoryBackendFor(EngineKind::PerCycle, cfg_.memConfig(),
+                               *mapping_)
+            .fallback()
             .run(streams, arena);
     }
     return PerCycleMultiPort(cfg_.memConfig(), *mapping_)

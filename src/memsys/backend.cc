@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "memsys/multi_port.h"
 
 namespace cfva {
 
@@ -178,31 +177,5 @@ AccessResult::deliveryOrder() const
         order.push_back(d.element);
     return order;
 }
-
-std::unique_ptr<MemoryBackend>
-makeMemoryBackend(const MemConfig &cfg, const ModuleMapping &map)
-{
-    return std::make_unique<PerCycleMultiPort>(cfg, map);
-}
-
-namespace detail {
-
-void
-premapPorts(const BitSlicedMapper &slicer,
-            std::span<const std::vector<Request>> streams,
-            std::vector<std::vector<ModuleId>> &mods)
-{
-    if (mods.size() < streams.size())
-        mods.resize(streams.size());
-    for (std::size_t p = 0; p < streams.size(); ++p) {
-        const std::vector<Request> &stream = streams[p];
-        mods[p].resize(stream.size());
-        slicer.mapWith(
-            [&stream](std::size_t i) { return stream[i].addr; },
-            stream.size(), mods[p].data());
-    }
-}
-
-} // namespace detail
 
 } // namespace cfva

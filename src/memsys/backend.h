@@ -1,20 +1,25 @@
 /**
  * @file
- * The port-aware memory-backend interface.
+ * The port-aware vocabulary every memory consumer shares.
  *
- * One abstraction covers every simulation path: a MemoryBackend maps
- * (streams, config, mapping) to a MultiPortResult, where the
- * single-port access every earlier layer was built around is simply
- * the P = 1 case.  Two implementations exist:
+ * An access of P simultaneous request streams on one set of memory
+ * modules yields a MultiPortResult, where the single-port access
+ * every earlier layer was built around is simply the P = 1 case.
+ * Two classes answer accesses, one inside the other:
  *
  * - PerCycleMultiPort (memsys/multi_port.h): the cycle-stepped
  *   simulator, one loop over P port views; the paper's single-port
  *   memory runs that same loop with P = 1.  It is the oracle the
  *   analytic tier and --tier audit are differentially tested
- *   against.
+ *   against, and it premaps every stream it runs.
  * - TheoryBackend (theory/theory_backend.h): the analytic tier,
- *   which answers what it can prove and falls back to a
- *   PerCycleMultiPort for the rest.
+ *   which answers what it can prove and falls back to the one
+ *   PerCycleMultiPort it embeds — the same simulator premaps the
+ *   streams its proofs read.
+ *
+ * BackendCache (memsys/backend_cache.h) keeps one TheoryBackend per
+ * (worker, memory shape, mapping); the sim tier runs that entry's
+ * embedded simulator.
  *
  * TierPolicy lives here (not in core/) so the dispatch is decided at
  * the memsys layer and every consumer — VectorAccessUnit, the sweep
@@ -24,11 +29,9 @@
 #ifndef CFVA_MEMSYS_BACKEND_H
 #define CFVA_MEMSYS_BACKEND_H
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "mapping/bitslice.h"
 #include "mapping/mapping.h"
 #include "memsys/request.h"
 
@@ -68,21 +71,21 @@ enum class TierPolicy
 const char *to_string(TierPolicy tier);
 
 /**
- * How much of a claimed AccessResult the caller needs.  The
- * simulator always materializes every Delivery; the analytic tier can
- * answer in O(1) when the caller only folds aggregates (latency,
- * stalls, conflict-free), which is what the sweep hot path does with
- * every access whose delivery stream it would immediately release.
+ * How much of a theory-tier AccessResult the caller needs.  The
+ * plain simulator entry points (PerCycleMultiPort::run/runSingle)
+ * always materialize every Delivery; the analytic tier can answer in
+ * O(1) when the caller only folds aggregates (latency, stalls,
+ * conflict-free), which is what the sweep hot path does with every
+ * access whose delivery stream it would immediately release.
  */
 enum class ResultDetail
 {
     /** Materialize every Delivery (the library default). */
     Full,
 
-    /** Timing aggregates only; a claimed result's deliveries stay
-     *  empty, and so do those of a rejected access the theory
-     *  tier's fallback memo replays.  A fresh fallback simulation
-     *  still materializes. */
+    /** Timing aggregates only: the deliveries stay empty, whether
+     *  the access was claimed, replayed from the theory tier's
+     *  fallback memo, or simulated afresh on its fallback. */
     Summary,
 
     /**
@@ -268,65 +271,6 @@ struct MultiPortResult
 
     bool operator==(const MultiPortResult &o) const = default;
 };
-
-/**
- * A memory backend for P simultaneous request streams sharing one
- * set of memory modules.  Implementations are constructed per
- * (config, mapping) pair and are stateless across run() calls.
- */
-class MemoryBackend
-{
-  public:
-    virtual ~MemoryBackend() = default;
-
-    /**
-     * Simulates @p streams issued simultaneously, one request per
-     * port per cycle (P = streams.size() >= 1).  Issue priority is
-     * least-issued-port-first each cycle; each port has a private
-     * return bus delivering at most one of its elements per cycle.
-     *
-     * @param streams  one request stream per port (lengths may
-     *                 differ; an empty stream is a vacuously
-     *                 conflict-free port)
-     * @param arena    optional buffer recycler for the per-port
-     *                 delivery records
-     */
-    virtual MultiPortResult
-    run(const std::vector<std::vector<Request>> &streams,
-        DeliveryArena *arena = nullptr) = 0;
-
-    /**
-     * The P = 1 case without wrapping the stream: returns the
-     * port's AccessResult directly, bit-identical to
-     * run({stream}).ports[0].
-     */
-    virtual AccessResult
-    runSingle(const std::vector<Request> &stream,
-              DeliveryArena *arena = nullptr) = 0;
-};
-
-/**
- * Builds the per-cycle simulator (memsys/multi_port.h) over @p cfg
- * and @p map.  The mapping must outlive the returned backend.  The
- * simulator premaps its streams through a BitSlicedMapper (GF(2)
- * bit-matrix multiplies whenever the mapping exposes fixed rows) and
- * steps every access cycle by cycle: it is the plain oracle.  The
- * analytic fast paths — conflict-free claims and the periodic
- * steady-state solver — live in front of it, in
- * theory/theory_backend.h.
- */
-std::unique_ptr<MemoryBackend>
-makeMemoryBackend(const MemConfig &cfg, const ModuleMapping &map);
-
-namespace detail {
-
-/** Premaps every stream of @p streams into @p mods (grown to at
- *  least streams.size() sequences; entry p sized to stream p). */
-void premapPorts(const BitSlicedMapper &slicer,
-                 std::span<const std::vector<Request>> streams,
-                 std::vector<std::vector<ModuleId>> &mods);
-
-} // namespace detail
 
 } // namespace cfva
 

@@ -1,14 +1,21 @@
 /**
  * @file
- * Per-worker cache of MemoryBackend instances.
+ * Per-worker cache of TheoryBackend instances.
  *
  * The sweep hot path used to rebuild a backend — modules with their
  * buffer deques, issue scratch — for every simulated access.  The
- * backends are stateless across run() calls (they self-reset), so
- * one instance per (tier, memory shape, mapping) can serve every
- * scenario a worker executes.  The cache owns those
- * instances and hands out references; hit/miss counters make the
- * saved setup cost observable (cfva_sweep --bench reports them).
+ * backends are stateless across accesses (they self-reset), so one
+ * instance per (memory shape, mapping) can serve every scenario a
+ * worker executes.  The cache owns those instances and hands out
+ * references; hit/miss counters make the saved setup cost
+ * observable (cfva_sweep --bench reports them).
+ *
+ * One entry serves both tiers: the theory tier runs the
+ * TheoryBackend, and the sim tier runs its embedded simulator
+ * (TheoryBackend::fallback()), whose plain run()/runSingle() read
+ * no solver or memo state — so TierPolicy::AuditBoth holds one
+ * backend per (shape, mapping) and its sim arm still steps every
+ * access from scratch.
  *
  * Not thread-safe: use one cache per worker thread, exactly like
  * DeliveryArena.  The mappings passed in must outlive the cache —
@@ -29,11 +36,9 @@
 #include <vector>
 
 #include "memsys/backend.h"
-#include "memsys/steady_state.h"
+#include "theory/theory_backend.h"
 
 namespace cfva {
-
-class TheoryBackend;
 
 /** Aggregate hit/miss counters, mergeable across workers. */
 struct BackendCacheStats
@@ -52,23 +57,14 @@ struct BackendCacheStats
     bool operator==(const BackendCacheStats &o) const = default;
 };
 
-/** Owns and reuses MemoryBackend instances for one worker. */
+/** Owns and reuses TheoryBackend instances for one worker. */
 class BackendCache
 {
   public:
     /**
-     * The per-cycle simulator over @p cfg and @p map, built on
-     * first use and reused afterwards.  @p map must outlive the
-     * cache.
-     */
-    MemoryBackend &backendFor(const MemConfig &cfg,
-                              const ModuleMapping &map);
-
-    /**
-     * The analytic tier over the same shape: a TheoryBackend with
-     * its own per-cycle fallback.  Cached separately from the plain
-     * simulator (the key carries a tier bit) so
-     * TierPolicy::AuditBoth can hold both at once.  The unnamed
+     * The backend over @p cfg and @p map — the analytic tier with
+     * its per-cycle fallback — built on first use and reused
+     * afterwards.  @p map must outlive the cache.  The unnamed
      * EngineKind parameter is ignored: kept while sweepbench names
      * it; drop at the next benchmark PR.
      */
@@ -77,8 +73,7 @@ class BackendCache
 
     const BackendCacheStats &stats() const { return stats_; }
 
-    /** Summed collapse/memo counters of every cached theory
-     *  backend's solver (the plain simulator has no fast path). */
+    /** Summed collapse/memo counters of every cached backend. */
     FastPathStats fastPathStats() const;
 
     /** Distinct backends currently cached. */
@@ -95,7 +90,6 @@ class BackendCache
         unsigned inputBuffers = 0;
         unsigned outputBuffers = 0;
         const ModuleMapping *map = nullptr;
-        bool theory = false; //!< analytic tier, not the simulator
 
         bool operator==(const Key &o) const = default;
     };
@@ -103,16 +97,12 @@ class BackendCache
     struct Entry
     {
         Key key;
-        std::unique_ptr<MemoryBackend> backend;
+        std::unique_ptr<TheoryBackend> backend;
     };
 
-    /** The live backend under @p key, moved to the front (a hit),
-     *  or nullptr (a miss); counts the lookup either way. */
-    MemoryBackend *lookup(const Key &key);
-
     // Linear scan with move-to-front: a worker touches a handful
-    // of (tier, mapping) pairs per sweep, and the hot lookups
-    // repeat the front entry, so a hash map would only add cost.
+    // of mappings per sweep, and the hot lookups repeat the front
+    // entry, so a hash map would only add cost.
     std::vector<Entry> entries_;
     BackendCacheStats stats_;
 };

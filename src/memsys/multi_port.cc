@@ -62,26 +62,32 @@ PerCycleMultiPort::PerCycleMultiPort(const MemConfig &cfg,
                               cfg.inputBuffers, cfg.outputBuffers);
 }
 
+std::span<const PortSeq>
+PerCycleMultiPort::premap(std::span<const std::vector<Request>> streams)
+{
+    if (portMods_.size() < streams.size())
+        portMods_.resize(streams.size());
+    seqs_.resize(streams.size());
+    for (std::size_t p = 0; p < streams.size(); ++p) {
+        const std::vector<Request> &stream = streams[p];
+        portMods_[p].resize(stream.size());
+        slicer_.mapWith(
+            [&stream](std::size_t i) { return stream[i].addr; },
+            stream.size(), portMods_[p].data());
+        seqs_[p] = {portMods_[p].data(), stream.size()};
+    }
+    return seqs_;
+}
+
 AccessResult
 PerCycleMultiPort::runSingle(const std::vector<Request> &stream,
                              DeliveryArena *arena)
 {
-    detail::premapPorts(slicer_, {&stream, 1}, portMods_);
-    AccessResult result =
-        runSingleMapped(stream, portMods_[0].data(), arena);
-    releaseTraces();
-    return result;
-}
-
-AccessResult
-PerCycleMultiPort::runSingleMapped(const std::vector<Request> &stream,
-                                   const ModuleId *modules,
-                                   DeliveryArena *arena)
-{
-    const PortSeq seq{modules, stream.size()};
-    loop<false>({&seq, 1}, nullptr);
+    const PortSeq seq = premap({&stream, 1})[0];
+    simulate({&seq, 1});
     AccessResult result;
-    materializeEmits(trace(0), stream, modules, arena, result);
+    materializeEmits(trace(0), stream, seq.mods, arena, result);
+    releaseTraces();
     return result;
 }
 
@@ -89,29 +95,11 @@ MultiPortResult
 PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
                        DeliveryArena *arena)
 {
+    cfva_assert(!streams.empty(), "need at least one port");
     // Premap every stream before the simulation loop (bit-sliced
     // for linear mappings); issue attempts just index the result.
-    detail::premapPorts(slicer_, streams, portMods_);
-    seqs_.resize(streams.size());
-    for (std::size_t p = 0; p < streams.size(); ++p)
-        seqs_[p] = {portMods_[p].data(), streams[p].size()};
-    MultiPortResult result = runMapped(streams, seqs_, arena);
-    releaseTraces();
-    return result;
-}
-
-MultiPortResult
-PerCycleMultiPort::runMapped(
-    const std::vector<std::vector<Request>> &streams,
-    std::span<const PortSeq> seqs, DeliveryArena *arena)
-{
-    cfva_assert(!streams.empty(), "need at least one port");
-    cfva_assert(seqs.size() == streams.size(),
-                "need one module sequence per port");
-    for (std::size_t p = 0; p < streams.size(); ++p)
-        cfva_assert(seqs[p].length == streams[p].size(),
-                    "port ", p, " module sequence length mismatch");
-    loop<false>(seqs, nullptr);
+    const std::span<const PortSeq> seqs = premap(streams);
+    simulate(seqs);
 
     MultiPortResult result;
     result.makespan = makespan_;
@@ -119,7 +107,14 @@ PerCycleMultiPort::runMapped(
     for (std::size_t p = 0; p < streams.size(); ++p)
         materializeEmits(trace(p), streams[p], seqs[p].mods, arena,
                          result.ports[p], static_cast<unsigned>(p));
+    releaseTraces();
     return result;
+}
+
+void
+PerCycleMultiPort::simulate(std::span<const PortSeq> seqs)
+{
+    loop<false>(seqs, nullptr);
 }
 
 bool

@@ -33,6 +33,7 @@
 #include <span>
 #include <vector>
 
+#include "mapping/bitslice.h"
 #include "mapping/mapping.h"
 #include "memsys/backend.h"
 #include "memsys/module.h"
@@ -65,13 +66,18 @@ struct PortState
  *
  * The loop works in position form: the modules hold InFlight
  * records that name each request by its stream position, and each
- * delivery is appended to its port's trace as an Emit.  The entry
- * points turn the traces into Delivery records at the end
- * (materializeEmits); callers that keep position form — the theory
- * tier's fallback memo and the steady-state collapser — read
- * trace() instead.
+ * delivery is appended to its port's trace as an Emit.  run() and
+ * runSingle() premap, step and turn the traces into Delivery
+ * records (materializeEmits); callers that keep position form — the
+ * theory tier, its fallback memo and the steady-state collapser —
+ * premap(), simulate() and read trace() instead.
+ *
+ * The premap scratch is the only premap of whoever owns the
+ * simulator: the theory tier embedding it proves, solves, keys its
+ * fallback memo and — after a rejection — simulates over the one
+ * premap() view.
  */
-class PerCycleMultiPort final : public MemoryBackend
+class PerCycleMultiPort
 {
   public:
     /**
@@ -82,36 +88,47 @@ class PerCycleMultiPort final : public MemoryBackend
      */
     PerCycleMultiPort(const MemConfig &cfg, const ModuleMapping &map);
 
+    /**
+     * Simulates @p streams issued simultaneously, one request per
+     * port per cycle (P = streams.size() >= 1).  Issue priority is
+     * least-issued-port-first each cycle; each port has a private
+     * return bus delivering at most one of its elements per cycle.
+     *
+     * @param streams  one request stream per port (lengths may
+     *                 differ; an empty stream is a vacuously
+     *                 conflict-free port)
+     * @param arena    optional buffer recycler for the per-port
+     *                 delivery records
+     */
     MultiPortResult
     run(const std::vector<std::vector<Request>> &streams,
-        DeliveryArena *arena = nullptr) override;
+        DeliveryArena *arena = nullptr);
 
+    /**
+     * The P = 1 case without wrapping the stream: returns the
+     * port's AccessResult directly, bit-identical to
+     * run({stream}).ports[0].
+     */
     AccessResult
     runSingle(const std::vector<Request> &stream,
-              DeliveryArena *arena = nullptr) override;
-
-    /**
-     * runSingle() over a stream whose module assignments were
-     * already computed (modules[i] = mapping of stream[i].addr,
-     * typically by a BitSlicedMapper), skipping the internal premap
-     * pass: the theory tier hands over the premap its analysis
-     * already built instead of mapping every element twice.
-     */
-    AccessResult
-    runSingleMapped(const std::vector<Request> &stream,
-                    const ModuleId *modules,
-                    DeliveryArena *arena = nullptr);
-
-    /**
-     * run() over streams whose module assignments were already
-     * computed: @p seqs holds one sequence per stream and
-     * seqs[p].mods[i] is the mapping of streams[p][i].addr.  The
-     * multi-port counterpart of runSingleMapped().
-     */
-    MultiPortResult
-    runMapped(const std::vector<std::vector<Request>> &streams,
-              std::span<const PortSeq> seqs,
               DeliveryArena *arena = nullptr);
+
+    /**
+     * Maps every stream of @p streams to its module sequence
+     * (bit-sliced GF(2) bit-matrix multiplies whenever the mapping
+     * exposes fixed rows) into this simulator's scratch: entry p
+     * views streams[p].  The view stays valid until the next
+     * premap(), run() or runSingle(); simulate() leaves it alone.
+     */
+    std::span<const PortSeq>
+    premap(std::span<const std::vector<Request>> streams);
+
+    /**
+     * The plain loop over P = @p seqs.size() premapped sequences,
+     * every cycle stepped; the outcome is read through trace() and
+     * makespan().
+     */
+    void simulate(std::span<const PortSeq> seqs);
 
     /**
      * The loop over one premapped sequence with @p collapser called
@@ -148,9 +165,9 @@ class PerCycleMultiPort final : public MemoryBackend
     const MemConfig &config() const { return cfg_; }
 
   private:
-    /** The loop every entry point runs, over P = ports.size()
-     *  premapped sequences; the collapser's call is compiled in
-     *  only when @p Collapsing. */
+    /** The loop both simulate() overloads run, over P =
+     *  ports.size() premapped sequences; the collapser's call is
+     *  compiled in only when @p Collapsing. */
     template <bool Collapsing>
     bool loop(std::span<const PortSeq> ports,
               SteadyStateCollapser *collapser);
@@ -167,7 +184,7 @@ class PerCycleMultiPort final : public MemoryBackend
     std::vector<unsigned> order_; //!< issue-priority scratch
     std::vector<detail::PortState> ports_; //!< per-port state
     std::vector<std::vector<ModuleId>> portMods_; //!< premap scratch
-    std::vector<PortSeq> seqs_; //!< run()'s view of portMods_
+    std::vector<PortSeq> seqs_; //!< premap()'s view of portMods_
     Cycle makespan_ = 0;
 };
 

@@ -1,7 +1,9 @@
 #include "sim/scenario.h"
 
+#include <limits>
 #include <sstream>
 
+#include "common/bits.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "common/stride.h"
@@ -52,9 +54,29 @@ ScenarioGrid::addFamilies(unsigned xLo, unsigned xHi,
 std::size_t
 ScenarioGrid::jobCount() const
 {
-    return mappings.size() * strides.size() * lengths.size()
-           * (starts.size() + randomStarts) * ports.size()
-           * portMixes.size() * workloads.size();
+    std::uint64_t jobs = 1;
+    for (std::uint64_t axis :
+         {std::uint64_t{mappings.size()}, std::uint64_t{strides.size()},
+          std::uint64_t{lengths.size()},
+          std::uint64_t{starts.size()} + randomStarts,
+          std::uint64_t{ports.size()}, std::uint64_t{portMixes.size()},
+          std::uint64_t{workloads.size()}}) {
+        if (!checkedMul(jobs, axis, jobs))
+            return std::numeric_limits<std::size_t>::max();
+    }
+    return jobs;
+}
+
+std::string
+ScenarioGrid::jobsOverBudget() const
+{
+    const std::size_t jobs = jobCount();
+    if (jobs <= kJobBudget)
+        return {};
+    std::ostringstream os;
+    os << "grid of " << jobs << " jobs exceeds the job budget of "
+       << kJobBudget << " jobs";
+    return os.str();
 }
 
 std::string
@@ -136,6 +158,8 @@ ScenarioGrid::expand() const
         }
     }
 
+    const std::string tooManyJobs = jobsOverBudget();
+    cfva_assert(tooManyJobs.empty(), tooManyJobs);
     const std::string overBudget = lengthOverBudget();
     cfva_assert(overBudget.empty(), overBudget);
     const std::string overflow = cycleOverflow();

@@ -156,14 +156,33 @@ struct ScenarioGrid
     static constexpr std::uint64_t kLengthBudget = std::uint64_t{1} << 20;
 
     /**
+     * Most jobs one grid may expand to: 2^26, about 4 GB of
+     * 64-byte Scenario records before a single job runs.  The axis
+     * sizes multiply (e.g. --random-starts 4294967295 on the
+     * default grid asks for ~1.1e12 jobs, ~70 TB); expand() rejects
+     * a grid beyond the budget instead of reserving it.
+     */
+    static constexpr std::uint64_t kJobBudget = std::uint64_t{1} << 26;
+
+    /**
      * Appends the strides {sigma * 2^x : x in [xLo, xHi], sigma in
      * @p sigmas} to the stride axis.  @p sigmas must be odd.
      */
     void addFamilies(unsigned xLo, unsigned xHi,
                      const std::vector<std::uint64_t> &sigmas);
 
-    /** Number of jobs expand() will produce. */
+    /** Number of jobs expand() will produce; the largest
+     *  std::size_t when the product of the axis sizes overflows
+     *  it. */
     std::size_t jobCount() const;
+
+    /**
+     * Describes the grid's job count when it exceeds kJobBudget, or
+     * returns an empty string when it fits.  expand() rejects a grid
+     * beyond the budget; callers that want to fail gracefully check
+     * first.
+     */
+    std::string jobsOverBudget() const;
 
     /**
      * Describes the first (mapping, length, ports, workload)
@@ -188,8 +207,9 @@ struct ScenarioGrid
      * Flattens the grid into jobs in deterministic order and
      * resolves randomized starts.  Calls validate() on every
      * mapping configuration and workload first, and rejects a grid
-     * whose accesses exceed the length budget (lengthOverBudget())
-     * or whose cycle totals could overflow (cycleOverflow()).
+     * with more jobs than the job budget (jobsOverBudget()), whose
+     * accesses exceed the length budget (lengthOverBudget()) or
+     * whose cycle totals could overflow (cycleOverflow()).
      */
     std::vector<Scenario> expand() const;
 };

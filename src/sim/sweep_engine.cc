@@ -692,8 +692,8 @@ struct WorkerArena
     // reason as `units`.
     WorkloadUnits workloads;
 
-    // Reuses one MemoryBackend (modules, scratch) per (tier,
-    // mapping) across all of this worker's scenarios
+    // Reuses one backend (modules, scratch) per mapping, for
+    // both tiers, across all of this worker's scenarios
     // instead of rebuilding it per access.  Declared after the unit
     // holders: the cached backends reference their mappings and
     // must be destroyed first.

@@ -27,8 +27,8 @@
  *             EXECUTE chained on the last load, one STORE — the
  *             multi-stream kernel shape of vectorized stencils.
  *
- * Every access of a workload dispatches through the unified
- * MemoryBackend (single- or multi-port), so program-level results
+ * Every access of a workload dispatches through the port-aware
+ * backend (single- or multi-port), so program-level results
  * are bit-identical across the evaluation tiers by the same
  * differential argument as raw accesses; the retune relayout charge
  * is analytic and tier-independent by construction.

@@ -10,19 +10,8 @@ namespace cfva {
 
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
                              const ModuleMapping &map)
-    : cfg_(cfg), slicer_(map), fallback_(cfg, map)
+    : cfg_(cfg), fallback_(cfg, map)
 {
-    cfg.validate();
-}
-
-void
-TheoryBackend::premap(const std::vector<Request> &stream,
-                      std::vector<ModuleId> &mods)
-{
-    mods.resize(stream.size());
-    slicer_.mapWith(
-        [&stream](std::size_t i) { return stream[i].addr; },
-        stream.size(), mods.data());
 }
 
 void
@@ -134,13 +123,13 @@ TheoryBackend::runSingleHinted(bool claimHint,
                                DeliveryArena *arena,
                                ResultDetail detail)
 {
-    // Premap once (bit-sliced when the mapping exposes GF(2) rows);
-    // the proof, the solver, and — after a rejection — the
-    // simulation fallback all reuse it instead of each re-deriving
-    // every module number.
-    premap(stream, mods_);
+    // Premap once, on the simulator (bit-sliced when the mapping
+    // exposes GF(2) rows); the proof, the solver, and — after a
+    // rejection — the fallback memo and the simulation all reuse it
+    // instead of each re-deriving every module number.
+    const PortSeq seq = fallback_.premap({&stream, 1})[0];
     AccessResult out;
-    if (answerMapped(claimHint, stream, mods_.data(), arena, out,
+    if (answerMapped(claimHint, stream, seq.mods, arena, out,
                      detail)) {
         lastClaimed_ = true;
         lastReason_ = FallbackReason::None;
@@ -151,13 +140,14 @@ TheoryBackend::runSingleHinted(bool claimHint,
     lastReason_ = claimHint ? FallbackReason::Unproven
                             : FallbackReason::Conflicted;
     stats_.add(false);
-    const PortSeq seq{mods_.data(), stream.size()};
     if (fallbackHit(&seq, 1, detail)) {
-        replayPort(0, stream, mods_.data(), arena, detail, out);
+        replayPort(fallbackMemo_.cached().ports[0], 0, stream,
+                   seq.mods, arena, detail, out);
         return out;
     }
-    // Empty streams were claimed above, so this one delivers.
-    out = fallback_.runSingleMapped(stream, mods_.data(), arena);
+    fallback_.simulate({&seq, 1});
+    replayPort(fallback_.trace(0), 0, stream, seq.mods, arena, detail,
+               out);
     fallbackStore(1, detail);
     return out;
 }
@@ -170,8 +160,9 @@ TheoryBackend::runSingleCertified(const std::vector<Request> &stream,
     AccessResult out = claimCertified(stream.size());
     if (detail == ResultDetail::Full) {
         // Full detail still needs each delivery's module number.
-        premap(stream, mods_);
-        synthesizeUniform(stream, mods_.data(), arena, out);
+        synthesizeUniform(stream,
+                          fallback_.premap({&stream, 1})[0].mods,
+                          arena, out);
     }
     return out;
 }
@@ -187,23 +178,16 @@ TheoryBackend::claimCertified(std::uint64_t length)
     return out;
 }
 
-AccessResult
-TheoryBackend::runSingle(const std::vector<Request> &stream,
-                         DeliveryArena *arena)
-{
-    return runSingleHinted(true, stream, arena);
-}
-
 bool
 TheoryBackend::tryClaimPorts(
     const std::vector<std::vector<Request>> &streams,
-    DeliveryArena *arena, MultiPortResult &out, ResultDetail detail)
+    std::span<const PortSeq> seqs, DeliveryArena *arena,
+    MultiPortResult &out, ResultDetail detail)
 {
     const std::size_t P = streams.size();
     solver_.beginPortCheck(cfg_.modules());
     for (std::size_t p = 0; p < P; ++p) {
-        if (!solver_.portDisjoint(streams[p].size(),
-                                  portMods_[p].data(),
+        if (!solver_.portDisjoint(seqs[p].length, seqs[p].mods,
                                   static_cast<unsigned>(p)))
             return false;
     }
@@ -221,8 +205,8 @@ TheoryBackend::tryClaimPorts(
     bool any = false;
     for (std::size_t p = 0; p < P; ++p) {
         AccessResult &r = out.ports[p];
-        if (!answerMapped(true, streams[p], portMods_[p].data(),
-                          arena, r, detail)) {
+        if (!answerMapped(true, streams[p], seqs[p].mods, arena, r,
+                          detail)) {
             if (arena) {
                 for (std::size_t q = 0; q < p; ++q)
                     arena->release(
@@ -266,11 +250,11 @@ TheoryBackend::runPorts(
 
     // Premap every port once: the disjointness proof, the fallback
     // memo key, and the simulator all read these sequences.
-    detail::premapPorts(slicer_, streams, portMods_);
+    const std::span<const PortSeq> seqs = fallback_.premap(streams);
     const std::size_t P = streams.size();
 
     MultiPortResult out;
-    if (tryClaimPorts(streams, arena, out, detail)) {
+    if (tryClaimPorts(streams, seqs, arena, out, detail)) {
         lastClaimed_ = true;
         lastReason_ = FallbackReason::None;
         stats_.add(true);
@@ -281,18 +265,20 @@ TheoryBackend::runPorts(
     lastClaimed_ = false;
     lastReason_ = FallbackReason::MultiPort;
     stats_.add(false);
-    portSeqs_.resize(P);
-    for (std::size_t p = 0; p < P; ++p)
-        portSeqs_[p] = {portMods_[p].data(), streams[p].size()};
-    if (fallbackHit(portSeqs_.data(), P, detail)) {
-        out.ports.resize(P);
+    out.ports.resize(P);
+    if (fallbackHit(seqs.data(), P, detail)) {
+        const MemoOutcome &hit = fallbackMemo_.cached();
         for (std::size_t p = 0; p < P; ++p)
-            replayPort(p, streams[p], portMods_[p].data(), arena,
-                       detail, out.ports[p]);
-        out.makespan = fallbackMemo_.cached().makespan;
+            replayPort(hit.ports[p], p, streams[p], seqs[p].mods,
+                       arena, detail, out.ports[p]);
+        out.makespan = hit.makespan;
         return out;
     }
-    out = fallback_.runMapped(streams, portSeqs_, arena);
+    fallback_.simulate(seqs);
+    for (std::size_t p = 0; p < P; ++p)
+        replayPort(fallback_.trace(p), p, streams[p], seqs[p].mods,
+                   arena, detail, out.ports[p]);
+    out.makespan = fallback_.makespan();
     fallbackStore(P, detail);
     return out;
 }
@@ -332,16 +318,15 @@ TheoryBackend::fallbackStore(std::size_t count, ResultDetail detail)
 }
 
 void
-TheoryBackend::replayPort(std::size_t port,
+TheoryBackend::replayPort(const PortTrace &trace, std::size_t port,
                           const std::vector<Request> &stream,
                           const ModuleId *mods, DeliveryArena *arena,
                           ResultDetail detail, AccessResult &out)
 {
-    const PortTrace &hit = fallbackMemo_.cached().ports[port];
     if (detail == ResultDetail::Summary)
-        applyEmitSummary(hit.summary, out);
+        applyEmitSummary(trace.summary, out);
     else
-        materializeEmits(hit, stream, mods, arena, out,
+        materializeEmits(trace, stream, mods, arena, out,
                          static_cast<unsigned>(port));
 }
 
@@ -352,13 +337,6 @@ TheoryBackend::fastPathStats() const
     s.fallbackMemoHits = fallbackMemoHits_;
     s.fallbackMemoMisses = fallbackMemoMisses_;
     return s;
-}
-
-MultiPortResult
-TheoryBackend::run(const std::vector<std::vector<Request>> &streams,
-                   DeliveryArena *arena)
-{
-    return runPorts(streams, arena, ResultDetail::Full);
 }
 
 } // namespace cfva

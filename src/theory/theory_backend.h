@@ -45,20 +45,24 @@
  * never of memo state.
  *
  * The fallback memo.  A rejected access is keyed on its premapped
- * per-port module sequences, jointly rank-canonicalized (the
- * OutcomeMemo soundness argument: the simulator compares module
- * numbers only for order, so an order-preserving relabeling of the
- * modules used cannot change one timing decision), and the
- * simulator's outcome is kept in position form — the form its loop
- * records, PerCycleMultiPort::trace() — in a bounded FIFO, separate
- * from the solver's memo.  A repeated access — a stencil's store after
- * its first load, the random starts of a sweep that land on an
- * order-isomorphic module sequence — replays instead of
- * re-simulating.  An entry taken for a ResultDetail::Summary
- * request keeps the scalars only and serves only Summary requests;
- * any other request gets materialized deliveries (from a full
- * entry, or from a fresh simulation that upgrades the entry).  A
- * hit is still a fallback: the attribution is the one a real
+ * per-port module sequences — the simulator's own premap() view,
+ * the one every proof of the access already read — jointly
+ * rank-canonicalized (the OutcomeMemo soundness argument: the
+ * simulator compares module numbers only for order, so an
+ * order-preserving relabeling of the modules used cannot change
+ * one timing decision), and the simulator's outcome is kept in
+ * position form — the form its loop records,
+ * PerCycleMultiPort::trace() — in a bounded FIFO, separate from the
+ * solver's memo.  A fresh simulation and a memo hit fill the result
+ * through the same replay: the scalars alone under
+ * ResultDetail::Summary, materialized deliveries otherwise.  A
+ * repeated access — a stencil's store after its first load, the
+ * random starts of a sweep that land on an order-isomorphic module
+ * sequence — replays instead of re-simulating.  An entry taken for
+ * a Summary request keeps the scalars only and serves only Summary
+ * requests; any other request gets materialized deliveries (from a
+ * full entry, or from a fresh simulation that upgrades the entry).
+ * A hit is still a fallback: the attribution is the one a real
  * simulation would carry.
  *
  * The window classification itself (mapping kind + stride family
@@ -78,6 +82,7 @@
 #define CFVA_THEORY_THEORY_BACKEND_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "memsys/backend.h"
@@ -87,13 +92,14 @@
 namespace cfva {
 
 /**
- * MemoryBackend that answers provably conflict-free, periodic
+ * The analytic tier: answers provably conflict-free, periodic
  * conflicted, and module-disjoint multi-port streams analytically
- * and delegates everything else to its per-cycle simulator.  Like
- * the simulator, it is reusable across run() calls and cacheable per
- * (config, mapping); the mapping must outlive the backend.
+ * and delegates everything else to its per-cycle simulator, which
+ * is also where every stream is premapped.  Like the simulator, it
+ * is reusable across accesses and cacheable per (config, mapping);
+ * the mapping must outlive the backend.
  */
-class TheoryBackend final : public MemoryBackend
+class TheoryBackend
 {
   public:
     /**
@@ -103,24 +109,15 @@ class TheoryBackend final : public MemoryBackend
      */
     TheoryBackend(const MemConfig &cfg, const ModuleMapping &map);
 
-    MultiPortResult
-    run(const std::vector<std::vector<Request>> &streams,
-        DeliveryArena *arena = nullptr) override;
-
-    AccessResult
-    runSingle(const std::vector<Request> &stream,
-              DeliveryArena *arena = nullptr) override;
-
     /**
-     * runSingle with the planner's window classification: when
-     * @p claimHint is false the O(L) conflict-free proof is skipped
-     * (the windows already say it conflicts) and the stream goes
-     * straight to the steady-state solver; when true the proof is
-     * attempted first.  The plain runSingle() always attempts both.
-     * @p detail selects how much of a claimed result is
-     * materialized; a fallback simulation materializes, and a
-     * fallback memo replay materializes unless @p detail is
-     * Summary.
+     * One single-port access with the planner's window
+     * classification: when @p claimHint is false the O(L)
+     * conflict-free proof is skipped (the windows already say it
+     * conflicts) and the stream goes straight to the steady-state
+     * solver; when true the proof is attempted first.  @p detail
+     * selects how much of the result is materialized — a claim, a
+     * fallback memo replay and a fresh fallback simulation alike
+     * carry no deliveries under Summary.
      */
     AccessResult
     runSingleHinted(bool claimHint,
@@ -129,7 +126,7 @@ class TheoryBackend final : public MemoryBackend
                     ResultDetail detail = ResultDetail::Full);
 
     /**
-     * runSingle for a stream the planner CERTIFIED conflict free
+     * An access of a stream the planner CERTIFIED conflict free
      * (AccessPlan::expectConflictFree): the paper's theorems — not a
      * per-access replay — are the proof, so the uniform schedule
      * (element i issues at cycle i, delivers at i+1+T) is claimed
@@ -158,18 +155,22 @@ class TheoryBackend final : public MemoryBackend
      */
     AccessResult claimCertified(std::uint64_t length);
 
-    /** run() with a claimed-result detail knob (the virtual run()
-     *  is runPorts with ResultDetail::Full). */
+    /**
+     * One access of P = @p streams.size() simultaneous ports:
+     * module-disjoint ports are answered analytically, the rest
+     * simulated (or replayed from the fallback memo); @p detail as
+     * in runSingleHinted().  P = 1 is runSingleHinted(true, ...).
+     */
     MultiPortResult
     runPorts(const std::vector<std::vector<Request>> &streams,
              DeliveryArena *arena, ResultDetail detail);
 
-    /** True iff the most recent run()/runSingle() was answered
+    /** True iff the most recent access was answered
      *  analytically. */
     bool lastClaimed() const { return lastClaimed_; }
 
-    /** Why the most recent run()/runSingle() fell back (None after
-     *  a claim). */
+    /** Why the most recent access fell back (None after a
+     *  claim). */
     FallbackReason lastReason() const { return lastReason_; }
 
     /** Cumulative claim/fallback counts over this instance. */
@@ -184,16 +185,14 @@ class TheoryBackend final : public MemoryBackend
     /** Entries the fallback memo keeps (oldest evicted first). */
     static constexpr std::size_t kFallbackMemoEntries = 64;
 
-    /** The per-cycle simulator: rejected streams fall back to it,
-     *  and the steady-state solver drives its loop. */
+    /** The per-cycle simulator: it premaps every stream, rejected
+     *  streams fall back to it, and the steady-state solver drives
+     *  its loop.  Its plain run()/runSingle() read no solver or
+     *  memo state, so the sim tier runs them on this same
+     *  backend. */
     PerCycleMultiPort &fallback() { return fallback_; }
 
   private:
-    /** Premaps @p stream into @p mods (bit-sliced for linear
-     *  mappings). */
-    void premap(const std::vector<Request> &stream,
-                std::vector<ModuleId> &mods);
-
     /**
      * The O(L) conflict-free claim proof + synthesis over an
      * already premapped stream: walks @p mods tracking each
@@ -229,7 +228,7 @@ class TheoryBackend final : public MemoryBackend
                       AccessResult &out, ResultDetail detail);
 
     /**
-     * The multi-port claim over the premapped ports (portMods_):
+     * The multi-port claim over the premapped ports @p seqs:
      * proves pairwise module-disjointness and — since disjoint
      * ports never interact — synthesizes the MultiPortResult from P
      * independent single-port answers (port ids patched, makespan
@@ -239,8 +238,8 @@ class TheoryBackend final : public MemoryBackend
      */
     bool tryClaimPorts(
         const std::vector<std::vector<Request>> &streams,
-        DeliveryArena *arena, MultiPortResult &out,
-        ResultDetail detail);
+        std::span<const PortSeq> seqs, DeliveryArena *arena,
+        MultiPortResult &out, ResultDetail detail);
 
     /**
      * Looks the premapped ports @p seqs up in the fallback memo and
@@ -257,21 +256,20 @@ class TheoryBackend final : public MemoryBackend
      *  otherwise.  Then releases the simulator's traces. */
     void fallbackStore(std::size_t count, ResultDetail detail);
 
-    /** Fills @p out from port @p port of the fallback memo's hit,
-     *  replayed against (@p stream, @p mods). */
-    void replayPort(std::size_t port,
-                    const std::vector<Request> &stream,
-                    const ModuleId *mods, DeliveryArena *arena,
-                    ResultDetail detail, AccessResult &out);
+    /** Fills @p out, port @p port of an access, from a
+     *  position-form @p trace — the fallback memo's hit or the
+     *  simulator's own — replayed against (@p stream, @p mods):
+     *  the scalars alone under ResultDetail::Summary, materialized
+     *  deliveries otherwise. */
+    static void replayPort(const PortTrace &trace, std::size_t port,
+                           const std::vector<Request> &stream,
+                           const ModuleId *mods, DeliveryArena *arena,
+                           ResultDetail detail, AccessResult &out);
 
     MemConfig cfg_;
-    BitSlicedMapper slicer_;
     PerCycleMultiPort fallback_;
     ConflictSolver solver_;
     std::vector<Cycle> nextFree_; // per-module scratch
-    std::vector<ModuleId> mods_;  // premap scratch, reused per run
-    std::vector<std::vector<ModuleId>> portMods_; // P > 1 premaps
-    std::vector<PortSeq> portSeqs_; // memo key + simulator input
     OutcomeMemo fallbackMemo_{kFallbackMemoEntries};
     std::uint64_t fallbackMemoHits_ = 0;
     std::uint64_t fallbackMemoMisses_ = 0;

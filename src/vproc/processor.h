@@ -11,7 +11,7 @@
  * by the Sec. 5F model (core/chaining.h) fed from the load's
  * simulated delivery stream.
  *
- * Every LOAD/STORE dispatches through the unified MemoryBackend,
+ * Every LOAD/STORE dispatches through the port-aware backend,
  * reusing one backend per processor via a private BackendCache and
  * recycling delivery buffers through a DeliveryArena — the same hot
  * path the sweep engine runs, so program timings are identical to
@@ -102,7 +102,7 @@ class VectorProcessor
     std::uint64_t vl_;
     ExecStats stats_;
 
-    // The unified-backend hot path: one MemoryBackend per mapping
+    // The unified-backend hot path: one cached backend per mapping
     // reused across every instruction, delivery
     // buffers recycled across accesses.  Declared after unit_ —
     // cached backends reference its mapping and are destroyed

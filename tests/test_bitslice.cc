@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -42,6 +43,7 @@
 #include "memsys/multi_port.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
+#include "test_util.h"
 
 namespace cfva {
 namespace {
@@ -293,10 +295,16 @@ TEST(BitSlice, SimulatorOnBitSlicedPremapMatchesModuleOfPremap)
                 for (std::size_t i = 0; i < scalar.size(); ++i)
                     scalar[i] =
                         unit.mapping().moduleOf(plan.stream[i].addr);
+                const std::span<const PortSeq> seqs =
+                    backend.premap({&plan.stream, 1});
+                ASSERT_TRUE(std::equal(scalar.begin(), scalar.end(),
+                                       seqs[0].mods))
+                    << cfg.describe() << " stride " << stride
+                    << " length " << n;
                 const AccessResult sliced =
                     backend.runSingle(plan.stream);
-                const AccessResult viaScalar =
-                    backend.runSingleMapped(plan.stream, scalar.data());
+                const AccessResult viaScalar = test::simulateMapped(
+                    backend, plan.stream, scalar.data());
                 ASSERT_EQ(sliced, viaScalar)
                     << cfg.describe() << " stride " << stride
                     << " length " << n;

@@ -73,7 +73,7 @@ expectSolverIdentical(const MemConfig &cfg, const ModuleMapping &map,
     const std::vector<ModuleId> mods = scalarPremap(map, stream);
     PerCycleMultiPort oracle(cfg, map);
     const AccessResult expect = oracle.runSingle(stream);
-    EXPECT_EQ(oracle.runSingleMapped(stream, mods.data()), expect)
+    EXPECT_EQ(test::simulateMapped(oracle, stream, mods.data()), expect)
         << what << " (scalar premap)";
 
     ConflictSolver solver;
@@ -289,7 +289,8 @@ TEST(CollapseBoundaries, GiveUpRulesKeepTheirRecordedDecisions)
         EXPECT_EQ(solver.stats().memoMisses, c.memoMisses) << c.name;
         if (c.claimed) {
             PerCycleMultiPort oracle(cfg, map);
-            EXPECT_EQ(got, oracle.runSingleMapped(stream, mods.data()))
+            EXPECT_EQ(got,
+                      test::simulateMapped(oracle, stream, mods.data()))
                 << c.name;
         }
     }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <sstream>
 
 #include "common/stats.h"
@@ -60,6 +61,23 @@ TEST(Formatting, FixedAndRatio)
     EXPECT_EQ(fixed(0.9142, 3), "0.914");
     EXPECT_EQ(fixed(2.0, 1), "2.0");
     EXPECT_EQ(ratio(31, 32), "31/32");
+}
+
+// fixed() formats through std::to_chars; it must print exactly what
+// an iostream with std::fixed and setprecision(digits) prints, ties
+// and signed zero included, so reports stay byte-identical.
+TEST(Formatting, FixedMatchesIostreamFormatting)
+{
+    for (double v : {0.0, -0.0, 0.125, 2.5, 2.675, 0.5, 1.5, -2.5,
+                     0.9142, 1.0 / 3.0, 99.99995, 123456.789, 1e15,
+                     -1e15, 1e-7}) {
+        for (int digits = 0; digits <= 6; ++digits) {
+            std::ostringstream os;
+            os << std::fixed << std::setprecision(digits) << v;
+            EXPECT_EQ(fixed(v, digits), os.str())
+                << v << " at " << digits << " digits";
+        }
+    }
 }
 
 TEST(RunningStats, Basics)

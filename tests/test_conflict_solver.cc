@@ -17,6 +17,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,10 +68,11 @@ solverConfigs(unsigned q, unsigned qOut)
 }
 
 /** The pure stepped per-cycle oracle. */
-std::unique_ptr<MemoryBackend>
+std::unique_ptr<PerCycleMultiPort>
 steppedOracle(const VectorAccessUnit &unit)
 {
-    return makeMemoryBackend(unit.memConfig(), unit.mapping());
+    return std::make_unique<PerCycleMultiPort>(unit.memConfig(),
+                                               unit.mapping());
 }
 
 std::vector<ModuleId>
@@ -293,7 +295,8 @@ TEST(ConflictSolverProperty, MultiPortClaimsMatchTheSteppedOracle)
                                   length)
                             .stream);
                 }
-                const MultiPortResult viaTier = tb.run(streams);
+                const MultiPortResult viaTier =
+                    tb.runPorts(streams, nullptr, ResultDetail::Full);
                 const MultiPortResult simulated =
                     tb.fallback().run(streams);
                 EXPECT_EQ(viaTier, simulated)

@@ -6,7 +6,7 @@
  *
  * The contract (memsys/multi_port.h): for every request stream on
  * every memory shape, each single-port entry point of
- * PerCycleMultiPort (runSingle, runSingleMapped, run({stream}))
+ * PerCycleMultiPort (runSingle, simulate() over a premap, run({stream}))
  * returns a bit-identical AccessResult — every delivery record with
  * all five timestamps, every stall, every aggregate — with or
  * without a DeliveryArena, and every record obeys the timing
@@ -58,8 +58,8 @@ expectSameResult(const AccessResult &got, const AccessResult &oracle,
 
 /**
  * Runs @p stream through every single-port entry point of the
- * per-cycle simulator — runSingle(), runSingleMapped() over a
- * scalar premap, and run({stream}), each without and with a
+ * per-cycle simulator — runSingle(), simulate() over a scalar
+ * premap, and run({stream}), each without and with a
  * DeliveryArena — and asserts every answer bit-identical to a fresh
  * runSingle() and true to the timing contract.
  */
@@ -86,8 +86,9 @@ expectEntryPointsAgree(const MemConfig &cfg, const ModuleMapping &map,
         AccessResult single = backend.runSingle(stream, a);
         expectSameResult(single, oracle, where + " runSingle");
         AccessResult mapped =
-            backend.runSingleMapped(stream, mods.data(), a);
-        expectSameResult(mapped, oracle, where + " runSingleMapped");
+            test::simulateMapped(backend, stream, mods.data(), a);
+        expectSameResult(mapped, oracle,
+                         where + " simulate(scalar premap)");
         MultiPortResult wrapped = backend.run({stream}, a);
         ASSERT_EQ(wrapped.ports.size(), 1u) << where;
         expectSameResult(wrapped.ports[0], oracle,

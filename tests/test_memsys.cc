@@ -250,7 +250,6 @@ TEST(MemConfig, RejectsUnrepresentableShapesWithAMessage)
          {MemConfig{3, 64, 1, 1}, MemConfig{3, 3, 0, 1}}) {
         EXPECT_THROW(PerCycleMultiPort(bad, map), std::runtime_error);
         EXPECT_THROW(TheoryBackend(bad, map), std::runtime_error);
-        EXPECT_THROW(makeMemoryBackend(bad, map), std::runtime_error);
     }
 }
 

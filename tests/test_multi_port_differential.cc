@@ -6,8 +6,8 @@
  *
  * The contract (memsys/multi_port.h): for every set of request
  * streams on every memory shape, PerCycleMultiPort::run and
- * ::runMapped return bit-identical MultiPortResults — every
- * per-port delivery record with all five timestamps and the port
+ * ::simulate over a premap return bit-identical MultiPortResults —
+ * every per-port delivery record with all five timestamps and the port
  * tag, every per-port stall count, every aggregate — with or
  * without a DeliveryArena, and every port's records obey the timing
  * contract of memsys/request.h.  Three layers of evidence:
@@ -72,7 +72,7 @@ expectSameResult(const MultiPortResult &got,
 
 /**
  * Runs @p streams through the per-cycle simulator's multi-port
- * entry points — run() and runMapped() over a scalar premap, each
+ * entry points — run() and simulate() over a scalar premap, each
  * without and with a DeliveryArena, on one reused backend — and
  * asserts every answer bit-identical to a fresh simulateMultiPort()
  * and every port true to the timing contract.
@@ -104,8 +104,10 @@ expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
             std::string(what) + (a ? " (arena)" : "");
         MultiPortResult plain = backend.run(streams, a);
         expectSameResult(plain, oracle, where + " run");
-        MultiPortResult mapped = backend.runMapped(streams, seqs, a);
-        expectSameResult(mapped, oracle, where + " runMapped");
+        MultiPortResult mapped =
+            test::simulateMapped(backend, streams, seqs, a);
+        expectSameResult(mapped, oracle,
+                         where + " simulate(scalar premap)");
         if (a) {
             // Recycle the buffers so later runs draw stale ones.
             for (auto *r : {&plain, &mapped})

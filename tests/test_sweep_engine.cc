@@ -225,6 +225,42 @@ TEST(SweepEngine, RejectsInvalidGrids)
                  std::runtime_error);
 }
 
+// The job count is a product of seven axis sizes; --random-starts
+// 4294967295 on cfva_sweep's default grid (matched and sectioned at
+// T = 2, 3, 64 strides) asks for 2^40 jobs, about 70 TB of Scenario
+// records.  expand() must refuse before reserving any of them.
+TEST(ScenarioGrid, RejectsGridsBeyondTheJobBudget)
+{
+    ScenarioGrid grid;
+    for (MemoryKind kind : {MemoryKind::Matched, MemoryKind::Sectioned}) {
+        for (unsigned t : {2u, 3u}) {
+            VectorUnitConfig cfg;
+            cfg.kind = kind;
+            cfg.t = t;
+            cfg.lambda = 7;
+            grid.mappings.push_back(cfg);
+        }
+    }
+    grid.addFamilies(0, 7, {1, 3, 5, 7, 9, 11, 13, 15});
+    grid.randomStarts = 4294967295u;
+    EXPECT_EQ(grid.jobCount(), std::size_t{4} * 64 * (std::size_t{1} << 32));
+    EXPECT_NE(grid.jobsOverBudget().find("job budget"),
+              std::string::npos);
+
+    test::ScopedPanicThrow guard;
+    EXPECT_THROW(grid.expand(), std::runtime_error);
+
+    // The budget itself is inclusive.
+    ScenarioGrid edge;
+    edge.mappings.push_back(paperMatchedExample());
+    edge.strides = {1};
+    edge.randomStarts = ScenarioGrid::kJobBudget - 1; // + start 0
+    EXPECT_EQ(edge.jobCount(), ScenarioGrid::kJobBudget);
+    EXPECT_EQ(edge.jobsOverBudget(), "");
+    ++edge.randomStarts;
+    EXPECT_NE(edge.jobsOverBudget(), "");
+}
+
 // The strict list parsers behind cfva_sweep's --kinds/--workloads/
 // --tunes/--port-mix: empty items and silent duplicates used to
 // inflate grids or mask typos; now they are hard errors naming the

@@ -59,7 +59,7 @@ TEST(TheoryBackend, ClaimedStreamIsBitIdenticalToSimulation)
     ASSERT_TRUE(plan.expectConflictFree);
 
     TheoryBackend tb = theoryOver(unit);
-    const AccessResult claimed = tb.runSingle(plan.stream);
+    const AccessResult claimed = tb.runSingleHinted(true, plan.stream);
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(tb.stats().claimed, 1u);
     EXPECT_EQ(tb.stats().fallback, 0u);
@@ -83,7 +83,7 @@ TEST(TheoryBackend, ConflictedStreamIsSolvedAnalytically)
     ASSERT_FALSE(plan.expectConflictFree);
 
     TheoryBackend tb = theoryOver(unit);
-    const AccessResult viaTier = tb.runSingle(plan.stream);
+    const AccessResult viaTier = tb.runSingleHinted(true, plan.stream);
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(tb.lastReason(), FallbackReason::None);
     EXPECT_EQ(tb.stats().claimed, 1u);
@@ -138,7 +138,7 @@ TEST(TheoryBackend, EmptyStreamIsClaimedTrivially)
 {
     const VectorAccessUnit unit(matchedConfig());
     TheoryBackend tb = theoryOver(unit);
-    const AccessResult empty = tb.runSingle({});
+    const AccessResult empty = tb.runSingleHinted(true, {});
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(empty, tb.fallback().runSingle({}));
     EXPECT_TRUE(empty.conflictFree);
@@ -152,7 +152,7 @@ TEST(TheoryBackend, SinglePortRunLiftsLikeTheSimulator)
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
     TheoryBackend tb = theoryOver(unit);
 
-    const MultiPortResult lifted = tb.run({plan.stream});
+    const MultiPortResult lifted = tb.runPorts({plan.stream}, nullptr, ResultDetail::Full);
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(lifted, tb.fallback().run({plan.stream}));
     ASSERT_EQ(lifted.ports.size(), 1u);
@@ -169,7 +169,7 @@ TEST(TheoryBackend, MultiPortSharedModulesFallBack)
     // the schedule is not single-port-decomposable and simulates.
     const std::vector<std::vector<Request>> streams = {plan.stream,
                                                        plan.stream};
-    const MultiPortResult viaTier = tb.run(streams);
+    const MultiPortResult viaTier = tb.runPorts(streams, nullptr, ResultDetail::Full);
     EXPECT_FALSE(tb.lastClaimed());
     EXPECT_EQ(tb.lastReason(), FallbackReason::MultiPort);
     EXPECT_EQ(tb.stats().fallback, 1u);
@@ -202,7 +202,7 @@ TEST(TheoryBackend, MultiPortDisjointPortsAreClaimed)
     TheoryBackend tb = theoryOver(unit);
     const std::vector<std::vector<Request>> streams = {p0.stream,
                                                        p1.stream};
-    const MultiPortResult viaTier = tb.run(streams);
+    const MultiPortResult viaTier = tb.runPorts(streams, nullptr, ResultDetail::Full);
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(tb.lastReason(), FallbackReason::None);
     EXPECT_EQ(tb.stats().claimed, 1u);
@@ -212,27 +212,6 @@ TEST(TheoryBackend, MultiPortDisjointPortsAreClaimed)
         for (const Delivery &d : viaTier.ports[p].deliveries)
             EXPECT_EQ(d.port, p);
     }
-}
-
-TEST(TheoryBackend, CacheKeepsTiersSeparate)
-{
-    const VectorAccessUnit unit(matchedConfig());
-    BackendCache cache;
-    MemoryBackend &sim =
-        cache.backendFor(unit.memConfig(), unit.mapping());
-    TheoryBackend &tb = cache.theoryBackendFor(
-        EngineKind::PerCycle, unit.memConfig(), unit.mapping());
-    EXPECT_NE(&sim, static_cast<MemoryBackend *>(&tb));
-    EXPECT_EQ(cache.size(), 2u);
-
-    // Repeat lookups hit their own entries.
-    EXPECT_EQ(&cache.theoryBackendFor(EngineKind::PerCycle,
-                                      unit.memConfig(),
-                                      unit.mapping()),
-              &tb);
-    EXPECT_EQ(&cache.backendFor(unit.memConfig(), unit.mapping()),
-              &sim);
-    EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(TheoryBackend, AccessClaimsCertifiedAccessesWithoutAStream)
@@ -750,10 +729,12 @@ TEST(FallbackMemo, SummaryOnlyEntryStillDeliversToChainedLoads)
     ASSERT_FALSE(ref.deliveries.empty());
     const auto memo = [&tb] { return tb.fastPathStats(); };
 
-    // Miss: simulated, entry kept as scalars only.
+    // Miss: simulated, aggregates only, entry kept as scalars only.
+    AccessResult agg = ref;
+    agg.deliveries.clear();
     EXPECT_EQ(tb.runSingleHinted(false, plan.stream, nullptr,
                                  ResultDetail::Summary),
-              ref);
+              agg);
     EXPECT_FALSE(tb.lastClaimed());
     EXPECT_EQ(memo().fallbackMemoMisses, 1u);
 
@@ -764,8 +745,6 @@ TEST(FallbackMemo, SummaryOnlyEntryStillDeliversToChainedLoads)
     EXPECT_FALSE(tb.lastClaimed());
     EXPECT_EQ(tb.lastReason(), FallbackReason::Conflicted);
     EXPECT_TRUE(summary.deliveries.empty());
-    AccessResult agg = ref;
-    agg.deliveries.clear();
     EXPECT_EQ(summary, agg);
 
     // The chained load: same key, but deliveries are required.
@@ -785,6 +764,103 @@ TEST(FallbackMemo, SummaryOnlyEntryStillDeliversToChainedLoads)
     EXPECT_EQ(memo().fallbackMemoHits, 3u);
     EXPECT_EQ(memo().fallbackMemoMisses, 2u);
     EXPECT_EQ(tb.stats().fallback, 5u);
+}
+
+// A fresh fallback simulation under Summary detail is filled from
+// the simulator's position-form traces: no Delivery is built, and
+// every scalar equals the Full answer's.  A Full request for the
+// same key afterwards upgrades the summary-only entry and gets the
+// plain simulator's deliveries.
+TEST(FallbackMemo, SummaryFallbackCarriesNoDeliveries)
+{
+    const VectorAccessUnit unit(fallbackConfigs().front());
+    const AccessPlan plan = rejectedPrandPlan(unit, 0);
+    PerCycleMultiPort oracle(unit.memConfig(), unit.mapping());
+
+    // Single port.
+    {
+        TheoryBackend tb = theoryOver(unit);
+        const AccessResult ref = oracle.runSingle(plan.stream);
+        ASSERT_FALSE(ref.deliveries.empty());
+        const AccessResult summary = tb.runSingleHinted(
+            false, plan.stream, nullptr, ResultDetail::Summary);
+        ASSERT_FALSE(tb.lastClaimed());
+        EXPECT_EQ(tb.fastPathStats().fallbackMemoMisses, 1u);
+        EXPECT_TRUE(summary.deliveries.empty());
+        AccessResult agg = ref;
+        agg.deliveries.clear();
+        EXPECT_EQ(summary, agg);
+
+        EXPECT_EQ(tb.runSingleHinted(false, plan.stream, nullptr,
+                                     ResultDetail::Full),
+                  ref);
+        EXPECT_EQ(tb.fastPathStats().fallbackMemoHits, 0u);
+        EXPECT_EQ(tb.fastPathStats().fallbackMemoMisses, 2u);
+    }
+
+    // Two ports on the same stream share every module.
+    {
+        TheoryBackend tb = theoryOver(unit);
+        const std::vector<std::vector<Request>> streams = {plan.stream,
+                                                           plan.stream};
+        const MultiPortResult ref = oracle.run(streams);
+        const MultiPortResult summary =
+            tb.runPorts(streams, nullptr, ResultDetail::Summary);
+        ASSERT_FALSE(tb.lastClaimed());
+        EXPECT_EQ(tb.lastReason(), FallbackReason::MultiPort);
+        EXPECT_EQ(tb.fastPathStats().fallbackMemoMisses, 1u);
+        EXPECT_EQ(summary.makespan, ref.makespan);
+        ASSERT_EQ(summary.ports.size(), 2u);
+        for (unsigned p = 0; p < 2; ++p) {
+            EXPECT_TRUE(summary.ports[p].deliveries.empty()) << p;
+            AccessResult agg = ref.ports[p];
+            agg.deliveries.clear();
+            EXPECT_EQ(summary.ports[p], agg) << p;
+        }
+
+        EXPECT_EQ(tb.runPorts(streams, nullptr, ResultDetail::Full), ref);
+        EXPECT_EQ(tb.fastPathStats().fallbackMemoHits, 0u);
+        EXPECT_EQ(tb.fastPathStats().fallbackMemoMisses, 2u);
+    }
+}
+
+// One cache entry serves both tiers: the sim tier steps the cached
+// backend's own simulator, so it must leave the analytic state —
+// claim counters, the solver's memo, the fallback memo — untouched
+// while answering exactly what a fresh simulator answers.
+TEST(TheoryBackend, CacheServesBothTiersFromOneEntry)
+{
+    const VectorAccessUnit unit(fallbackConfigs().front());
+    const AccessPlan plan = rejectedPrandPlan(unit, 0);
+    BackendCache cache;
+
+    const AccessResult simulated = unit.execute(
+        plan, nullptr, &cache, TierPolicy::SimulateAlways);
+    EXPECT_EQ(simulated, simulateAccess(unit.memConfig(),
+                                        unit.mapping(), plan.stream));
+    ASSERT_EQ(cache.size(), 1u);
+    TheoryBackend &tb = cache.theoryBackendFor(
+        EngineKind::PerCycle, unit.memConfig(), unit.mapping());
+    EXPECT_EQ(tb.stats(), TierCounters{});
+    EXPECT_EQ(tb.fastPathStats(), FastPathStats{});
+
+    const AccessResult viaTheory =
+        unit.execute(plan, nullptr, &cache, TierPolicy::TheoryFirst);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(viaTheory, simulated);
+    const TierCounters tiers = tb.stats();
+    const FastPathStats fast = tb.fastPathStats();
+    EXPECT_EQ(tiers.fallback, 1u);
+    EXPECT_EQ(fast.fallbackMemoMisses, 1u);
+
+    // Again on the now warm backend: still nothing moves.
+    EXPECT_EQ(unit.execute(plan, nullptr, &cache,
+                           TierPolicy::SimulateAlways),
+              simulated);
+    EXPECT_EQ(tb.stats(), tiers);
+    EXPECT_EQ(tb.fastPathStats(), fast);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 /** Rank-canonical form of a module sequence (the memo's key). */

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
+#include "memsys/multi_port.h"
 #include "memsys/request.h"
 
 namespace cfva::test {
@@ -61,6 +63,44 @@ expectTimingContract(const MemConfig &cfg, const AccessResult &r,
         EXPECT_FALSE(seen[d.element]) << at << ": element twice";
         seen[d.element] = true;
     }
+}
+
+/**
+ * The per-cycle simulator's materialized answer to @p streams over
+ * the caller's own premap @p seqs (seqs[p].mods[i] = module of
+ * streams[p][i].addr): simulate() + trace(), the way the theory tier
+ * fills a fallback.  Must equal sim.run(streams) whenever the
+ * premap is right.
+ */
+inline MultiPortResult
+simulateMapped(PerCycleMultiPort &sim,
+               const std::vector<std::vector<Request>> &streams,
+               std::span<const PortSeq> seqs,
+               DeliveryArena *arena = nullptr)
+{
+    sim.simulate(seqs);
+    MultiPortResult r;
+    r.makespan = sim.makespan();
+    r.ports.resize(streams.size());
+    for (std::size_t p = 0; p < streams.size(); ++p)
+        materializeEmits(sim.trace(p), streams[p], seqs[p].mods, arena,
+                         r.ports[p], static_cast<unsigned>(p));
+    sim.releaseTraces();
+    return r;
+}
+
+/** The P = 1 case of simulateMapped(): @p stream premapped to
+ *  @p mods. */
+inline AccessResult
+simulateMapped(PerCycleMultiPort &sim, const std::vector<Request> &stream,
+               const ModuleId *mods, DeliveryArena *arena = nullptr)
+{
+    const PortSeq seq{mods, stream.size()};
+    sim.simulate({&seq, 1});
+    AccessResult r;
+    materializeEmits(sim.trace(0), stream, mods, arena, r);
+    sim.releaseTraces();
+    return r;
 }
 
 } // namespace cfva::test

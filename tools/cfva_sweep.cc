@@ -516,6 +516,10 @@ buildGrid(const Options &o)
         grid.workloads.push_back(wl);
     }
     grid.seed = o.seed;
+    if (const std::string tooManyJobs = grid.jobsOverBudget();
+        !tooManyJobs.empty())
+        cfva_fatal(tooManyJobs, " (lower --random-starts or another "
+                   "axis)");
     if (const std::string overBudget = grid.lengthOverBudget();
         !overBudget.empty())
         cfva_fatal(overBudget, " (lower --lengths or --ports)");
@@ -976,7 +980,7 @@ main(int argc, char **argv)
                        "tiers\n");
         if (!runs.empty()) {
             // The backend cache turns all but the first touch of
-            // each (tier, mapping) per worker into reuse; the
+            // each mapping per worker into reuse; the
             // hit fraction is the setup cost removed at large M.
             const auto &s = runs.front().stats;
             info << "backend cache: " << s.backendCacheHits
