@@ -85,7 +85,7 @@ enum class ResultDetail
 
     /** Timing aggregates only: the deliveries stay empty, whether
      *  the access was claimed, replayed from the theory tier's
-     *  fallback memo, or simulated afresh on its fallback. */
+     *  outcome memo, or simulated afresh on its fallback. */
     Summary,
 
     /**
@@ -102,7 +102,7 @@ enum class ResultDetail
  * None means the access was answered analytically (or the theory
  * tier was not active at all).  The reason is a deterministic
  * function of the mapping and the planned module sequence, so a
- * fallback memo replay carries the reason a simulation would.
+ * replayed rejection carries the reason a simulation would.
  */
 enum class FallbackReason : std::uint8_t
 {

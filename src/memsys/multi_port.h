@@ -69,12 +69,12 @@ struct PortState
  * delivery is appended to its port's trace as an Emit.  run() and
  * runSingle() premap, step and turn the traces into Delivery
  * records (materializeEmits); callers that keep position form — the
- * theory tier, its fallback memo and the steady-state collapser —
+ * theory tier, its outcome memo and the steady-state collapser —
  * premap(), simulate() and read trace() instead.
  *
  * The premap scratch is the only premap of whoever owns the
- * simulator: the theory tier embedding it proves, solves, keys its
- * fallback memo and — after a rejection — simulates over the one
+ * simulator: the theory tier embedding it proves, keys its outcome
+ * memo, collapses and — after a rejection — simulates over the one
  * premap() view.
  */
 class PerCycleMultiPort

@@ -1,7 +1,5 @@
 #include "memsys/steady_state.h"
 
-#include "common/logging.h"
-
 namespace cfva {
 
 std::size_t
@@ -136,7 +134,7 @@ SteadyStateCollapser::jump(const Snapshot &match, Cycle &now,
     port.next += extra * dPos;
 }
 
-bool
+const MemoOutcome *
 OutcomeMemo::lookup(const PortSeq *ports, std::size_t count,
                     ModuleId moduleCount)
 {
@@ -146,7 +144,7 @@ OutcomeMemo::lookup(const PortSeq *ports, std::size_t count,
     for (std::size_t p = 0; p < count; ++p)
         total += ports[p].length;
     if (total == 0 || total > kMaxLen)
-        return false;
+        return nullptr;
     keyed_ = true;
 
     // Rank-canonicalize jointly: the distinct modules used by any
@@ -186,10 +184,10 @@ OutcomeMemo::lookup(const PortSeq *ports, std::size_t count,
         const Entry &e = entries_[i];
         if (e.hash == hash_ && e.key == key_) {
             found_ = i;
-            return true;
+            return &e.outcome;
         }
     }
-    return false;
+    return nullptr;
 }
 
 void
@@ -208,24 +206,6 @@ OutcomeMemo::store(MemoOutcome outcome)
     entries_.push_back(std::move(e));
     if (entries_.size() > capacity_)
         entries_.pop_front();
-}
-
-void
-OutcomeMemo::store(const PortTrace &trace)
-{
-    if (!keyed_)
-        return;
-    MemoOutcome o;
-    o.ports.push_back(trace);
-    store(std::move(o));
-}
-
-const MemoOutcome &
-OutcomeMemo::cached() const
-{
-    cfva_assert(found_ != ~std::size_t{0},
-                "cached() without a lookup() hit");
-    return entries_[found_].outcome;
 }
 
 } // namespace cfva

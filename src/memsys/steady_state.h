@@ -1,7 +1,8 @@
 /**
  * @file
  * Periodic steady-state collapse and base-invariant outcome
- * memoization: the machinery behind the analytic conflict solver.
+ * memoization: the machinery behind the analytic tier's conflicted
+ * claims.
  *
  * The paper's whole analysis rests on constant-stride conflict
  * patterns being *periodic* (Theorems 1 and 3 compute the period in
@@ -35,17 +36,18 @@
  *   yields an order-isomorphic module sequence hits; one that
  *   reorders modules (XOR mappings do) correctly misses.
  *
- * Both live in the analytic tier.  theory/conflict_solver.h runs
- * the collapse and memoizes its proofs; theory/theory_backend.h
- * holds a second, separate OutcomeMemo in front of its simulation
- * fallback, keyed on the same canonical form over all P ports and
- * filled straight from the loop's position-form traces, so a
- * repeated rejected access replays instead of re-simulating.  The
- * plain simulation path pays nothing for the collapser's call (a
- * template parameter of the loop compiles it out), and --tier audit
- * and the differential suites (tests/test_collapse.cc,
- * tests/test_conflict_solver.cc, tests/test_theory_backend.cc) hold
- * the collapsed answers to the plain stepped loop.
+ * Both live in the analytic tier.  theory/theory_backend.h holds
+ * one OutcomeMemo per backend, keyed on the canonical form over all
+ * P ports: an entry records whether the collapse closed the access
+ * (a claim, stored with its full trace) or the simulator answered
+ * it (a fallback, filled straight from the loop's position-form
+ * traces), so a repeated access is keyed once and then neither
+ * re-collapsed nor re-simulated.  The plain simulation path pays
+ * nothing for the collapser's call (a template parameter of the
+ * loop compiles it out), and --tier audit and the differential
+ * suites (tests/test_collapse.cc, tests/test_conflict_solver.cc,
+ * tests/test_theory_backend.cc) hold the collapsed answers to the
+ * plain stepped loop.
  */
 
 #ifndef CFVA_MEMSYS_STEADY_STATE_H
@@ -73,14 +75,14 @@ struct FastPathStats
      *  periodic middle was extrapolated. */
     std::uint64_t collapsePrefixCycles = 0;
 
-    /** Accesses replayed from the outcome memo. */
+    /** Keyed outcome-memo lookups that found an entry — a claim or
+     *  a rejection — and those that missed (the collapse then ran). */
     std::uint64_t memoHits = 0;
-
-    /** Memo lookups that missed (collapse then ran or failed). */
     std::uint64_t memoMisses = 0;
 
-    /** Rejected accesses the theory tier's fallback memo replayed
-     *  instead of simulating, and those it sent to the simulator. */
+    /** Rejected accesses replayed from a memo entry instead of
+     *  simulating, and those sent to the simulator (empty and
+     *  oversize accesses are not keyed and count neither way). */
     std::uint64_t fallbackMemoHits = 0;
     std::uint64_t fallbackMemoMisses = 0;
 
@@ -101,7 +103,7 @@ struct FastPathStats
 
 /**
  * The steady-state collapse pass.  Holds only scratch state, so one
- * instance per solver serves every access.
+ * instance per theory backend serves every access.
  */
 class SteadyStateCollapser
 {
@@ -179,6 +181,12 @@ struct MemoOutcome
     /** The access makespan (MultiPortResult::makespan). */
     Cycle makespan = 0;
 
+    /** The steady-state collapse closed the access (a single-port
+     *  claim, kept with its full trace); false for a simulated
+     *  fallback.  A function of the key: an order-preserving
+     *  relabeling cannot change whether the state recurs. */
+    bool claimed = false;
+
     /** Only the scalar aggregates were kept: the entry can answer
      *  a caller that folds aggregates, never one that needs the
      *  delivery records. */
@@ -203,33 +211,20 @@ class OutcomeMemo
      *  bounds per-entry memory. */
     static constexpr std::size_t kMaxLen = 4096;
 
-    /** Default capacity; the oldest entry is evicted beyond it. */
-    static constexpr std::size_t kMaxEntries = 256;
-
-    explicit OutcomeMemo(std::size_t capacity = kMaxEntries)
-        : capacity_(capacity)
-    {
-    }
+    /** Keeps at most @p capacity entries, evicting the oldest
+     *  beyond it. */
+    explicit OutcomeMemo(std::size_t capacity) : capacity_(capacity) {}
 
     /**
      * Canonicalizes the @p count port sequences @p ports over
-     * @p moduleCount modules and looks the key up.  On a hit
-     * returns true with cached() readable.  An empty or oversize
-     * access is not keyed (returns false, and a following store()
-     * is a no-op); any other miss keeps the key so an immediately
-     * following store() reuses it.
+     * @p moduleCount modules and looks the key up.  Returns the
+     * entry found, valid until the next store(), or nullptr.  An
+     * empty or oversize access is not keyed (returns nullptr, and a
+     * following store() is a no-op); any other miss keeps the key
+     * so an immediately following store() reuses it.
      */
-    bool lookup(const PortSeq *ports, std::size_t count,
-                ModuleId moduleCount);
-
-    /** Single-port lookup(). */
-    bool
-    lookup(std::size_t length, const ModuleId *mods,
-           ModuleId moduleCount)
-    {
-        const PortSeq port{mods, length};
-        return lookup(&port, 1, moduleCount);
-    }
+    const MemoOutcome *lookup(const PortSeq *ports, std::size_t count,
+                              ModuleId moduleCount);
 
     /** True iff the most recent lookup() produced a key (the
      *  access was neither empty nor oversize). */
@@ -243,22 +238,6 @@ class OutcomeMemo
      * lookup produced no key.
      */
     void store(MemoOutcome outcome);
-
-    /** Single-port store() of a full position-form outcome. */
-    void store(const PortTrace &trace);
-
-    /** The outcome of the last lookup() hit. */
-    const MemoOutcome &cached() const;
-
-    /** The single port of cached(). */
-    const PortTrace &
-    cachedTrace() const
-    {
-        return cached().ports.front();
-    }
-
-    /** Entries currently cached (for tests). */
-    std::size_t size() const { return entries_.size(); }
 
   private:
     struct Entry

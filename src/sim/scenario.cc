@@ -1,5 +1,6 @@
 #include "sim/scenario.h"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -105,6 +106,104 @@ ScenarioGrid::cycleOverflow() const
 }
 
 std::string
+ScenarioGrid::addressOverflow() const
+{
+    constexpr std::uint64_t kMaxAddr = ~std::uint64_t{0};
+    std::uint64_t maxLength = 0;
+    for (const auto &cfg : mappings)
+        for (std::uint64_t len : lengths)
+            maxLength = std::max(maxLength,
+                                 len ? len : cfg.registerLength());
+    // The highest (start + off) mod 2^64 over the grid's starts, in
+    // the engine's modular arithmetic; a random range that wraps
+    // reaches 2^64 - 1.
+    const auto highest = [&](std::uint64_t off) {
+        std::uint64_t top = 0;
+        for (Addr a1 : starts)
+            top = std::max(top, a1 + off);
+        std::uint64_t last = 0;
+        if (randomStarts && randomStartBound)
+            top = std::max(top,
+                           checkedAdd(off, randomStartBound - 1, last)
+                               ? last
+                               : kMaxAddr);
+        return top;
+    };
+
+    // The grid is a full cross product, so the longest access on
+    // the most ports is a job of every (workload, stride, mix,
+    // start) point: checking it checks every job.
+    std::uint64_t maxBase = 0;
+    for (std::uint64_t base : strides)
+        maxBase = std::max(maxBase, base);
+    unsigned maxPorts = 0;
+    for (unsigned P : ports)
+        maxPorts = std::max(maxPorts, P);
+    for (const auto &wl : workloads) {
+        const std::uint64_t phase =
+            wl.kind == WorkloadKind::Retune ? 2 : 1;
+        const std::uint64_t taps =
+            wl.kind == WorkloadKind::Stencil ? 2 : 0;
+        for (const auto &mix : portMixes) {
+            const std::size_t n =
+                std::max<std::size_t>(mix.multipliers.size(), 1);
+            for (std::size_t j = 0; j < n && j < maxPorts; ++j) {
+                const std::int64_t mult =
+                    mix.multiplierFor(static_cast<unsigned>(j));
+                // Negated in unsigned arithmetic: -INT64_MIN is
+                // undefined.
+                const std::uint64_t bits =
+                    static_cast<std::uint64_t>(mult);
+                const std::uint64_t mag =
+                    mult < 0 ? std::uint64_t{0} - bits : bits;
+                // The stride grows with the base, so the largest
+                // base decides whether every port stride fits.
+                std::uint64_t widest = 0;
+                if (!checkedMul(maxBase, mag, widest)
+                    || !checkedMul(widest, phase, widest)
+                    || widest > (kMaxAddr >> 1)) {
+                    std::ostringstream os;
+                    os << "port stride " << maxBase << " x " << mult
+                       << (phase > 1 ? " x 2 (retune phase)" : "")
+                       << " overflows the signed 64-bit stride range";
+                    return os.str();
+                }
+                if (mult >= 0)
+                    continue;
+                // A descending port starts at the top of its block,
+                // a1 + p x stagger (+ a stencil tap) + (L - 1) x |S|:
+                // that sum must not wrap.  Ports p = j (mod n) share
+                // multiplier j.
+                for (std::uint64_t base : strides) {
+                    const std::uint64_t stride = base * mag * phase;
+                    std::uint64_t span = 0;
+                    bool wraps = !checkedMul(
+                        maxLength ? maxLength - 1 : 0, stride, span);
+                    for (std::uint64_t p = j; p < maxPorts && !wraps;
+                         p += n) {
+                        for (std::uint64_t tap = 0; tap <= taps && !wraps;
+                             ++tap) {
+                            wraps = highest(p * portStagger + tap * base)
+                                    > kMaxAddr - span;
+                        }
+                    }
+                    if (wraps) {
+                        std::ostringstream os;
+                        os << "descending port stride -" << stride
+                           << " of mix " << mix.label() << " at length "
+                           << maxLength << " (workload " << wl.label()
+                           << ") wraps past the 64-bit address space "
+                              "from its start";
+                        return os.str();
+                    }
+                }
+            }
+        }
+    }
+    return {};
+}
+
+std::string
 ScenarioGrid::lengthOverBudget() const
 {
     for (const auto &cfg : mappings) {
@@ -164,6 +263,8 @@ ScenarioGrid::expand() const
     cfva_assert(overBudget.empty(), overBudget);
     const std::string overflow = cycleOverflow();
     cfva_assert(overflow.empty(), overflow);
+    const std::string wraps = addressOverflow();
+    cfva_assert(wraps.empty(), wraps);
 
     std::vector<Scenario> jobs;
     jobs.reserve(jobCount());

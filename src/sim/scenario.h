@@ -195,6 +195,20 @@ struct ScenarioGrid
     std::string cycleOverflow() const;
 
     /**
+     * Describes the first port stride or descending port access that
+     * would leave the 64-bit range, or returns an empty string when
+     * every one fits.  A port's signed stride |base x multiplier| —
+     * doubled in the retune workload's second phase — must fit in
+     * int64.  A descending port is anchored at the top of its block:
+     * its start plus port stagger and stencil tap shift (taken mod
+     * 2^64, as every address is) plus (L - 1) x |stride| must stay
+     * below 2^64 for every start (explicit starts, and any random
+     * start below randomStartBound).  expand() rejects a grid that
+     * fails this; callers that want to fail gracefully check first.
+     */
+    std::string addressOverflow() const;
+
+    /**
      * Describes the first (mapping, length, ports) combination whose
      * access exceeds kLengthBudget, or returns an empty string when
      * every combination fits.  expand() rejects a grid with such a
@@ -208,8 +222,9 @@ struct ScenarioGrid
      * resolves randomized starts.  Calls validate() on every
      * mapping configuration and workload first, and rejects a grid
      * with more jobs than the job budget (jobsOverBudget()), whose
-     * accesses exceed the length budget (lengthOverBudget()) or
-     * whose cycle totals could overflow (cycleOverflow()).
+     * accesses exceed the length budget (lengthOverBudget()), whose
+     * cycle totals could overflow (cycleOverflow()) or whose port
+     * strides or descending addresses could (addressOverflow()).
      */
     std::vector<Scenario> expand() const;
 };

@@ -27,143 +27,6 @@ ScenarioOutcome::efficiency() const
            / static_cast<double>(latency);
 }
 
-std::uint64_t
-SweepReport::conflictFreeJobs() const
-{
-    std::uint64_t n = 0;
-    for (const auto &o : outcomes)
-        n += o.conflictFree ? 1 : 0;
-    return n;
-}
-
-Cycle
-SweepReport::totalLatency() const
-{
-    Cycle sum = 0;
-    for (const auto &o : outcomes)
-        sum += o.latency;
-    return sum;
-}
-
-std::vector<MappingSummary>
-SweepReport::perMapping() const
-{
-    std::vector<MappingSummary> rows(mappingLabels.size());
-    std::vector<double> effSum(mappingLabels.size(), 0.0);
-    for (std::size_t i = 0; i < mappingLabels.size(); ++i)
-        rows[i].label = mappingLabels[i];
-    for (const auto &o : outcomes) {
-        cfva_assert(o.mappingIndex < rows.size(),
-                    "outcome references unknown mapping ",
-                    o.mappingIndex);
-        auto &r = rows[o.mappingIndex];
-        ++r.jobs;
-        r.conflictFree += o.conflictFree ? 1 : 0;
-        r.totalLatency += o.latency;
-        r.totalMinLatency += o.minLatency;
-        r.totalStalls += o.stallCycles;
-        r.theoryClaimed += o.theoryClaimed;
-        r.theoryFallback += o.theoryFallback;
-        effSum[o.mappingIndex] += o.efficiency();
-    }
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        rows[i].meanEfficiency =
-            rows[i].jobs ? effSum[i] / static_cast<double>(rows[i].jobs)
-                         : 0.0;
-    }
-    return rows;
-}
-
-TextTable
-SweepReport::table() const
-{
-    TextTable t({"job", "mapping", "stride", "family", "length",
-                 "a1", "ports", "port_mix", "workload", "latency",
-                 "min_latency", "stalls", "conflict_free",
-                 "in_window", "efficiency", "accesses", "decoupled",
-                 "chained", "chain_saved", "chainable", "retunes",
-                 "retune_cycles", "tier", "theory_claimed",
-                 "theory_fallback", "fallback_reason"});
-    for (const auto &o : outcomes) {
-        t.row(o.index, mappingLabels[o.mappingIndex], o.stride,
-              o.family, o.length, o.a1, o.ports,
-              portMixLabels[o.portMixIndex],
-              workloadLabels[o.workloadIndex], o.latency,
-              o.minLatency, o.stallCycles, o.conflictFree ? 1 : 0,
-              o.inWindow ? 1 : 0, fixed(o.efficiency(), 4),
-              o.accesses, o.decoupledCycles, o.chainedCycles,
-              o.chainSaved(), o.chainable ? 1 : 0, o.retunes,
-              o.retuneCycles, o.tierLabel(), o.theoryClaimed,
-              o.theoryFallback, to_string(o.fallbackReason));
-    }
-    return t;
-}
-
-TextTable
-mappingSummaryTable(const std::vector<MappingSummary> &rows)
-{
-    TextTable t({"mapping", "jobs", "conflict-free", "total latency",
-                 "total stalls", "mean efficiency", "theory hits"});
-    for (const auto &r : rows) {
-        t.row(r.label, r.jobs, ratio(r.conflictFree, r.jobs),
-              r.totalLatency, r.totalStalls,
-              fixed(r.meanEfficiency, 4),
-              ratio(r.theoryClaimed,
-                    r.theoryClaimed + r.theoryFallback));
-    }
-    return t;
-}
-
-std::vector<WorkloadSummary>
-SweepReport::perWorkload() const
-{
-    std::vector<WorkloadSummary> rows(workloadLabels.size());
-    for (std::size_t i = 0; i < workloadLabels.size(); ++i)
-        rows[i].label = workloadLabels[i];
-    for (const auto &o : outcomes) {
-        cfva_assert(o.workloadIndex < rows.size(),
-                    "outcome references unknown workload ",
-                    o.workloadIndex);
-        accumulateWorkload(rows[o.workloadIndex], o);
-    }
-    return rows;
-}
-
-void
-accumulateWorkload(WorkloadSummary &row, const ScenarioOutcome &o)
-{
-    ++row.jobs;
-    row.accesses += o.accesses;
-    row.conflictFree += o.conflictFree ? 1 : 0;
-    row.totalLatency += o.latency;
-    row.totalDecoupled += o.decoupledCycles;
-    row.totalChained += o.chainedCycles;
-    row.chainableJobs += o.chainable ? 1 : 0;
-    row.totalRetunes += o.retunes;
-    row.totalRetuneCycles += o.retuneCycles;
-}
-
-TextTable
-workloadSummaryTable(const std::vector<WorkloadSummary> &rows)
-{
-    TextTable t({"workload", "jobs", "accesses", "conflict-free",
-                 "total latency", "chainable", "chain saved",
-                 "retunes", "retune cycles"});
-    for (const auto &r : rows) {
-        t.row(r.label, r.jobs, r.accesses,
-              ratio(r.conflictFree, r.jobs), r.totalLatency,
-              ratio(r.chainableJobs, r.jobs), r.totalChainSaved(),
-              r.totalRetunes, r.totalRetuneCycles);
-    }
-    return t;
-}
-
-TextTable
-SweepReport::summaryTable() const
-{
-    return mappingSummaryTable(perMapping());
-}
-
 void
 SweepReport::stream(SweepSink &sink) const
 {

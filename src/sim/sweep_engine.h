@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/bits.h"
-#include "common/table.h"
 #include "core/access_unit.h"
 #include "sim/scenario.h"
 #include "sim/workload.h"
@@ -208,26 +207,13 @@ struct SweepReport
     std::vector<std::string> workloadLabels;
 
     std::size_t jobs() const { return outcomes.size(); }
-    std::uint64_t conflictFreeJobs() const;
-    Cycle totalLatency() const;
-
-    /** One summary row per mapping configuration. */
-    std::vector<MappingSummary> perMapping() const;
-
-    /** One summary row per workload program. */
-    std::vector<WorkloadSummary> perWorkload() const;
-
-    /** Full per-scenario table (one row per outcome). */
-    TextTable table() const;
-
-    /** Per-mapping summary table. */
-    TextTable summaryTable() const;
 
     /**
      * Replays the materialized outcomes through @p sink
      * (begin/consume.../end).  writeCsv and writeJson are this
      * plus the matching stream sink, which is what makes streamed
-     * and materialized output byte-identical by construction.
+     * and materialized output byte-identical by construction; a
+     * SummarySink fed this way folds the report's summary tables.
      */
     void stream(SweepSink &sink) const;
 
@@ -239,20 +225,6 @@ struct SweepReport
 
     bool operator==(const SweepReport &o) const = default;
 };
-
-/** Renders per-mapping summary rows (shared by SweepReport and
- *  SummarySink so both emit the same table). */
-TextTable mappingSummaryTable(const std::vector<MappingSummary> &rows);
-
-/** Renders per-workload summary rows (shared by SweepReport and
- *  SummarySink so both emit the same table). */
-TextTable
-workloadSummaryTable(const std::vector<WorkloadSummary> &rows);
-
-/** Folds one outcome into a workload summary row (shared by
- *  SweepReport::perWorkload and the streaming SummarySink). */
-void accumulateWorkload(WorkloadSummary &row,
-                        const ScenarioOutcome &o);
 
 /**
  * One deterministic slice of a grid's job list: shard index of
@@ -328,23 +300,24 @@ struct SweepRunStats
     std::uint64_t arenaReuses = 0;
     std::size_t arenaPeakBytes = 0;
 
-    /** Periodic fast-path attribution of the theory tier's
-     *  steady-state solver, summed over all workers
-     *  (theory/conflict_solver.h): accesses answered by steady-state
-     *  collapse, the cycles those accesses still stepped, and
-     *  outcome-memo replay hits/misses — one memo lookup per solver
-     *  attempt.  All 0 under TierPolicy::SimulateAlways, whose
-     *  simulator steps every access. */
+    /** Periodic fast-path attribution of the theory tier, summed
+     *  over all workers (theory/theory_backend.h): accesses
+     *  answered by steady-state collapse, the cycles those accesses
+     *  still stepped, and the outcome memo's hits/misses — one
+     *  keyed lookup per access past the conflict-free proof, one
+     *  per such port of a module-disjoint multi-port claim, and one
+     *  per shared-module multi-port fallback.  All 0 under
+     *  TierPolicy::SimulateAlways, whose simulator steps every
+     *  access. */
     std::uint64_t collapseHits = 0;
     std::uint64_t collapsePrefixCycles = 0;
     std::uint64_t memoHits = 0;
     std::uint64_t memoMisses = 0;
 
     /** Which path answered each rejected access of the theory tier,
-     *  summed over all workers: replayed from the fallback memo
-     *  (theory/theory_backend.h) or simulated.  Empty
-     *  and oversize accesses count neither way; all 0 under
-     *  TierPolicy::SimulateAlways. */
+     *  summed over all workers: replayed from a memo entry or
+     *  simulated.  Empty and oversize accesses count neither way;
+     *  all 0 under TierPolicy::SimulateAlways. */
     std::uint64_t fallbackMemoHits = 0;
     std::uint64_t fallbackMemoMisses = 0;
 };
@@ -382,8 +355,8 @@ struct SweepOptions
     /**
      * Evaluation tier for every scenario, the run's one execution
      * knob: the analytic theory fast path (the default —
-     * conflict-free claims plus the steady-state solver's collapse
-     * and memo, and the fallback memo in front of the simulator)
+     * conflict-free claims plus the steady-state collapse, with one
+     * outcome memo in front of the collapse and the simulator)
      * with per-cycle simulation fallback, the pure stepped oracle
      * (every cycle of every access simulated), or both with a
      * bit-for-bit cross-check (SweepRunStats counts the

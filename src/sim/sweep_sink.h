@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/table.h"
 #include "sim/sweep_engine.h"
 
 namespace cfva::sim {
@@ -156,20 +157,13 @@ class SummarySink final : public SweepSink
     std::uint64_t conflictFreeJobs() const { return conflictFree_; }
     Cycle totalLatency() const { return totalLatency_; }
 
-    /** One row per mapping, same math as SweepReport::perMapping. */
+    /** One row per mapping configuration. */
     std::vector<MappingSummary> perMapping() const;
 
-    /** One row per workload, same math as
-     *  SweepReport::perWorkload. */
-    std::vector<WorkloadSummary> perWorkload() const
-    {
-        return workloadRows_;
-    }
-
-    /** Same rendering as SweepReport::summaryTable. */
+    /** The per-mapping summary table. */
     TextTable summaryTable() const;
 
-    /** Same rendering as workloadSummaryTable(perWorkload()). */
+    /** The per-workload summary table. */
     TextTable workloadTable() const;
 
   private:

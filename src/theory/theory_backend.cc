@@ -93,30 +93,6 @@ TheoryBackend::tryClaim(const std::vector<Request> &stream,
     return true;
 }
 
-bool
-TheoryBackend::answerMapped(bool attemptProof,
-                            const std::vector<Request> &stream,
-                            const ModuleId *mods,
-                            DeliveryArena *arena, AccessResult &out,
-                            ResultDetail detail)
-{
-    // An empty stream's schedule is vacuous; claim it outright so
-    // the taxonomy never blames a zero-length access on the solver.
-    if (stream.empty()) {
-        summarizeUniform(0, out);
-        return true;
-    }
-    if (attemptProof
-        && tryClaim(stream, mods, arena, out,
-                    detail == ResultDetail::Full))
-        return true;
-    // A solver (periodic) claim is non-uniform, so SummaryIfUniform
-    // materializes it: its chained cost is not closed-form for the
-    // caller.
-    return solver_.solve(fallback_, stream, mods, arena, out,
-                         detail != ResultDetail::Summary);
-}
-
 AccessResult
 TheoryBackend::runSingleHinted(bool claimHint,
                                const std::vector<Request> &stream,
@@ -124,31 +100,36 @@ TheoryBackend::runSingleHinted(bool claimHint,
                                ResultDetail detail)
 {
     // Premap once, on the simulator (bit-sliced when the mapping
-    // exposes GF(2) rows); the proof, the solver, and — after a
-    // rejection — the fallback memo and the simulation all reuse it
-    // instead of each re-deriving every module number.
+    // exposes GF(2) rows); the proof, the memo key, the collapse
+    // and — after a rejection — the simulation all reuse it instead
+    // of each re-deriving every module number.
     const PortSeq seq = fallback_.premap({&stream, 1})[0];
     AccessResult out;
-    if (answerMapped(claimHint, stream, seq.mods, arena, out,
-                     detail)) {
+    const auto claim = [&] {
         lastClaimed_ = true;
         lastReason_ = FallbackReason::None;
         stats_.add(true);
         return out;
+    };
+    // An empty stream's schedule is vacuous; claim it outright so
+    // the taxonomy never blames a zero-length access on the
+    // collapse.
+    if (stream.empty()) {
+        summarizeUniform(0, out);
+        return claim();
     }
+    if (claimHint
+        && tryClaim(stream, seq.mods, arena, out,
+                    detail == ResultDetail::Full))
+        return claim();
+    const MemoOutcome *hit = lookup(&seq, 1);
+    if (solve(hit, stream, seq, arena, out, detail))
+        return claim();
     lastClaimed_ = false;
     lastReason_ = claimHint ? FallbackReason::Unproven
                             : FallbackReason::Conflicted;
     stats_.add(false);
-    if (fallbackHit(&seq, 1, detail)) {
-        replayPort(fallbackMemo_.cached().ports[0], 0, stream,
-                   seq.mods, arena, detail, out);
-        return out;
-    }
-    fallback_.simulate({&seq, 1});
-    replayPort(fallback_.trace(0), 0, stream, seq.mods, arena, detail,
-               out);
-    fallbackStore(1, detail);
+    fallBack({&stream, 1}, {&seq, 1}, hit, arena, detail, &out);
     return out;
 }
 
@@ -178,35 +159,105 @@ TheoryBackend::claimCertified(std::uint64_t length)
     return out;
 }
 
+const MemoOutcome *
+TheoryBackend::lookup(const PortSeq *seqs, std::size_t count)
+{
+    const MemoOutcome *hit = memo_.lookup(seqs, count, cfg_.modules());
+    if (hit)
+        ++fastPath_.memoHits;
+    else if (memo_.keyed())
+        ++fastPath_.memoMisses;
+    return hit;
+}
+
+bool
+TheoryBackend::solve(const MemoOutcome *hit,
+                     const std::vector<Request> &stream,
+                     const PortSeq &seq, DeliveryArena *arena,
+                     AccessResult &out, ResultDetail detail)
+{
+    // Whether the collapse closes a stream is a function of its
+    // rank-canonical key, so a recorded verdict stands for this
+    // stream too.  A collapse (periodic) claim is non-uniform, so
+    // SummaryIfUniform materializes it: its chained cost is not
+    // closed-form for the caller.
+    if (hit) {
+        if (hit->claimed)
+            replayPort(hit->ports.front(), 0, stream, seq.mods, arena,
+                       detail, out);
+        return hit->claimed;
+    }
+    // No verdict yet: establish the transient on the simulator's
+    // loop and extrapolate.  Failure (aperiodic sequence, too short
+    // for a recurrence, or the snapshot budget ran out) leaves
+    // `out` untouched.
+    Cycle steppedCycles = 0;
+    if (!collapser_.tryRun(fallback_, seq.length, seq.mods,
+                           &steppedCycles)) {
+        fallback_.releaseTraces();
+        return false;
+    }
+    ++fastPath_.collapseHits;
+    fastPath_.collapsePrefixCycles += steppedCycles;
+    replayPort(fallback_.trace(0), 0, stream, seq.mods, arena, detail,
+               out);
+    record(1, true, ResultDetail::Full);
+    return true;
+}
+
+bool
+TheoryBackend::portsDisjoint(std::span<const PortSeq> seqs)
+{
+    if (owner_.size() < cfg_.modules()) {
+        owner_.resize(cfg_.modules(), 0);
+        ownerEpoch_.resize(cfg_.modules(), 0);
+    }
+    ++epoch_;
+    for (unsigned p = 0; p < seqs.size(); ++p) {
+        for (std::size_t i = 0; i < seqs[p].length; ++i) {
+            const ModuleId mod = seqs[p].mods[i];
+            if (ownerEpoch_[mod] != epoch_) {
+                ownerEpoch_[mod] = epoch_;
+                owner_[mod] = p;
+            } else if (owner_[mod] != p) {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
 bool
 TheoryBackend::tryClaimPorts(
     const std::vector<std::vector<Request>> &streams,
     std::span<const PortSeq> seqs, DeliveryArena *arena,
     MultiPortResult &out, ResultDetail detail)
 {
-    const std::size_t P = streams.size();
-    solver_.beginPortCheck(cfg_.modules());
-    for (std::size_t p = 0; p < P; ++p) {
-        if (!solver_.portDisjoint(seqs[p].length, seqs[p].mods,
-                                  static_cast<unsigned>(p)))
-            return false;
-    }
+    if (!portsDisjoint(seqs))
+        return false;
 
     // Disjoint ports never interact: every port issues one request
     // per cycle from cycle 0, arbitration ties are only broken
     // between requests for the SAME module, and each port has a
     // private return bus that delivers only its own elements — so
     // each port's trace is bit-identical to its single-port trace.
-    // Answer each port analytically; any port neither tier can
-    // close defeats the whole claim.
+    // Answer each port analytically; any port neither the proof
+    // nor the collapse can close defeats the whole claim.
+    const std::size_t P = streams.size();
     out.ports.clear();
     out.ports.resize(P);
     Cycle lastDelivery = 0;
     bool any = false;
     for (std::size_t p = 0; p < P; ++p) {
         AccessResult &r = out.ports[p];
-        if (!answerMapped(true, streams[p], seqs[p].mods, arena, r,
-                          detail)) {
+        if (streams[p].empty()) {
+            summarizeUniform(0, r);
+            continue;
+        }
+        if (!tryClaim(streams[p], seqs[p].mods, arena, r,
+                      detail == ResultDetail::Full)
+            && !solve(lookup(&seqs[p], 1), streams[p], seqs[p], arena,
+                      r, detail)) {
             if (arena) {
                 for (std::size_t q = 0; q < p; ++q)
                     arena->release(
@@ -217,10 +268,8 @@ TheoryBackend::tryClaimPorts(
         }
         for (Delivery &d : r.deliveries)
             d.port = static_cast<unsigned>(p);
-        if (streams[p].size() > 0) {
-            any = true;
-            lastDelivery = std::max(lastDelivery, r.lastDelivery);
-        }
+        any = true;
+        lastDelivery = std::max(lastDelivery, r.lastDelivery);
     }
     // The same fold PerCycleMultiPort's loop ends with: the makespan
     // is exclusive of the last delivery cycle, 0 when no element was
@@ -266,44 +315,45 @@ TheoryBackend::runPorts(
     lastReason_ = FallbackReason::MultiPort;
     stats_.add(false);
     out.ports.resize(P);
-    if (fallbackHit(seqs.data(), P, detail)) {
-        const MemoOutcome &hit = fallbackMemo_.cached();
-        for (std::size_t p = 0; p < P; ++p)
-            replayPort(hit.ports[p], p, streams[p], seqs[p].mods,
-                       arena, detail, out.ports[p]);
-        out.makespan = hit.makespan;
-        return out;
-    }
-    fallback_.simulate(seqs);
-    for (std::size_t p = 0; p < P; ++p)
-        replayPort(fallback_.trace(p), p, streams[p], seqs[p].mods,
-                   arena, detail, out.ports[p]);
-    out.makespan = fallback_.makespan();
-    fallbackStore(P, detail);
+    out.makespan = fallBack(streams, seqs, lookup(seqs.data(), P),
+                            arena, detail, out.ports.data());
     return out;
 }
 
-bool
-TheoryBackend::fallbackHit(const PortSeq *seqs, std::size_t count,
-                           ResultDetail detail)
+Cycle
+TheoryBackend::fallBack(std::span<const std::vector<Request>> streams,
+                        std::span<const PortSeq> seqs,
+                        const MemoOutcome *hit, DeliveryArena *arena,
+                        ResultDetail detail, AccessResult *out)
 {
-    const bool hit =
-        fallbackMemo_.lookup(seqs, count, cfg_.modules())
-        && (detail == ResultDetail::Summary
-            || !fallbackMemo_.cached().summaryOnly);
-    if (hit)
-        ++fallbackMemoHits_;
-    else if (fallbackMemo_.keyed())
-        ++fallbackMemoMisses_;
-    return hit;
+    const std::size_t P = seqs.size();
+    if (hit
+        && (detail == ResultDetail::Summary || !hit->summaryOnly)) {
+        ++fastPath_.fallbackMemoHits;
+        for (std::size_t p = 0; p < P; ++p)
+            replayPort(hit->ports[p], p, streams[p], seqs[p].mods,
+                       arena, detail, out[p]);
+        return hit->makespan;
+    }
+    if (memo_.keyed())
+        ++fastPath_.fallbackMemoMisses;
+    fallback_.simulate(seqs);
+    for (std::size_t p = 0; p < P; ++p)
+        replayPort(fallback_.trace(p), p, streams[p], seqs[p].mods,
+                   arena, detail, out[p]);
+    const Cycle makespan = fallback_.makespan();
+    record(P, false, detail);
+    return makespan;
 }
 
 void
-TheoryBackend::fallbackStore(std::size_t count, ResultDetail detail)
+TheoryBackend::record(std::size_t count, bool claimed,
+                      ResultDetail detail)
 {
-    if (fallbackMemo_.keyed()) {
+    if (memo_.keyed()) {
         MemoOutcome o;
         o.makespan = fallback_.makespan();
+        o.claimed = claimed;
         o.summaryOnly = detail == ResultDetail::Summary;
         o.ports.resize(count);
         for (std::size_t p = 0; p < count; ++p) {
@@ -312,7 +362,7 @@ TheoryBackend::fallbackStore(std::size_t count, ResultDetail detail)
             if (!o.summaryOnly)
                 o.ports[p].emits = simulated.emits;
         }
-        fallbackMemo_.store(std::move(o));
+        memo_.store(std::move(o));
     }
     fallback_.releaseTraces();
 }
@@ -328,15 +378,6 @@ TheoryBackend::replayPort(const PortTrace &trace, std::size_t port,
     else
         materializeEmits(trace, stream, mods, arena, out,
                          static_cast<unsigned>(port));
-}
-
-FastPathStats
-TheoryBackend::fastPathStats() const
-{
-    FastPathStats s = solver_.stats();
-    s.fallbackMemoHits = fallbackMemoHits_;
-    s.fallbackMemoMisses = fallbackMemoMisses_;
-    return s;
 }
 
 } // namespace cfva

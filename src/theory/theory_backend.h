@@ -19,18 +19,15 @@
  *    produce is synthesized from the timing contract (request issued
  *    at cycle i arrives at i+1, starts service immediately, retires
  *    and crosses the return bus at i+1+T).
- *  - Conflicted claims: theory/conflict_solver.h steps the
- *    O(period) transient on this backend's own PerCycleMultiPort
- *    loop, extrapolates the periodic steady state, and memoizes the
- *    proof per rank-canonicalized module sequence —
- *    the per-worker BackendCache keeps this backend (and the memo)
- *    alive across a sweep, so repeated workload accesses stop
- *    re-proving the same claim.
+ *  - Conflicted claims: the steady-state collapser
+ *    (memsys/steady_state.h) steps the O(period) transient on this
+ *    backend's own PerCycleMultiPort loop and extrapolates the
+ *    periodic steady state.
  *  - Multi-port claims: when the P > 1 port streams are provably
  *    disjoint across modules, the ports never interact and the
  *    MultiPortResult is synthesized from P independent single-port
- *    answers; ports that share modules (or defeat the solver) fall
- *    back to the simulator.
+ *    answers; ports that share modules (or defeat the collapse)
+ *    fall back to the simulator.
  *
  * Streams no tier can answer are simulated in full on that same
  * PerCycleMultiPort (memsys/multi_port.h), so callers always get an
@@ -44,38 +41,51 @@
  * deterministic function of (config, mapping, planned streams) —
  * never of memo state.
  *
- * The fallback memo.  A rejected access is keyed on its premapped
- * per-port module sequences — the simulator's own premap() view,
- * the one every proof of the access already read — jointly
- * rank-canonicalized (the OutcomeMemo soundness argument: the
- * simulator compares module numbers only for order, so an
- * order-preserving relabeling of the modules used cannot change
- * one timing decision), and the simulator's outcome is kept in
- * position form — the form its loop records,
- * PerCycleMultiPort::trace() — in a bounded FIFO, separate from the
- * solver's memo.  A fresh simulation and a memo hit fill the result
+ * The outcome memo.  An access past the conflict-free proof is
+ * keyed once, on its premapped per-port module sequences — the
+ * simulator's own premap() view — jointly rank-canonicalized (the
+ * OutcomeMemo soundness argument: the simulator compares module
+ * numbers only for order, so an order-preserving relabeling of the
+ * modules used cannot change one timing decision).  Whether the
+ * collapse closes a stream is invariant under that relabeling too,
+ * so each entry records it as a claimed bit beside the outcome in
+ * position form — the form the loop records,
+ * PerCycleMultiPort::trace() — in one bounded FIFO per backend:
+ *
+ *  - a claimed entry (a collapse that closed) replays as a claim;
+ *  - a rejected entry skips the collapse and replays the fallback
+ *    simulation it recorded;
+ *  - a miss runs the collapse, then, if it fails, the simulation,
+ *    and records whichever answered.
+ *
+ * The per-worker BackendCache keeps this backend — and its memo —
+ * alive across a sweep, so a repeated access (a stencil's store
+ * after its first load, the random starts of a sweep that land on
+ * an order-isomorphic module sequence) neither re-proves nor
+ * re-simulates.  Claims and fresh simulations alike fill the result
  * through the same replay: the scalars alone under
  * ResultDetail::Summary, materialized deliveries otherwise.  A
- * repeated access — a stencil's store after its first load, the
- * random starts of a sweep that land on an order-isomorphic module
- * sequence — replays instead of re-simulating.  An entry taken for
- * a Summary request keeps the scalars only and serves only Summary
- * requests; any other request gets materialized deliveries (from a
- * full entry, or from a fresh simulation that upgrades the entry).
- * A hit is still a fallback: the attribution is the one a real
- * simulation would carry.
+ * rejected entry taken for a Summary request keeps the scalars only
+ * and serves only Summary requests; any other request gets
+ * materialized deliveries (from a full entry, or from a fresh
+ * simulation that upgrades the entry).  A replayed rejection is
+ * still a fallback: the attribution is the one a real simulation
+ * would carry.  At P > 1 each port's answer inside the
+ * module-disjoint claim reads the same memo; a rejected port entry
+ * defeats the claim, and the joint key of all P ports holds the
+ * shared-module fallback.
  *
  * The window classification itself (mapping kind + stride family
  * against matchedWindow / sectionedWindows / ...) lives in the
  * planner: VectorAccessUnit::certifies, from which plan() sets
  * AccessPlan::expectConflictFree.  execute() dispatches on it:
  * certified streams take runSingleCertified (theorem-backed O(1)
- * claim), everything else goes straight to the steady-state solver;
- * access() claims a certified summary access through
+ * claim), everything else goes straight to the memo and the
+ * collapse; access() claims a certified summary access through
  * claimCertified() without planning its stream at all.  The
  * hinted entry point keeps the historical semantics for library
  * callers: the hint gates only the O(L) conflict-free proof; the
- * solver is attempted either way.
+ * memo and the collapse are tried either way.
  */
 
 #ifndef CFVA_THEORY_THEORY_BACKEND_H
@@ -87,7 +97,7 @@
 
 #include "memsys/backend.h"
 #include "memsys/multi_port.h"
-#include "theory/conflict_solver.h"
+#include "memsys/steady_state.h"
 
 namespace cfva {
 
@@ -113,11 +123,11 @@ class TheoryBackend
      * One single-port access with the planner's window
      * classification: when @p claimHint is false the O(L)
      * conflict-free proof is skipped (the windows already say it
-     * conflicts) and the stream goes straight to the steady-state
-     * solver; when true the proof is attempted first.  @p detail
+     * conflicts) and the stream goes straight to the memo and the
+     * collapse; when true the proof is attempted first.  @p detail
      * selects how much of the result is materialized — a claim, a
-     * fallback memo replay and a fresh fallback simulation alike
-     * carry no deliveries under Summary.
+     * memo replay and a fresh fallback simulation alike carry no
+     * deliveries under Summary.
      */
     AccessResult
     runSingleHinted(bool claimHint,
@@ -158,7 +168,7 @@ class TheoryBackend
     /**
      * One access of P = @p streams.size() simultaneous ports:
      * module-disjoint ports are answered analytically, the rest
-     * simulated (or replayed from the fallback memo); @p detail as
+     * simulated (or replayed from the memo); @p detail as
      * in runSingleHinted().  P = 1 is runSingleHinted(true, ...).
      */
     MultiPortResult
@@ -176,20 +186,18 @@ class TheoryBackend
     /** Cumulative claim/fallback counts over this instance. */
     const TierCounters &stats() const { return stats_; }
 
-    /** Collapse/memo attribution of the steady-state solver — the
-     *  only owner of the periodic fast path (a fallback simulation
-     *  steps every cycle of its access) — plus the fallback memo's
-     *  hits and misses. */
-    FastPathStats fastPathStats() const;
+    /** Collapse and memo attribution: steady-state collapses (a
+     *  fallback simulation steps every cycle of its access), keyed
+     *  memo lookups, and how each rejected access was answered. */
+    const FastPathStats &fastPathStats() const { return fastPath_; }
 
-    /** Entries the fallback memo keeps (oldest evicted first). */
-    static constexpr std::size_t kFallbackMemoEntries = 64;
+    /** Entries the outcome memo keeps (oldest evicted first). */
+    static constexpr std::size_t kMemoEntries = 64;
 
     /** The per-cycle simulator: it premaps every stream, rejected
-     *  streams fall back to it, and the steady-state solver drives
-     *  its loop.  Its plain run()/runSingle() read no solver or
-     *  memo state, so the sim tier runs them on this same
-     *  backend. */
+     *  streams fall back to it, and the collapse drives its loop.
+     *  Its plain run()/runSingle() read no memo state, so the sim
+     *  tier runs them on this same backend. */
     PerCycleMultiPort &fallback() { return fallback_; }
 
   private:
@@ -217,15 +225,30 @@ class TheoryBackend
                            const ModuleId *mods,
                            DeliveryArena *arena, AccessResult &out);
 
+    /** Looks the @p count premapped ports @p seqs up in the memo and
+     *  counts a hit or a miss (empty and oversize accesses are not
+     *  keyed and count neither).  The entry found, or nullptr. */
+    const MemoOutcome *lookup(const PortSeq *seqs, std::size_t count);
+
     /**
-     * One port's full analytic story: the conflict-free proof when
-     * @p attemptProof, then the steady-state solver.  True iff one
-     * of them filled @p out at the requested detail.
+     * The steady-state answer for one premapped port, given its
+     * memo lookup @p hit: a claimed entry replays, a rejected one
+     * refuses without collapsing, and a miss runs the collapse on
+     * the simulator's loop, recording a success as a claimed entry
+     * with its full trace.  True iff @p out was filled at
+     * @p detail.
      */
-    bool answerMapped(bool attemptProof,
-                      const std::vector<Request> &stream,
-                      const ModuleId *mods, DeliveryArena *arena,
-                      AccessResult &out, ResultDetail detail);
+    bool solve(const MemoOutcome *hit,
+               const std::vector<Request> &stream, const PortSeq &seq,
+               DeliveryArena *arena, AccessResult &out,
+               ResultDetail detail);
+
+    /**
+     * True iff no module is used by two of the premapped ports
+     * @p seqs: an O(total length) pass over epoch-stamped module
+     * owners.
+     */
+    bool portsDisjoint(std::span<const PortSeq> seqs);
 
     /**
      * The multi-port claim over the premapped ports @p seqs:
@@ -242,25 +265,30 @@ class TheoryBackend
         MultiPortResult &out, ResultDetail detail);
 
     /**
-     * Looks the premapped ports @p seqs up in the fallback memo and
-     * counts the outcome.  True only for an entry that can answer
-     * @p detail: a summary-only entry answers Summary requests
-     * alone.  Empty and oversize accesses count neither way.
+     * Answers a rejected access of P = @p seqs.size() premapped
+     * ports into @p out[0..P): replayed from its memo lookup @p hit
+     * when that entry can serve @p detail (a summary-only entry
+     * serves Summary requests alone), otherwise simulated and
+     * recorded — upgrading @p hit in place.  Returns the access
+     * makespan.
      */
-    bool fallbackHit(const PortSeq *seqs, std::size_t count,
-                     ResultDetail detail);
+    Cycle fallBack(std::span<const std::vector<Request>> streams,
+                   std::span<const PortSeq> seqs,
+                   const MemoOutcome *hit, DeliveryArena *arena,
+                   ResultDetail detail, AccessResult *out);
 
     /** Records the simulator's position-form outcome of its last
-     *  @p count-port run for the key of the last fallbackHit():
-     *  scalars only under ResultDetail::Summary, the whole traces
-     *  otherwise.  Then releases the simulator's traces. */
-    void fallbackStore(std::size_t count, ResultDetail detail);
+     *  @p count-port run under the key of the last lookup(), marked
+     *  @p claimed: scalars only under ResultDetail::Summary, the
+     *  whole traces otherwise.  Then releases the simulator's
+     *  traces. */
+    void record(std::size_t count, bool claimed, ResultDetail detail);
 
     /** Fills @p out, port @p port of an access, from a
-     *  position-form @p trace — the fallback memo's hit or the
-     *  simulator's own — replayed against (@p stream, @p mods):
-     *  the scalars alone under ResultDetail::Summary, materialized
-     *  deliveries otherwise. */
+     *  position-form @p trace — a memo entry's or the simulator's
+     *  own — replayed against (@p stream, @p mods): the scalars
+     *  alone under ResultDetail::Summary, materialized deliveries
+     *  otherwise. */
     static void replayPort(const PortTrace &trace, std::size_t port,
                            const std::vector<Request> &stream,
                            const ModuleId *mods, DeliveryArena *arena,
@@ -268,11 +296,18 @@ class TheoryBackend
 
     MemConfig cfg_;
     PerCycleMultiPort fallback_;
-    ConflictSolver solver_;
+    SteadyStateCollapser collapser_;
+    OutcomeMemo memo_{kMemoEntries};
+    FastPathStats fastPath_;
     std::vector<Cycle> nextFree_; // per-module scratch
-    OutcomeMemo fallbackMemo_{kFallbackMemoEntries};
-    std::uint64_t fallbackMemoHits_ = 0;
-    std::uint64_t fallbackMemoMisses_ = 0;
+
+    /** Epoch-stamped module ownership for portsDisjoint(): owner_
+     *  is meaningful only where ownerEpoch_ matches epoch_, so a
+     *  new check is O(1) instead of O(modules). */
+    std::vector<unsigned> owner_;
+    std::vector<std::uint32_t> ownerEpoch_;
+    std::uint32_t epoch_ = 0;
+
     TierCounters stats_;
     bool lastClaimed_ = false;
     FallbackReason lastReason_ = FallbackReason::None;

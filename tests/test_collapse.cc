@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the periodic steady-state fast path, whose one home is
- * the analytic tier's ConflictSolver (theory/conflict_solver.h):
- * differential bit-identity of ConflictSolver::solve against the
- * stepped per-cycle simulator, and outcome-memo rank
- * canonicalization through the solver.
+ * the analytic tier (theory/theory_backend.h): differential
+ * bit-identity of TheoryBackend's collapse claims against the
+ * stepped per-cycle simulator, the collapse's give-up boundaries,
+ * and outcome-memo rank canonicalization through the backend.
  *
- * The contract under test is absolute: every stream the solver
+ * The contract under test is absolute: every stream the tier
  * claims must carry exactly the AccessResult the simulator
  * produces — every delivery record with all five timestamps, every
  * stall, every aggregate — on every mapping kind, with the
@@ -33,7 +33,7 @@
 #include "memsys/multi_port.h"
 #include "memsys/steady_state.h"
 #include "test_util.h"
-#include "theory/conflict_solver.h"
+#include "theory/theory_backend.h"
 
 namespace cfva {
 namespace {
@@ -61,14 +61,14 @@ scalarPremap(const ModuleMapping &map,
 }
 
 /** Runs @p stream through the stepped simulator — premapping it
- *  itself and handed the scalar premap — and through
- *  ConflictSolver::solve, and asserts every answer bit-identical to
- *  the per-cycle oracle.  Returns whether the solver claimed the
- *  stream. */
+ *  itself and handed the scalar premap — and through the theory
+ *  tier with the conflict-free proof skipped, and asserts every
+ *  answer bit-identical to the per-cycle oracle.  Returns whether
+ *  the tier claimed the stream. */
 bool
-expectSolverIdentical(const MemConfig &cfg, const ModuleMapping &map,
-                      const std::vector<Request> &stream,
-                      const std::string &what)
+expectTierIdentical(const MemConfig &cfg, const ModuleMapping &map,
+                    const std::vector<Request> &stream,
+                    const std::string &what)
 {
     const std::vector<ModuleId> mods = scalarPremap(map, stream);
     PerCycleMultiPort oracle(cfg, map);
@@ -76,10 +76,9 @@ expectSolverIdentical(const MemConfig &cfg, const ModuleMapping &map,
     EXPECT_EQ(test::simulateMapped(oracle, stream, mods.data()), expect)
         << what << " (scalar premap)";
 
-    ConflictSolver solver;
-    PerCycleMultiPort loop(cfg, map);
-    AccessResult got;
-    if (!solver.solve(loop, stream, mods.data(), nullptr, got))
+    TheoryBackend tb(cfg, map);
+    const AccessResult got = tb.runSingleHinted(false, stream);
+    if (!tb.lastClaimed())
         return false;
     EXPECT_EQ(got.deliveries.size(), expect.deliveries.size())
         << what;
@@ -109,7 +108,7 @@ TEST(CollapseDifferential, MatchedAllStrideFamilies)
         for (std::uint64_t sigma : {1, 3, 5}) {
             const std::uint64_t s = sigma << x;
             for (std::size_t len : kLengths) {
-                claims += expectSolverIdentical(
+                claims += expectTierIdentical(
                     cfg, map, strideStream(3, s, len),
                     "matched s=" + std::to_string(s)
                         + " L=" + std::to_string(len));
@@ -129,7 +128,7 @@ TEST(CollapseDifferential, SectionedInAndOutOfWindow)
     unsigned claims = 0;
     for (std::uint64_t s : {1, 8, 16, 48, 512, 1536}) {
         for (std::size_t len : kLengths) {
-            claims += expectSolverIdentical(
+            claims += expectTierIdentical(
                 cfg, map, strideStream(1, s, len),
                 "sectioned s=" + std::to_string(s)
                     + " L=" + std::to_string(len));
@@ -146,7 +145,8 @@ TEST(CollapseDifferential, SimpleDynamicAndPseudoRandom)
     const GF2LinearMapping prand =
         makePseudoRandomMapping(3, 24, 7);
     // The pseudo-random mapping's module sequences are aperiodic,
-    // so the solver refuses them; only agreement is required there.
+    // so the collapse refuses them; only agreement is required
+    // there.
     struct Case
     {
         const ModuleMapping *map;
@@ -166,7 +166,7 @@ TEST(CollapseDifferential, SimpleDynamicAndPseudoRandom)
             const Addr a1 = rng() % 1024;
             const std::size_t len =
                 kLengths[rng() % std::size(kLengths)];
-            claims += expectSolverIdentical(
+            claims += expectTierIdentical(
                 cfg, *c.map, strideStream(a1, s, len),
                 std::string(c.name) + " a1=" + std::to_string(a1)
                     + " s=" + std::to_string(s)
@@ -194,7 +194,7 @@ TEST(CollapseDifferential, RandomizedShapesAndBuffers)
         const Addr a1 = rng() % 4096;
         const std::size_t len =
             kLengths[rng() % std::size(kLengths)];
-        claims += expectSolverIdentical(
+        claims += expectTierIdentical(
             cfg, map, strideStream(a1, stride, len),
             "shape t=" + std::to_string(cfg.t) + " q="
                 + std::to_string(cfg.inputBuffers) + " q'="
@@ -220,9 +220,10 @@ markedBlock(std::size_t p)
 
 TEST(CollapseBoundaries, GiveUpRulesKeepTheirRecordedDecisions)
 {
-    // Synthetic premapped sequences on both sides of each rule the
-    // collapse gives up by.  The claim decision and the stepped
-    // prefix cycles are the values the stand-alone collapser
+    // Synthetic module sequences on both sides of each rule the
+    // collapse gives up by, laid out on a low-order interleave so
+    // the premap reproduces them.  The claim decision and the
+    // stepped prefix cycles are the values the stand-alone collapser
     // produced before it drove the simulator's loop; a moved
     // snapshot point would change them.
     constexpr std::size_t kP = SteadyStateCollapser::kMaxPeriod;
@@ -273,26 +274,19 @@ TEST(CollapseBoundaries, GiveUpRulesKeepTheirRecordedDecisions)
         std::vector<Request> stream(c.length);
         for (std::size_t i = 0; i < c.length; ++i) {
             mods[i] = c.block[i % c.block.size()];
-            stream[i] = {i * 8, i};
+            stream[i] = {(Addr{i} << c.m) | mods[i], i};
         }
 
-        ConflictSolver solver;
-        PerCycleMultiPort loop(cfg, map);
-        AccessResult got;
-        EXPECT_EQ(solver.solve(loop, stream, mods.data(), nullptr, got),
-                  c.claimed)
+        TheoryBackend tb(cfg, map);
+        const AccessResult got = tb.runSingleHinted(false, stream);
+        EXPECT_EQ(tb.lastClaimed(), c.claimed) << c.name;
+        const FastPathStats &fast = tb.fastPathStats();
+        EXPECT_EQ(fast.collapseHits, c.claimed ? 1u : 0u) << c.name;
+        EXPECT_EQ(fast.collapsePrefixCycles, c.prefixCycles) << c.name;
+        EXPECT_EQ(fast.memoMisses, c.memoMisses) << c.name;
+        PerCycleMultiPort oracle(cfg, map);
+        EXPECT_EQ(got, test::simulateMapped(oracle, stream, mods.data()))
             << c.name;
-        EXPECT_EQ(solver.stats().collapseHits, c.claimed ? 1u : 0u)
-            << c.name;
-        EXPECT_EQ(solver.stats().collapsePrefixCycles, c.prefixCycles)
-            << c.name;
-        EXPECT_EQ(solver.stats().memoMisses, c.memoMisses) << c.name;
-        if (c.claimed) {
-            PerCycleMultiPort oracle(cfg, map);
-            EXPECT_EQ(got,
-                      test::simulateMapped(oracle, stream, mods.data()))
-                << c.name;
-        }
     }
 }
 
@@ -309,14 +303,12 @@ TEST(OutcomeMemo, BaseShiftedOrderIsomorphicStreamHits)
     MemConfig cfg;
     cfg.m = 2;
     cfg.t = 2;
-    ConflictSolver solver;
-    PerCycleMultiPort loop(cfg, map);
+    TheoryBackend tb(cfg, map);
     PerCycleMultiPort oracle(cfg, map);
+    const FastPathStats &stats = tb.fastPathStats();
     const auto solve = [&](const std::vector<Request> &stream) {
-        const std::vector<ModuleId> mods = scalarPremap(map, stream);
-        AccessResult r;
-        EXPECT_TRUE(
-            solver.solve(loop, stream, mods.data(), nullptr, r));
+        const AccessResult r = tb.runSingleHinted(false, stream);
+        EXPECT_TRUE(tb.lastClaimed());
         return r;
     };
 
@@ -324,20 +316,20 @@ TEST(OutcomeMemo, BaseShiftedOrderIsomorphicStreamHits)
     const auto base1 = strideStream(1, 2, 32);
 
     const AccessResult first = solve(base0);
-    EXPECT_EQ(solver.stats().memoMisses, 1u);
-    EXPECT_EQ(solver.stats().collapseHits, 1u);
+    EXPECT_EQ(stats.memoMisses, 1u);
+    EXPECT_EQ(stats.collapseHits, 1u);
     EXPECT_EQ(first, oracle.runSingle(base0));
     EXPECT_GT(first.stallCycles, 0u) << "stream should conflict";
 
     const AccessResult shifted = solve(base1);
-    EXPECT_EQ(solver.stats().memoHits, 1u)
+    EXPECT_EQ(stats.memoHits, 1u)
         << "base-shifted rank-isomorphic stream must replay";
     EXPECT_EQ(shifted, oracle.runSingle(base1));
 
     // Same stream again: the identity relabeling also hits.
     const AccessResult again = solve(base0);
-    EXPECT_EQ(solver.stats().memoHits, 2u);
-    EXPECT_EQ(solver.stats().collapseHits, 1u);
+    EXPECT_EQ(stats.memoHits, 2u);
+    EXPECT_EQ(stats.collapseHits, 1u);
     EXPECT_EQ(again, first);
 }
 
@@ -351,24 +343,20 @@ TEST(OutcomeMemo, XorBaseShiftReordersModulesAndMisses)
     // against the oracle).
     const XorMatchedMapping map(3, 4);
     const MemConfig cfg;
-    ConflictSolver solver;
-    PerCycleMultiPort loop(cfg, map);
+    TheoryBackend tb(cfg, map);
     PerCycleMultiPort oracle(cfg, map);
 
     for (Addr base : {Addr{0}, Addr{3}}) {
         const auto stream = strideStream(base, 32, 64);
-        const std::vector<ModuleId> mods = scalarPremap(map, stream);
-        AccessResult r;
-        ASSERT_TRUE(
-            solver.solve(loop, stream, mods.data(), nullptr, r))
-            << "base " << base;
+        const AccessResult r = tb.runSingleHinted(false, stream);
+        ASSERT_TRUE(tb.lastClaimed()) << "base " << base;
         EXPECT_EQ(r, oracle.runSingle(stream)) << "base " << base;
         EXPECT_GT(r.stallCycles, 0u) << "stream should conflict";
     }
-    EXPECT_EQ(solver.stats().memoHits, 0u)
+    EXPECT_EQ(tb.fastPathStats().memoHits, 0u)
         << "XOR-reordered module sequence must not hit the memo";
-    EXPECT_EQ(solver.stats().memoMisses, 2u);
-    EXPECT_EQ(solver.stats().collapseHits, 2u);
+    EXPECT_EQ(tb.fastPathStats().memoMisses, 2u);
+    EXPECT_EQ(tb.fastPathStats().collapseHits, 2u);
 }
 
 TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
@@ -381,27 +369,24 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
     cfg.t = 3;
     const auto stream =
         strideStream(0, 1, OutcomeMemo::kMaxLen + 64);
-    const std::vector<ModuleId> mods = scalarPremap(map, stream);
 
-    ConflictSolver solver;
-    PerCycleMultiPort loop(cfg, map);
-    AccessResult result;
-    ASSERT_TRUE(
-        solver.solve(loop, stream, mods.data(), nullptr, result));
-    EXPECT_EQ(solver.stats().collapseHits, 1u);
-    EXPECT_EQ(solver.stats().memoMisses, 0u);
+    TheoryBackend tb(cfg, map);
+    const FastPathStats &stats = tb.fastPathStats();
+    const AccessResult result = tb.runSingleHinted(false, stream);
+    ASSERT_TRUE(tb.lastClaimed());
+    EXPECT_EQ(stats.collapseHits, 1u);
+    EXPECT_EQ(stats.memoMisses, 0u);
 
     PerCycleMultiPort oracle(cfg, map);
     EXPECT_EQ(result, oracle.runSingle(stream));
 
     // Nothing was stored, so the same stream collapses again
     // instead of replaying.
-    AccessResult again;
-    ASSERT_TRUE(
-        solver.solve(loop, stream, mods.data(), nullptr, again));
-    EXPECT_EQ(solver.stats().collapseHits, 2u);
-    EXPECT_EQ(solver.stats().memoHits, 0u);
-    EXPECT_EQ(solver.stats().memoMisses, 0u);
+    const AccessResult again = tb.runSingleHinted(false, stream);
+    ASSERT_TRUE(tb.lastClaimed());
+    EXPECT_EQ(stats.collapseHits, 2u);
+    EXPECT_EQ(stats.memoHits, 0u);
+    EXPECT_EQ(stats.memoMisses, 0u);
     EXPECT_EQ(again, result);
 }
 

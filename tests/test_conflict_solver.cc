@@ -1,9 +1,10 @@
 /**
  * @file
- * Property suite for the steady-state conflict solver
- * (src/theory/conflict_solver.{h,cc}).
+ * Property suite for the theory tier's steady-state claims
+ * (src/theory/theory_backend.{h,cc}: the outcome memo in front of
+ * the collapse in memsys/steady_state.h).
  *
- * The solver's contract is exactness, not coverage: any stream it
+ * The contract is exactness, not coverage: any stream the tier
  * claims must carry the stall count and every delivery timestamp
  * the stepped per-cycle oracle produces, and the claim decision
  * itself must be a pure function of (config, module sequence,
@@ -24,7 +25,6 @@
 
 #include "common/stats.h"
 #include "core/access_unit.h"
-#include "theory/conflict_solver.h"
 #include "theory/theory_backend.h"
 
 namespace cfva {
@@ -85,7 +85,7 @@ premap(const VectorAccessUnit &unit,
     return mods;
 }
 
-/** Smallest period of @p mods by brute force (the solver's KMP
+/** Smallest period of @p mods by brute force (the collapser's KMP
  *  must agree with the definition, not the implementation). */
 std::size_t
 bruteForcePeriod(const std::vector<ModuleId> &mods)
@@ -117,9 +117,7 @@ TEST(ConflictSolverProperty, ClaimsMatchTheSteppedOracle)
                  solverConfigs(q, qOut)) {
                 const VectorAccessUnit unit(cfg);
                 const auto oracle = steppedOracle(unit);
-                ConflictSolver solver;
-                PerCycleMultiPort loop(unit.memConfig(),
-                                       unit.mapping());
+                TheoryBackend tb(unit.memConfig(), unit.mapping());
                 for (unsigned trial = 0; trial < 12; ++trial) {
                     const unsigned family =
                         static_cast<unsigned>(rng.below(9));
@@ -130,15 +128,12 @@ TEST(ConflictSolverProperty, ClaimsMatchTheSteppedOracle)
                     const AccessPlan plan = unit.plan(
                         a1, Stride::fromFamily(sigma, family),
                         length);
-                    const auto mods = premap(unit, plan.stream);
 
-                    AccessResult viaSolver;
-                    const bool ok = solver.solve(
-                        loop, plan.stream, mods.data(), nullptr,
-                        viaSolver);
+                    const AccessResult viaSolver =
+                        tb.runSingleHinted(false, plan.stream);
                     const AccessResult simulated =
                         oracle->runSingle(plan.stream);
-                    if (!ok) {
+                    if (!tb.lastClaimed()) {
                         ++refused;
                         continue;
                     }
@@ -178,8 +173,7 @@ TEST(ConflictSolverProperty, TailGapsArePeriodic)
     for (const VectorUnitConfig &cfg : solverConfigs(2, 1)) {
         const VectorAccessUnit unit(cfg);
         const auto oracle = steppedOracle(unit);
-        ConflictSolver solver;
-        PerCycleMultiPort loop(unit.memConfig(), unit.mapping());
+        TheoryBackend tb(unit.memConfig(), unit.mapping());
         for (unsigned trial = 0; trial < 10; ++trial) {
             const unsigned family =
                 static_cast<unsigned>(rng.below(8));
@@ -193,9 +187,9 @@ TEST(ConflictSolverProperty, TailGapsArePeriodic)
             if (p == 0 || p >= mods.size() / 8)
                 continue;
 
-            AccessResult viaSolver;
-            if (!solver.solve(loop, plan.stream,
-                              mods.data(), nullptr, viaSolver))
+            const AccessResult viaSolver =
+                tb.runSingleHinted(false, plan.stream);
+            if (!tb.lastClaimed())
                 continue;
             const AccessResult simulated =
                 oracle->runSingle(plan.stream);
@@ -219,18 +213,17 @@ TEST(ConflictSolverProperty, TailGapsArePeriodic)
     EXPECT_GT(checked, 0u);
 }
 
-// Claim attribution must be memo-invariant: the same stream solved
-// on a warm solver (memo hit), again on the same solver, and on a
-// cold one must agree on the claim bit and on every byte of the
-// result.  The attribution columns rest on exactly this
+// Claim attribution must be memo-invariant: the same stream
+// answered on a warm backend (memo hit), again on the same backend,
+// and on a cold one must agree on the claim bit and on every byte
+// of the result.  The attribution columns rest on exactly this
 // determinism.
 TEST(ConflictSolverProperty, ClaimDecisionIsMemoInvariant)
 {
     Rng rng(0xDE7E12ull);
     for (const VectorUnitConfig &cfg : solverConfigs(2, 1)) {
         const VectorAccessUnit unit(cfg);
-        ConflictSolver warm;
-        PerCycleMultiPort loop(unit.memConfig(), unit.mapping());
+        TheoryBackend warm(unit.memConfig(), unit.mapping());
         for (unsigned trial = 0; trial < 6; ++trial) {
             const AccessPlan plan = unit.plan(
                 rng.below(Addr{1} << 18),
@@ -238,26 +231,22 @@ TEST(ConflictSolverProperty, ClaimDecisionIsMemoInvariant)
                     rng.oddBelow(8),
                     static_cast<unsigned>(rng.below(8))),
                 33 + rng.below(64));
-            const auto mods = premap(unit, plan.stream);
 
-            AccessResult first, second, cold;
-            const bool okFirst =
-                warm.solve(loop, plan.stream,
-                           mods.data(), nullptr, first);
-            const bool okSecond =
-                warm.solve(loop, plan.stream,
-                           mods.data(), nullptr, second);
-            ConflictSolver fresh;
-            const bool okCold =
-                fresh.solve(loop, plan.stream,
-                            mods.data(), nullptr, cold);
+            const AccessResult first =
+                warm.runSingleHinted(false, plan.stream);
+            const bool okFirst = warm.lastClaimed();
+            const AccessResult second =
+                warm.runSingleHinted(false, plan.stream);
+            const bool okSecond = warm.lastClaimed();
+            TheoryBackend fresh(unit.memConfig(), unit.mapping());
+            const AccessResult cold =
+                fresh.runSingleHinted(false, plan.stream);
+            const bool okCold = fresh.lastClaimed();
 
             EXPECT_EQ(okFirst, okSecond);
             EXPECT_EQ(okFirst, okCold);
-            if (okFirst) {
-                EXPECT_EQ(first, second);
-                EXPECT_EQ(first, cold);
-            }
+            EXPECT_EQ(first, second);
+            EXPECT_EQ(first, cold);
         }
     }
 }

@@ -13,6 +13,7 @@
 #include "core/access_unit.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
+#include "sim/sweep_sink.h"
 #include "test_util.h"
 
 namespace cfva::sim {
@@ -97,7 +98,9 @@ TEST(SweepDynamic, StaticWindowBeatsOneTuningAcrossFamilies)
     // win on conflict-free count and on mean efficiency.
     const ScenarioGrid grid = priorArtGrid();
     const SweepReport report = SweepEngine().run(grid);
-    const auto per = report.perMapping();
+    SummarySink summary;
+    report.stream(summary);
+    const auto per = summary.perMapping();
     ASSERT_EQ(per.size(), 5u);
     for (std::size_t dyn = 1; dyn <= 3; ++dyn) {
         EXPECT_GT(per[0].conflictFree, per[dyn].conflictFree)

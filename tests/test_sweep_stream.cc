@@ -321,28 +321,33 @@ TEST(SweepStream, PendingOutcomesBoundedByWindow)
               stats.pendingWindow + stats.grain);
 }
 
-TEST(SweepStream, TableRenderingMatchesCsvSink)
-{
-    // SweepReport::table() and CsvStreamSink each render the
-    // 14-column row schema; this pin keeps the two from drifting
-    // apart now that writeCsv no longer goes through TextTable.
-    const SweepReport report = SweepEngine().run(pipelineGrid());
-    std::ostringstream viaTable;
-    report.table().printCsv(viaTable);
-    EXPECT_EQ(viaTable.str(), csvOf(report));
-}
-
+// The summary a run prints is folded from the outcome stream; the
+// same fold over the materialized report's replay must agree, and
+// both must carry the plain sums of the outcomes.
 TEST(SweepStream, SummarySinkMatchesReportAggregates)
 {
     const ScenarioGrid grid = pipelineGrid();
+    SummarySink streamed;
+    SweepEngine().runToSink(grid, streamed);
     const SweepReport report = SweepEngine().run(grid);
-    SummarySink summary;
-    report.stream(summary);
-    EXPECT_EQ(summary.jobs(), report.jobs());
-    EXPECT_EQ(summary.conflictFreeJobs(), report.conflictFreeJobs());
-    EXPECT_EQ(summary.totalLatency(), report.totalLatency());
-    const auto want = report.perMapping();
-    const auto got = summary.perMapping();
+    SummarySink replayed;
+    report.stream(replayed);
+
+    std::uint64_t cf = 0;
+    Cycle latency = 0;
+    for (const auto &o : report.outcomes) {
+        cf += o.conflictFree ? 1 : 0;
+        latency += o.latency;
+    }
+    EXPECT_EQ(streamed.jobs(), report.jobs());
+    EXPECT_EQ(streamed.conflictFreeJobs(), cf);
+    EXPECT_EQ(streamed.totalLatency(), latency);
+    EXPECT_EQ(replayed.jobs(), streamed.jobs());
+    EXPECT_EQ(replayed.conflictFreeJobs(), cf);
+    EXPECT_EQ(replayed.totalLatency(), latency);
+
+    const auto want = replayed.perMapping();
+    const auto got = streamed.perMapping();
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(got[i].label, want[i].label);
@@ -353,6 +358,12 @@ TEST(SweepStream, SummarySinkMatchesReportAggregates)
         EXPECT_DOUBLE_EQ(got[i].meanEfficiency,
                          want[i].meanEfficiency);
     }
+    std::ostringstream wantTables, gotTables;
+    replayed.summaryTable().print(wantTables, "summary");
+    replayed.workloadTable().print(wantTables, "workloads");
+    streamed.summaryTable().print(gotTables, "summary");
+    streamed.workloadTable().print(gotTables, "workloads");
+    EXPECT_EQ(gotTables.str(), wantTables.str());
 }
 
 TEST(SweepStream, MergeRejectsMismatchedInputs)

@@ -463,13 +463,13 @@ TEST(TheoryBackendAudit, TierChangesOnlyAttributionColumns)
     }
 }
 
-// The solver's memo and the fallback memo count apart: a
-// single-port access the tier cannot answer costs exactly one
-// solver memo lookup and one fallback memo lookup, never a lookup
-// inside the fallback simulator.  On a pseudo-random grid every module
-// sequence is aperiodic, so every solver attempt misses its memo,
-// fails to collapse, and falls back.
-TEST(TheoryBackendAudit, SolverCountsOneMemoLookupPerAttempt)
+// One memo, one lookup: every access past the conflict-free proof
+// is keyed exactly once, and a rejected access simulates iff that
+// lookup missed — a hit on its rejected entry replays without
+// re-running the collapse or keying a second memo.  On a
+// pseudo-random grid every module sequence is aperiodic, so every
+// miss fails to collapse and falls back.
+TEST(TheoryBackendAudit, RejectedAccessIsKeyedOnce)
 {
     sim::ScenarioGrid grid;
     VectorUnitConfig prand;
@@ -492,7 +492,7 @@ TEST(TheoryBackendAudit, SolverCountsOneMemoLookupPerAttempt)
     sim::SweepEngine(opts).run(grid, &stats);
     EXPECT_GT(stats.theoryFallbacks, 0u);
     EXPECT_EQ(stats.collapseHits, 0u);
-    EXPECT_EQ(stats.memoMisses, stats.theoryFallbacks);
+    EXPECT_EQ(stats.memoMisses, stats.fallbackMemoMisses);
     EXPECT_EQ(stats.memoHits + stats.memoMisses,
               stats.theoryClaims + stats.theoryFallbacks);
     EXPECT_EQ(stats.fallbackMemoHits + stats.fallbackMemoMisses,
@@ -502,8 +502,9 @@ TEST(TheoryBackendAudit, SolverCountsOneMemoLookupPerAttempt)
 }
 
 // ---------------------------------------------------------------------
-// The fallback memo: rejected accesses replayed from a bounded FIFO
-// keyed on the jointly rank-canonicalized per-port module sequences.
+// The outcome memo's fallback side: rejected accesses replayed from
+// the bounded FIFO keyed on the jointly rank-canonicalized per-port
+// module sequences.
 // ---------------------------------------------------------------------
 
 /** The kinds whose accesses reach the fallback: pseudo-random and
@@ -826,8 +827,8 @@ TEST(FallbackMemo, SummaryFallbackCarriesNoDeliveries)
 
 // One cache entry serves both tiers: the sim tier steps the cached
 // backend's own simulator, so it must leave the analytic state —
-// claim counters, the solver's memo, the fallback memo — untouched
-// while answering exactly what a fresh simulator answers.
+// claim counters and the outcome memo — untouched while answering
+// exactly what a fresh simulator answers.
 TEST(TheoryBackend, CacheServesBothTiersFromOneEntry)
 {
     const VectorAccessUnit unit(fallbackConfigs().front());
@@ -909,6 +910,128 @@ TEST(FallbackMemo, PrandShiftThatReordersModulesMisses)
     EXPECT_EQ(tb.stats().fallback, 2u);
     EXPECT_EQ(tb.fastPathStats().fallbackMemoHits, 0u);
     EXPECT_EQ(tb.fastPathStats().fallbackMemoMisses, 2u);
+}
+
+/** One access of the eviction test: its port streams and the
+ *  detail of its first two visits. */
+struct MemoAccess
+{
+    std::vector<std::vector<Request>> streams;
+    ResultDetail detail = ResultDetail::Full;
+};
+
+/** @p a answered on @p tb — P = 1 through the hinted entry point
+ *  with the proof skipped, as the sweep sends an uncertified
+ *  access — as a MultiPortResult. */
+MultiPortResult
+answer(TheoryBackend &tb, const MemoAccess &a, ResultDetail detail)
+{
+    if (a.streams.size() > 1)
+        return tb.runPorts(a.streams, nullptr, detail);
+    MultiPortResult r;
+    r.ports.push_back(
+        tb.runSingleHinted(false, a.streams[0], nullptr, detail));
+    r.makespan = r.ports[0].lastDelivery + 1;
+    return r;
+}
+
+// One FIFO holds claims and rejections alike, so eviction must
+// never change an answer: more than kMemoEntries distinct keys —
+// collapsible periodic streams, aperiodic streams at Summary and
+// Full detail, and two-port accesses whose ports share modules —
+// interleaved through one backend, each revisited after its entry
+// was evicted, must answer exactly as a fresh backend and the
+// stepped oracle do.
+TEST(OutcomeMemo, EvictionNeverChangesAnAnswer)
+{
+    VectorUnitConfig cfg;
+    cfg.kind = MemoryKind::DynamicTuned;
+    cfg.t = 2;
+    cfg.lambda = 6;
+    const VectorAccessUnit unit(cfg);
+    Rng rng(0xE71C7ull);
+
+    // Distinct lengths keep every key distinct.
+    std::vector<MemoAccess> accesses;
+    for (std::uint64_t i = 0; i < 2 * TheoryBackend::kMemoEntries;
+         ++i) {
+        const std::uint64_t length = 17 + i;
+        const Addr a1 = rng.below(Addr{1} << 16);
+        MemoAccess a;
+        switch (i % 4) {
+          case 0: // periodic and conflicted: the collapse closes it
+            a.streams = {unit.plan(a1,
+                                   Stride::fromFamily(
+                                       1, 1 + static_cast<unsigned>(
+                                                  i / 4 % 3)),
+                                   length)
+                             .stream};
+            a.detail = ResultDetail::Summary;
+            break;
+          case 1:
+          case 2: {
+            // Scattered addresses, as a pseudo-random mapping
+            // scatters modules: aperiodic, so it simulates.
+            std::vector<Request> stream;
+            for (std::uint64_t e = 0; e < length; ++e)
+                stream.push_back({rng.below(Addr{1} << 20), e});
+            a.streams = {stream};
+            a.detail = i % 4 == 1 ? ResultDetail::Summary
+                                  : ResultDetail::Full;
+            break;
+          }
+          default: // two ports over the same modules
+            a.streams = portStreams(unit, a1, 2, length, {1}, 2);
+            a.detail = ResultDetail::Summary;
+            break;
+        }
+        accesses.push_back(std::move(a));
+    }
+
+    TheoryBackend tb = theoryOver(unit);
+    PerCycleMultiPort oracle(unit.memConfig(), unit.mapping());
+    const auto visit = [&](std::size_t i, ResultDetail detail) {
+        const MemoAccess &a = accesses[i];
+        const MultiPortResult got = answer(tb, a, detail);
+        TheoryBackend fresh = theoryOver(unit);
+        EXPECT_EQ(got, answer(fresh, a, detail)) << "access " << i;
+        EXPECT_EQ(tb.lastClaimed(), fresh.lastClaimed())
+            << "access " << i;
+        EXPECT_EQ(tb.lastReason(), fresh.lastReason())
+            << "access " << i;
+
+        const MultiPortResult ref = oracle.run(a.streams);
+        if (detail == ResultDetail::Full) {
+            EXPECT_EQ(got, ref) << "access " << i;
+            return;
+        }
+        EXPECT_EQ(got.makespan, ref.makespan) << "access " << i;
+        ASSERT_EQ(got.ports.size(), ref.ports.size());
+        for (std::size_t p = 0; p < ref.ports.size(); ++p) {
+            EXPECT_TRUE(got.ports[p].deliveries.empty());
+            AccessResult agg = ref.ports[p];
+            agg.deliveries.clear();
+            EXPECT_EQ(got.ports[p], agg)
+                << "access " << i << " port " << p;
+        }
+    };
+    // Each access twice (the second a hit), then a Full revisit of
+    // the access whose entry the FIFO has just evicted.
+    const std::size_t lag = TheoryBackend::kMemoEntries + 8;
+    for (std::size_t i = 0; i < accesses.size(); ++i) {
+        visit(i, accesses[i].detail);
+        visit(i, accesses[i].detail);
+        if (i >= lag)
+            visit(i - lag, ResultDetail::Full);
+    }
+
+    const FastPathStats &fast = tb.fastPathStats();
+    EXPECT_GT(fast.collapseHits, 0u);
+    EXPECT_GT(fast.fallbackMemoHits, 0u);
+    EXPECT_GT(tb.stats().claimed, 0u);
+    EXPECT_GT(tb.stats().fallback, 0u);
+    // Every revisit missed: its entry had been evicted.
+    EXPECT_GE(fast.memoMisses, accesses.size() + (accesses.size() - lag));
 }
 
 // Property tests pinning the closed-form identities the fast path

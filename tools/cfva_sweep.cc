@@ -5,14 +5,15 @@
  *
  * Builds a ScenarioGrid from the options below, runs it on the
  * SweepEngine, and prints a per-mapping summary (optionally the
- * full per-scenario table as CSV/JSON).  --shard I/N restricts the
- * run to the i-th of N deterministic, disjoint job slices (combine
- * the outputs with cfva_merge); --stream pipes outcomes straight
- * through the CSV/JSON sinks so peak memory stays O(threads x
- * grain) instead of O(jobs).  --bench times the same grid at
- * several thread counts, reports the speedup and the backend-cache
- * effect, and drops a machine-readable BENCH_sweep.json so the
- * perf trajectory is tracked across PRs.
+ * full per-scenario table as CSV/JSON).  Outcomes stream straight
+ * through the CSV/JSON and summary sinks while the sweep runs, so
+ * peak memory stays O(threads x grain) instead of O(jobs).
+ * --shard I/N restricts the run to the i-th of N deterministic,
+ * disjoint job slices (combine the outputs with cfva_merge).
+ * --bench times the same grid at several thread counts, reports
+ * the speedup and the backend-cache effect, and drops a
+ * machine-readable BENCH_sweep.json so the perf trajectory is
+ * tracked across PRs.
  */
 
 #include <algorithm>
@@ -98,11 +99,11 @@ usage(std::ostream &os)
           "  --tier T           theory | sim | audit (default\n"
           "                     theory): 'theory' answers provably\n"
           "                     conflict-free and periodic accesses\n"
-          "                     analytically (steady-state solver\n"
-          "                     with an outcome memo) and falls\n"
-          "                     back to the per-cycle simulator\n"
-          "                     otherwise, replaying repeated\n"
-          "                     fallbacks from a bounded memo;\n"
+          "                     analytically (steady-state\n"
+          "                     collapse) and falls back to the\n"
+          "                     per-cycle simulator otherwise; one\n"
+          "                     bounded memo replays repeated\n"
+          "                     claims and fallbacks alike;\n"
           "                     'sim' is the pure stepped oracle\n"
           "                     (every cycle of every access\n"
           "                     simulated);\n"
@@ -119,9 +120,6 @@ usage(std::ostream &os)
           "  --shard I/N        run only the i-th (0-based) of N\n"
           "                     deterministic disjoint job slices;\n"
           "                     merge shard outputs with cfva_merge\n"
-          "  --stream           stream CSV/JSON while the sweep\n"
-          "                     runs (peak memory O(threads x\n"
-          "                     grain), byte-identical output)\n"
           "  --csv FILE         per-scenario CSV ('-' = stdout)\n"
           "  --json FILE        per-scenario JSON ('-' = stdout)\n"
           "  --no-summary       skip the summary table\n"
@@ -322,7 +320,6 @@ struct Options
     unsigned threads = 0;
     std::size_t grain = 0; // 0 = adaptive
     sim::ShardSpec shard;
-    bool stream = false;
     TierPolicy tier = TierPolicy::TheoryFirst;
     std::string csvPath;
     std::string jsonPath;
@@ -410,8 +407,6 @@ parseArgs(int argc, char **argv)
             o.grain = parseU64(need(i, "--grain"), "--grain");
         } else if (a == "--shard") {
             o.shard = parseShard(need(i, "--shard"));
-        } else if (a == "--stream") {
-            o.stream = true;
         } else if (a == "--bench-reps") {
             o.benchReps = parseU32(need(i, "--bench-reps"),
                                    "--bench-reps");
@@ -527,6 +522,9 @@ buildGrid(const Options &o)
         !overflow.empty())
         cfva_fatal(overflow, " (lower --exec-latency, --lengths, "
                    "--retune-period, or --ports)");
+    if (const std::string wraps = grid.addressOverflow(); !wraps.empty())
+        cfva_fatal(wraps, " (lower --strides, --port-mix, --starts, "
+                   "--port-stagger, or --lengths)");
     return grid;
 }
 
@@ -572,7 +570,7 @@ printTierStats(std::ostream &info, TierPolicy tier,
     }
 }
 
-/** Prints the steady-state solver's collapse/memo counters of a
+/** Prints the theory tier's collapse/memo counters of a
  *  run; silent under the sim tier (the stepped simulator has no
  *  fast path, so every counter is 0 there). */
 void
@@ -788,10 +786,6 @@ main(int argc, char **argv)
              << " covering jobs [" << first << ", " << last
              << ") = " << (last - first) << " scenarios\n";
     }
-    if (o.stream && !o.benchThreads.empty())
-        cfva_fatal("--bench times materialized runs; it cannot "
-                   "honor --stream (drop one of the two)");
-
     info << "tier: " << to_string(o.tier) << "\n";
 
     if (!o.benchThreads.empty()) {
@@ -1029,98 +1023,56 @@ main(int argc, char **argv)
         return (allIdentical && auditDivergences == 0) ? 0 : 1;
     }
 
-    if (o.stream) {
-        // Streaming mode: outcomes flow straight through the
-        // CSV/JSON sinks (and an O(1)-memory summary accumulator)
-        // in job order; nothing is materialized.
-        sim::SweepOptions opts;
-        opts.threads = o.threads;
-        opts.grain = o.grain;
-        opts.shard = o.shard;
-        opts.tier = o.tier;
-
-        std::ofstream csvFile, jsonFile;
-        std::optional<sim::CsvStreamSink> csvSink;
-        std::optional<sim::JsonStreamSink> jsonSink;
-        std::vector<sim::SweepSink *> sinks;
-        if (!o.csvPath.empty()) {
-            csvSink.emplace(*openSink(o.csvPath, csvFile));
-            sinks.push_back(&*csvSink);
-        }
-        if (!o.jsonPath.empty()) {
-            jsonSink.emplace(*openSink(o.jsonPath, jsonFile));
-            sinks.push_back(&*jsonSink);
-        }
-        sim::SummarySink summary;
-        if (o.summary)
-            sinks.push_back(&summary);
-        sim::TeeSink tee(std::move(sinks));
-
-        sim::SweepRunStats stats;
-        const auto start = std::chrono::steady_clock::now();
-        sim::SweepEngine(opts).runToSink(grid, tee, &stats);
-        const auto stop = std::chrono::steady_clock::now();
-        const double secs =
-            std::chrono::duration<double>(stop - start).count();
-
-        if (o.summary) {
-            info << stats.jobs << " scenarios streamed in "
-                 << fixed(secs, 3) << " s ("
-                 << fixed(static_cast<double>(stats.jobs) / secs, 0)
-                 << " scenarios/s, peak "
-                 << stats.peakPendingOutcomes
-                 << " outcomes in flight, window "
-                 << stats.pendingWindow << ")\n";
-            summary.summaryTable().print(info, "Sweep summary");
-            if (wantsWorkloadSummary(grid))
-                summary.workloadTable().print(info,
-                                              "Workload summary");
-            info << summary.conflictFreeJobs() << " of "
-                 << summary.jobs() << " scenarios conflict free\n";
-            info << "backend cache: " << stats.backendCacheHits
-                 << " hits / " << stats.backendCacheMisses
-                 << " misses\n";
-            printFastPathStats(info, o.tier, stats);
-            printTierStats(info, o.tier, stats);
-        }
-        return stats.tierAuditDivergences == 0 ? 0 : 1;
-    }
-
+    // Outcomes flow straight through the CSV/JSON sinks (and an
+    // O(1)-memory summary accumulator) in job order; nothing is
+    // materialized.
     sim::SweepOptions opts;
     opts.threads = o.threads;
     opts.grain = o.grain;
     opts.shard = o.shard;
     opts.tier = o.tier;
-    sim::SweepReport report;
+
+    std::ofstream csvFile, jsonFile;
+    std::optional<sim::CsvStreamSink> csvSink;
+    std::optional<sim::JsonStreamSink> jsonSink;
+    std::vector<sim::SweepSink *> sinks;
+    if (!o.csvPath.empty()) {
+        csvSink.emplace(*openSink(o.csvPath, csvFile));
+        sinks.push_back(&*csvSink);
+    }
+    if (!o.jsonPath.empty()) {
+        jsonSink.emplace(*openSink(o.jsonPath, jsonFile));
+        sinks.push_back(&*jsonSink);
+    }
+    sim::SummarySink summary;
+    if (o.summary)
+        sinks.push_back(&summary);
+    sim::TeeSink tee(std::move(sinks));
+
     sim::SweepRunStats stats;
+    const auto start = std::chrono::steady_clock::now();
+    sim::SweepEngine(opts).runToSink(grid, tee, &stats);
+    const auto stop = std::chrono::steady_clock::now();
     const double secs =
-        timedRun(sim::SweepEngine(opts), grid, report, &stats);
+        std::chrono::duration<double>(stop - start).count();
 
     if (o.summary) {
-        info << report.jobs() << " scenarios in " << fixed(secs, 3)
+        info << stats.jobs << " scenarios in " << fixed(secs, 3)
              << " s ("
-             << fixed(static_cast<double>(report.jobs()) / secs, 0)
-             << " scenarios/s)\n";
-        report.summaryTable().print(info, "Sweep summary");
-        if (wantsWorkloadSummary(grid)) {
-            sim::workloadSummaryTable(report.perWorkload())
-                .print(info, "Workload summary");
-        }
-        info << report.conflictFreeJobs() << " of " << report.jobs()
-             << " scenarios conflict free\n";
+             << fixed(static_cast<double>(stats.jobs) / secs, 0)
+             << " scenarios/s, peak " << stats.peakPendingOutcomes
+             << " outcomes in flight, window " << stats.pendingWindow
+             << ")\n";
+        summary.summaryTable().print(info, "Sweep summary");
+        if (wantsWorkloadSummary(grid))
+            summary.workloadTable().print(info, "Workload summary");
+        info << summary.conflictFreeJobs() << " of "
+             << summary.jobs() << " scenarios conflict free\n";
         info << "backend cache: " << stats.backendCacheHits
              << " hits / " << stats.backendCacheMisses
              << " misses\n";
         printFastPathStats(info, o.tier, stats);
         printTierStats(info, o.tier, stats);
-    }
-    if (!o.csvPath.empty()) {
-        std::ofstream file;
-        report.writeCsv(*openSink(o.csvPath, file));
-    }
-    if (!o.jsonPath.empty()) {
-        std::ofstream file;
-        report.writeJson(*openSink(o.jsonPath, file));
     }
     return stats.tierAuditDivergences == 0 ? 0 : 1;
 }
