@@ -8,7 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 
 #include "access/agu.h"
 #include "access/ordering.h"
@@ -202,6 +204,73 @@ BM_SweepStreamCsv(benchmark::State &state)
                             * grid.jobCount());
 }
 BENCHMARK(BM_SweepStreamCsv)->Arg(1)->Arg(2)->Arg(4);
+
+/** A streambuf that drops every byte. */
+class DiscardBuf final : public std::streambuf
+{
+  protected:
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        return n;
+    }
+
+    int_type
+    overflow(int_type c) override
+    {
+        return traits_type::not_eof(c);
+    }
+};
+
+/**
+ * Per-row cost of the CSV and JSON writers alone: a materialized
+ * report (both paper examples, chain and stencil programs, 1 and 2
+ * ports, so every column varies) replayed through its sink into a
+ * discarding stream.  Items are rows.
+ */
+void
+replayRows(benchmark::State &state, bool json)
+{
+    sim::ScenarioGrid grid;
+    grid.mappings = {paperMatchedExample(), paperSectionedExample()};
+    grid.addFamilies(0, 7, {1, 3, 5});
+    grid.randomStarts = 3;
+    grid.ports = {1, 2};
+    grid.workloads.clear();
+    for (sim::WorkloadKind kind :
+         {sim::WorkloadKind::Single, sim::WorkloadKind::Chain,
+          sim::WorkloadKind::Stencil}) {
+        sim::Workload wl;
+        wl.kind = kind;
+        grid.workloads.push_back(wl);
+    }
+    const sim::SweepReport report = sim::SweepEngine().run(grid);
+
+    DiscardBuf buf;
+    std::ostream os(&buf);
+    for (auto _ : state) {
+        if (json)
+            report.writeJson(os);
+        else
+            report.writeCsv(os);
+        benchmark::DoNotOptimize(&buf);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * report.jobs());
+}
+void
+BM_ReplayCsv(benchmark::State &state)
+{
+    replayRows(state, false);
+}
+BENCHMARK(BM_ReplayCsv);
+
+void
+BM_ReplayJson(benchmark::State &state)
+{
+    replayRows(state, true);
+}
+BENCHMARK(BM_ReplayJson);
 
 } // namespace
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <iomanip>
+#include <iterator>
 #include <ostream>
 
 #include "common/logging.h"
@@ -80,25 +81,32 @@ TextTable::printCsv(std::ostream &os) const
         emit(row);
 }
 
+char *
+putFixed(char *first, char *last, double v, int digits)
+{
+    const auto [end, ec] = std::to_chars(
+        first, last, v, std::chars_format::fixed, digits);
+    cfva_assert(ec == std::errc{}, "putFixed(", digits,
+                " digits) overflows its buffer");
+    return end;
+}
+
 std::string
 fixed(double v, int digits)
 {
     // Room for DBL_MAX's 309 integer digits, a sign, the point and
     // a generous precision.
     char buf[400];
-    const auto [end, ec] = std::to_chars(
-        buf, buf + sizeof buf, v, std::chars_format::fixed, digits);
-    cfva_assert(ec == std::errc{}, "fixed(", digits,
-                " digits) overflows its buffer");
-    return std::string(buf, end);
+    return std::string(buf, putFixed(buf, std::end(buf), v, digits));
 }
 
 std::string
 ratio(std::uint64_t num, std::uint64_t den)
 {
-    std::ostringstream os;
-    os << num << '/' << den;
-    return os.str();
+    char buf[41]; // two 20-digit numbers and the slash
+    char *p = putUint(buf, std::end(buf), num);
+    p = putText(p, std::end(buf), "/");
+    return std::string(buf, putUint(p, std::end(buf), den));
 }
 
 } // namespace cfva

@@ -31,6 +31,7 @@
 #define CFVA_MEMSYS_MULTI_PORT_H
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mapping/bitslice.h"
@@ -146,6 +147,15 @@ class PerCycleMultiPort
     trace(std::size_t port) const
     {
         return ports_[port].trace;
+    }
+
+    /** Moves port @p port's trace out of the last run (trace(port)
+     *  is then moved-from): a caller that keeps a trace takes it
+     *  rather than copying it before releaseTraces(). */
+    PortTrace
+    takeTrace(std::size_t port)
+    {
+        return std::move(ports_[port].trace);
     }
 
     /** The makespan of the last run (as in

@@ -1,6 +1,8 @@
 #include "sim/sweep_sink.h"
 
+#include <algorithm>
 #include <ostream>
+#include <string_view>
 
 #include "common/logging.h"
 
@@ -21,10 +23,48 @@ ReportSink::consume(const ScenarioOutcome &outcome)
     report_.outcomes.push_back(outcome);
 }
 
+namespace {
+
+/**
+ * Bytes a CSV or JSON row needs besides its three labels, with room
+ * to spare: the widest JSON row (every number at 20 digits, an
+ * efficiency of 2^64 with 6 fractional digits, the longest words)
+ * is 767 bytes plus its labels.  The put* writes check every byte
+ * against the buffer's end all the same.
+ */
+constexpr std::size_t kRowRoom = 1024;
+
+void
+checkLabels(const ScenarioOutcome &o, const SweepContext &ctx)
+{
+    cfva_assert(o.mappingIndex < ctx.mappingLabels.size()
+                    && o.portMixIndex < ctx.portMixLabels.size()
+                    && o.workloadIndex < ctx.workloadLabels.size(),
+                "outcome ", o.index, " references unknown labels");
+}
+
+/** Sizes @p row for the longest row @p ctx's labels can make. */
+void
+sizeRow(std::string &row, const SweepContext &ctx)
+{
+    std::size_t labels = 0;
+    for (const auto *axis : {&ctx.mappingLabels, &ctx.portMixLabels,
+                             &ctx.workloadLabels}) {
+        std::size_t longest = 0;
+        for (const std::string &label : *axis)
+            longest = std::max(longest, label.size());
+        labels += longest;
+    }
+    row.resize(kRowRoom + labels);
+}
+
+} // namespace
+
 void
 CsvStreamSink::begin(const SweepContext &ctx)
 {
     ctx_ = ctx;
+    sizeRow(row_, ctx_);
     os_ << "job,mapping,stride,family,length,a1,ports,port_mix,"
            "workload,latency,min_latency,stalls,conflict_free,"
            "in_window,efficiency,accesses,decoupled,chained,"
@@ -35,29 +75,50 @@ CsvStreamSink::begin(const SweepContext &ctx)
 void
 CsvStreamSink::consume(const ScenarioOutcome &o)
 {
-    cfva_assert(o.mappingIndex < ctx_.mappingLabels.size()
-                    && o.portMixIndex < ctx_.portMixLabels.size()
-                    && o.workloadIndex < ctx_.workloadLabels.size(),
-                "outcome ", o.index, " references unknown labels");
-    os_ << o.index << ',' << ctx_.mappingLabels[o.mappingIndex] << ','
-        << o.stride << ',' << o.family << ',' << o.length << ','
-        << o.a1 << ',' << o.ports << ','
-        << ctx_.portMixLabels[o.portMixIndex] << ','
-        << ctx_.workloadLabels[o.workloadIndex] << ',' << o.latency
-        << ',' << o.minLatency << ',' << o.stallCycles << ','
-        << (o.conflictFree ? 1 : 0) << ',' << (o.inWindow ? 1 : 0)
-        << ',' << fixed(o.efficiency(), 4) << ',' << o.accesses
-        << ',' << o.decoupledCycles << ',' << o.chainedCycles << ','
-        << o.chainSaved() << ',' << (o.chainable ? 1 : 0) << ','
-        << o.retunes << ',' << o.retuneCycles << ',' << o.tierLabel()
-        << ',' << o.theoryClaimed << ',' << o.theoryFallback << ','
-        << to_string(o.fallbackReason) << "\n";
+    checkLabels(o, ctx_);
+    char *p = row_.data();
+    char *const end = p + row_.size();
+    auto num = [&](std::uint64_t v) {
+        p = putText(putUint(p, end, v), end, ",");
+    };
+    auto str = [&](std::string_view v) {
+        p = putText(putText(p, end, v), end, ",");
+    };
+    num(o.index);
+    str(ctx_.mappingLabels[o.mappingIndex]);
+    num(o.stride);
+    num(o.family);
+    num(o.length);
+    num(o.a1);
+    num(o.ports);
+    str(ctx_.portMixLabels[o.portMixIndex]);
+    str(ctx_.workloadLabels[o.workloadIndex]);
+    num(o.latency);
+    num(o.minLatency);
+    num(o.stallCycles);
+    num(o.conflictFree);
+    num(o.inWindow);
+    p = putText(putFixed(p, end, o.efficiency(), 4), end, ",");
+    num(o.accesses);
+    num(o.decoupledCycles);
+    num(o.chainedCycles);
+    num(o.chainSaved());
+    num(o.chainable);
+    num(o.retunes);
+    num(o.retuneCycles);
+    str(o.tierLabel());
+    num(o.theoryClaimed);
+    num(o.theoryFallback);
+    p = putText(putText(p, end, to_string(o.fallbackReason)), end,
+                "\n");
+    os_.write(row_.data(), p - row_.data());
 }
 
 void
 JsonStreamSink::begin(const SweepContext &ctx)
 {
     ctx_ = ctx;
+    sizeRow(row_, ctx_);
     first_ = true;
     os_ << "[";
 }
@@ -65,34 +126,61 @@ JsonStreamSink::begin(const SweepContext &ctx)
 void
 JsonStreamSink::consume(const ScenarioOutcome &o)
 {
-    cfva_assert(o.mappingIndex < ctx_.mappingLabels.size()
-                    && o.portMixIndex < ctx_.portMixLabels.size()
-                    && o.workloadIndex < ctx_.workloadLabels.size(),
-                "outcome ", o.index, " references unknown labels");
-    os_ << (first_ ? "\n" : ",\n");
+    checkLabels(o, ctx_);
+    char *p = row_.data();
+    char *const end = p + row_.size();
+    p = putText(p, end, first_ ? "\n  {\"job\": " : ",\n  {\"job\": ");
     first_ = false;
-    os_ << "  {\"job\": " << o.index << ", \"mapping\": \""
-        << ctx_.mappingLabels[o.mappingIndex] << "\", \"stride\": "
-        << o.stride << ", \"family\": " << o.family
-        << ", \"length\": " << o.length << ", \"a1\": " << o.a1
-        << ", \"ports\": " << o.ports << ", \"port_mix\": \""
-        << ctx_.portMixLabels[o.portMixIndex] << "\", \"workload\": \""
-        << ctx_.workloadLabels[o.workloadIndex] << "\", \"latency\": "
-        << o.latency << ", \"min_latency\": " << o.minLatency
-        << ", \"stalls\": " << o.stallCycles << ", \"conflict_free\": "
-        << (o.conflictFree ? "true" : "false") << ", \"in_window\": "
-        << (o.inWindow ? "true" : "false") << ", \"efficiency\": "
-        << fixed(o.efficiency(), 6) << ", \"accesses\": "
-        << o.accesses << ", \"decoupled\": " << o.decoupledCycles
-        << ", \"chained\": " << o.chainedCycles
-        << ", \"chain_saved\": " << o.chainSaved()
-        << ", \"chainable\": " << (o.chainable ? "true" : "false")
-        << ", \"retunes\": " << o.retunes << ", \"retune_cycles\": "
-        << o.retuneCycles << ", \"tier\": \"" << o.tierLabel()
-        << "\", \"theory_claimed\": " << o.theoryClaimed
-        << ", \"theory_fallback\": " << o.theoryFallback
-        << ", \"fallback_reason\": \""
-        << to_string(o.fallbackReason) << "\"}";
+    p = putUint(p, end, o.index);
+    // Every later field is `, "key": value`; strings quote their
+    // value (labels are emitted verbatim, as ever).
+    auto key = [&](std::string_view k) {
+        p = putText(p, end, ", \"");
+        p = putText(p, end, k);
+        p = putText(p, end, "\": ");
+    };
+    auto num = [&](std::string_view k, std::uint64_t v) {
+        key(k);
+        p = putUint(p, end, v);
+    };
+    auto str = [&](std::string_view k, std::string_view v) {
+        key(k);
+        p = putText(p, end, "\"");
+        p = putText(p, end, v);
+        p = putText(p, end, "\"");
+    };
+    auto flag = [&](std::string_view k, bool v) {
+        key(k);
+        p = putText(p, end, v ? "true" : "false");
+    };
+    str("mapping", ctx_.mappingLabels[o.mappingIndex]);
+    num("stride", o.stride);
+    num("family", o.family);
+    num("length", o.length);
+    num("a1", o.a1);
+    num("ports", o.ports);
+    str("port_mix", ctx_.portMixLabels[o.portMixIndex]);
+    str("workload", ctx_.workloadLabels[o.workloadIndex]);
+    num("latency", o.latency);
+    num("min_latency", o.minLatency);
+    num("stalls", o.stallCycles);
+    flag("conflict_free", o.conflictFree);
+    flag("in_window", o.inWindow);
+    key("efficiency");
+    p = putFixed(p, end, o.efficiency(), 6);
+    num("accesses", o.accesses);
+    num("decoupled", o.decoupledCycles);
+    num("chained", o.chainedCycles);
+    num("chain_saved", o.chainSaved());
+    flag("chainable", o.chainable);
+    num("retunes", o.retunes);
+    num("retune_cycles", o.retuneCycles);
+    str("tier", o.tierLabel());
+    num("theory_claimed", o.theoryClaimed);
+    num("theory_fallback", o.theoryFallback);
+    str("fallback_reason", to_string(o.fallbackReason));
+    p = putText(p, end, "}");
+    os_.write(row_.data(), p - row_.data());
 }
 
 void

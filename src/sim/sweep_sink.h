@@ -24,6 +24,16 @@
  * through the same sinks, so a streamed file and a materialized one
  * cannot drift apart.  Sinks need not be thread-safe — the engine
  * serializes all begin/consume/end calls.
+ *
+ * Those serialized calls are the sweep's one serial stage, so the
+ * row writers keep them cheap: CsvStreamSink and JsonStreamSink
+ * write each row into one member buffer, sized in begin() for the
+ * grid's longest labels and reused across rows, with the
+ * std::to_chars primitive of common/table.h (putUint, putFixed,
+ * putText) and no per-field stream insertion, then hand the row to
+ * the stream in a single write.  Nothing is held back between
+ * consume() calls: every row is in the stream when consume()
+ * returns, and end() only closes the document.
  */
 
 #ifndef CFVA_SIM_SWEEP_SINK_H
@@ -121,6 +131,7 @@ class CsvStreamSink final : public SweepSink
   private:
     std::ostream &os_;
     SweepContext ctx_;
+    std::string row_; //!< row buffer, sized in begin(), reused
 };
 
 /**
@@ -139,6 +150,7 @@ class JsonStreamSink final : public SweepSink
   private:
     std::ostream &os_;
     SweepContext ctx_;
+    std::string row_; //!< row buffer, sized in begin(), reused
     bool first_ = true;
 };
 

@@ -357,10 +357,10 @@ TheoryBackend::record(std::size_t count, bool claimed,
         o.summaryOnly = detail == ResultDetail::Summary;
         o.ports.resize(count);
         for (std::size_t p = 0; p < count; ++p) {
-            const PortTrace &simulated = fallback_.trace(p);
-            o.ports[p].summary = simulated.summary;
-            if (!o.summaryOnly)
-                o.ports[p].emits = simulated.emits;
+            if (o.summaryOnly)
+                o.ports[p].summary = fallback_.trace(p).summary;
+            else
+                o.ports[p] = fallback_.takeTrace(p);
         }
         memo_.store(std::move(o));
     }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iomanip>
 #include <sstream>
 
@@ -61,6 +62,33 @@ TEST(Formatting, FixedAndRatio)
     EXPECT_EQ(fixed(0.9142, 3), "0.914");
     EXPECT_EQ(fixed(2.0, 1), "2.0");
     EXPECT_EQ(ratio(31, 32), "31/32");
+    EXPECT_EQ(ratio(0, UINT64_MAX), "0/18446744073709551615");
+}
+
+// The put* primitive prints every uint64_t exactly as stream
+// insertion does, writes where it is told, and panics rather than
+// overrun its buffer.
+TEST(Formatting, PutWritesIntoTheBuffer)
+{
+    for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{9},
+                            std::uint64_t{10}, std::uint64_t{1} << 32,
+                            UINT64_MAX - 1, UINT64_MAX}) {
+        std::ostringstream os;
+        os << v;
+        char buf[20];
+        EXPECT_EQ(std::string(buf, putUint(buf, buf + 20, v)), os.str());
+    }
+    char row[20];
+    char *p = putText(row, row + 20, "x=");
+    p = putUint(p, row + 20, 42);
+    p = putText(p, row + 20, ",");
+    p = putFixed(p, row + 20, 0.5, 4);
+    EXPECT_EQ(std::string(row, p), "x=42,0.5000");
+
+    test::ScopedPanicThrow guard;
+    EXPECT_THROW(putUint(row, row + 19, UINT64_MAX), std::runtime_error);
+    EXPECT_THROW(putFixed(row, row + 5, 0.5, 4), std::runtime_error);
+    EXPECT_THROW(putText(row, row + 1, "ab"), std::runtime_error);
 }
 
 // fixed() formats through std::to_chars; it must print exactly what

@@ -18,13 +18,20 @@
  *    add up.
  *  - Streaming-mode memory is bounded by the flush window
  *    (O(threads x grain)), not by the job count.
+ *  - The CSV and JSON row writers (to_chars into a reused buffer)
+ *    print exactly what per-field std::ostream insertion printed,
+ *    on a grid and on hand-built extremes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iomanip>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/access_unit.h"
@@ -364,6 +371,273 @@ TEST(SweepStream, SummarySinkMatchesReportAggregates)
     streamed.summaryTable().print(gotTables, "summary");
     streamed.workloadTable().print(gotTables, "workloads");
     EXPECT_EQ(gotTables.str(), wantTables.str());
+}
+
+// ---------------------------------------------------------------
+// Row-writer oracle.  The CSV and JSON sinks build each row with the
+// to_chars append primitive; the functions below are the row bodies
+// they had when every field went through std::ostream insertion
+// (efficiency through std::fixed/setprecision).  The rewritten
+// writers must match them byte for byte on a theory-tier grid and
+// on hand-built extremes the committed golden does not reach.
+// ---------------------------------------------------------------
+
+std::string
+streamFixed(double v, int digits)
+{
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(digits) << v;
+    return os.str();
+}
+
+/** The CSV rows (no header) of @p r, by stream insertion. */
+std::string
+oracleCsvRows(const SweepReport &r)
+{
+    std::ostringstream os;
+    for (const ScenarioOutcome &o : r.outcomes) {
+        os << o.index << ',' << r.mappingLabels[o.mappingIndex] << ','
+           << o.stride << ',' << o.family << ',' << o.length << ','
+           << o.a1 << ',' << o.ports << ','
+           << r.portMixLabels[o.portMixIndex] << ','
+           << r.workloadLabels[o.workloadIndex] << ',' << o.latency
+           << ',' << o.minLatency << ',' << o.stallCycles << ','
+           << (o.conflictFree ? 1 : 0) << ',' << (o.inWindow ? 1 : 0)
+           << ',' << streamFixed(o.efficiency(), 4) << ','
+           << o.accesses << ',' << o.decoupledCycles << ','
+           << o.chainedCycles << ',' << o.chainSaved() << ','
+           << (o.chainable ? 1 : 0) << ',' << o.retunes << ','
+           << o.retuneCycles << ',' << o.tierLabel() << ','
+           << o.theoryClaimed << ',' << o.theoryFallback << ','
+           << to_string(o.fallbackReason) << "\n";
+    }
+    return os.str();
+}
+
+/** The whole JSON document of @p r, by stream insertion. */
+std::string
+oracleJson(const SweepReport &r)
+{
+    std::ostringstream os;
+    os << "[";
+    bool first = true;
+    for (const ScenarioOutcome &o : r.outcomes) {
+        os << (first ? "\n" : ",\n");
+        first = false;
+        os << "  {\"job\": " << o.index << ", \"mapping\": \""
+           << r.mappingLabels[o.mappingIndex] << "\", \"stride\": "
+           << o.stride << ", \"family\": " << o.family
+           << ", \"length\": " << o.length << ", \"a1\": " << o.a1
+           << ", \"ports\": " << o.ports << ", \"port_mix\": \""
+           << r.portMixLabels[o.portMixIndex] << "\", \"workload\": \""
+           << r.workloadLabels[o.workloadIndex] << "\", \"latency\": "
+           << o.latency << ", \"min_latency\": " << o.minLatency
+           << ", \"stalls\": " << o.stallCycles
+           << ", \"conflict_free\": "
+           << (o.conflictFree ? "true" : "false")
+           << ", \"in_window\": " << (o.inWindow ? "true" : "false")
+           << ", \"efficiency\": " << streamFixed(o.efficiency(), 6)
+           << ", \"accesses\": " << o.accesses
+           << ", \"decoupled\": " << o.decoupledCycles
+           << ", \"chained\": " << o.chainedCycles
+           << ", \"chain_saved\": " << o.chainSaved()
+           << ", \"chainable\": " << (o.chainable ? "true" : "false")
+           << ", \"retunes\": " << o.retunes << ", \"retune_cycles\": "
+           << o.retuneCycles << ", \"tier\": \"" << o.tierLabel()
+           << "\", \"theory_claimed\": " << o.theoryClaimed
+           << ", \"theory_fallback\": " << o.theoryFallback
+           << ", \"fallback_reason\": \""
+           << to_string(o.fallbackReason) << "\"}";
+    }
+    os << "\n]\n";
+    return os.str();
+}
+
+/** Compares line by line, so a mismatch names its first row
+ *  instead of printing two whole documents. */
+void
+expectSameLines(const std::string &got, const std::string &want)
+{
+    std::istringstream g(got), w(want);
+    std::string gl, wl;
+    for (std::size_t line = 1;; ++line) {
+        const bool gotLine = static_cast<bool>(std::getline(g, gl));
+        const bool wantLine = static_cast<bool>(std::getline(w, wl));
+        ASSERT_EQ(gotLine, wantLine) << "line counts differ at " << line;
+        if (!gotLine)
+            break;
+        ASSERT_EQ(gl, wl) << "line " << line;
+    }
+    EXPECT_EQ(got.size(), want.size());
+}
+
+/** Checks both writers of @p report against the oracle. */
+void
+expectOracleRows(const SweepReport &report)
+{
+    const std::string csv = csvOf(report);
+    const std::size_t header = csv.find('\n');
+    ASSERT_NE(header, std::string::npos);
+    expectSameLines(csv.substr(header + 1), oracleCsvRows(report));
+    expectSameLines(jsonOf(report), oracleJson(report));
+}
+
+Workload
+workloadOf(WorkloadKind kind, Cycle execLatency, unsigned retunePeriod)
+{
+    Workload wl;
+    wl.kind = kind;
+    wl.execLatency = execLatency;
+    wl.retunePeriod = retunePeriod;
+    return wl;
+}
+
+// (a) Every theory-tier column a grid can fill: all mapping kinds
+// (dynamic re-tuning, so nonzero retunes and retune_cycles), chain
+// and stencil programs (nonzero chain_saved), ports 1 and 2 with a
+// descending mix, on both tiers (tier "sim" and "theory").
+TEST(SweepStream, RowWritersMatchStreamInsertionOnGrid)
+{
+    VectorUnitConfig base;
+    base.t = 2;
+    base.lambda = 5;
+    std::vector<VectorUnitConfig> mappings;
+    for (MemoryKind kind :
+         {MemoryKind::Matched, MemoryKind::Sectioned,
+          MemoryKind::SimpleUnmatched, MemoryKind::DynamicTuned,
+          MemoryKind::PseudoRandom}) {
+        VectorUnitConfig c = base;
+        c.kind = kind;
+        if (kind == MemoryKind::SimpleUnmatched)
+            c.mOverride = 3;
+        if (kind == MemoryKind::DynamicTuned)
+            c.dynamicTune = 2;
+        mappings.push_back(c);
+    }
+    ScenarioGrid grid;
+    grid.mappings = mappings;
+    grid.strides = {1, 2, 3, 4, 6, 8, 24};
+    grid.lengths = {0, 8};
+    grid.starts = {0};
+    grid.randomStarts = 1;
+    grid.ports = {1, 2};
+    grid.portMixes = {PortMix{}, PortMix{{1, -3}}};
+    grid.workloads = {workloadOf(WorkloadKind::Single, 1, 1),
+                      workloadOf(WorkloadKind::Chain, 3, 1),
+                      workloadOf(WorkloadKind::Retune, 1, 2),
+                      workloadOf(WorkloadKind::Stencil, 2, 1)};
+    grid.seed = 0x0AC1Eull;
+
+    std::set<std::string> reasons, tiers;
+    std::set<unsigned> ports;
+    bool chainSaved = false, retunes = false, retuneCycles = false;
+    for (TierPolicy tier :
+         {TierPolicy::SimulateAlways, TierPolicy::TheoryFirst}) {
+        SweepOptions opts;
+        opts.tier = tier;
+        const SweepReport report = SweepEngine(opts).run(grid);
+        expectOracleRows(report);
+        for (const ScenarioOutcome &o : report.outcomes) {
+            reasons.insert(to_string(o.fallbackReason));
+            tiers.insert(o.tierLabel());
+            ports.insert(o.ports);
+            chainSaved |= o.chainSaved() != 0;
+            retunes |= o.retunes != 0;
+            retuneCycles |= o.retuneCycles != 0;
+        }
+    }
+    // The grid must keep reaching what it is here to cover.  No
+    // grid reaches "unproven" (the window theorems certify every
+    // hinted access), so the hand-built rows below carry it.
+    EXPECT_EQ(reasons, (std::set<std::string>{"none", "conflicted",
+                                              "multiport", "dynamic"}));
+    EXPECT_EQ(tiers, (std::set<std::string>{"sim", "theory"}));
+    EXPECT_EQ(ports, (std::set<unsigned>{1, 2}));
+    EXPECT_TRUE(chainSaved);
+    EXPECT_TRUE(retunes);
+    EXPECT_TRUE(retuneCycles);
+}
+
+// (b) Hand-built rows: 0 and the type maximum in every integer
+// field, latency 0 (efficiency 0), exact binary ties at 4 and 6
+// fractional digits, near-ties, efficiencies far above 1, and every
+// fallback reason under both tier labels.
+TEST(SweepStream, RowWritersMatchStreamInsertionOnExtremes)
+{
+    SweepReport report;
+    report.mappingLabels = {"matched M=8 T=4 L=128", "m1"};
+    report.portMixLabels = {"1", "1,-3"};
+    report.workloadLabels = {"single", "chain:e3"};
+
+    const auto filled = [](std::uint64_t v) {
+        ScenarioOutcome o;
+        o.index = v;
+        o.mappingIndex = v ? 1 : 0;
+        o.portMixIndex = v ? 1 : 0;
+        o.workloadIndex = v ? 1 : 0;
+        o.stride = v;
+        o.family = static_cast<unsigned>(v);
+        o.length = v;
+        o.a1 = v;
+        o.ports = static_cast<unsigned>(v);
+        o.latency = v;
+        o.minLatency = v;
+        o.stallCycles = v;
+        o.conflictFree = v != 0;
+        o.inWindow = v != 0;
+        o.accesses = v;
+        o.decoupledCycles = v;
+        o.chainedCycles = v;
+        o.chainable = v != 0;
+        o.retunes = v;
+        o.retuneCycles = v;
+        o.theoryClaimed = v;
+        o.theoryFallback = v;
+        return o;
+    };
+    std::vector<ScenarioOutcome> rows = {filled(0),
+                                         filled(UINT64_MAX)};
+    // chain_saved wraps either way round.
+    ScenarioOutcome saved = filled(0);
+    saved.decoupledCycles = UINT64_MAX;
+    rows.push_back(saved);
+    saved.decoupledCycles = 0;
+    saved.chainedCycles = UINT64_MAX;
+    rows.push_back(saved);
+    // minLatency / latency: 1/32 = 0.03125 and 3/32 = 0.09375 tie
+    // at 4 digits, 1/128 and 3/128 at 6; 5/64 ties at 5 (rounded
+    // to 4 in CSV, exact in JSON); 1/20000 is not exact in binary.
+    const std::pair<Cycle, Cycle> effs[] = {
+        {1, 32},        {3, 32}, {1, 128},         {3, 128},
+        {5, 64},        {1, 20000}, {2, 3},        {1, 1},
+        {UINT64_MAX, 1}, {1, UINT64_MAX}, {UINT64_MAX, UINT64_MAX},
+        {0, 7},         {7, 0}};
+    for (const auto &[minLatency, latency] : effs) {
+        ScenarioOutcome o = filled(0);
+        o.minLatency = minLatency;
+        o.latency = latency;
+        rows.push_back(o);
+    }
+    for (FallbackReason reason :
+         {FallbackReason::None, FallbackReason::Conflicted,
+          FallbackReason::MultiPort, FallbackReason::Unproven,
+          FallbackReason::Dynamic}) {
+        for (auto [claimed, fallback] :
+             {std::pair<std::uint64_t, std::uint64_t>{0, 0},
+              {3, 0},
+              {0, 2}}) {
+            ScenarioOutcome o = filled(1);
+            o.fallbackReason = reason;
+            o.theoryClaimed = claimed;
+            o.theoryFallback = fallback;
+            rows.push_back(o);
+        }
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        if (rows[i].index != UINT64_MAX)
+            rows[i].index = i;
+    report.outcomes = rows;
+    expectOracleRows(report);
 }
 
 TEST(SweepStream, MergeRejectsMismatchedInputs)
